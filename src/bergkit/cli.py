@@ -3,8 +3,7 @@
 Subcommands wrap the library estimators and emit reproducible JSON (the
 authoritative format) or CSV tables.  Identical configuration and seed
 produce byte-identical JSON, with the generation timestamp kept in its
-own top-level field.  ``BERGKIT_THREADS`` caps how many (symbol, alpha)
-sweep cells run concurrently.
+own top-level field.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ import datetime
 import io
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,7 +25,7 @@ from .kernels import (Weight, defect_kernel_matrix, gram_matrix,
                       nevanlinna_kernel, psd_check)
 from .laplace import HalfLineFunction, isometry_check
 from .opnorm import boundedness_verdict, spectral_radius_estimate
-from .space import QuadratureScheme
+from .space import DEFAULT_NX, DEFAULT_NY, DEFAULT_YMAX, _cached_scheme
 from .symbols import (DEFAULT_GRID, Affine, CayleyMap, Compose, Moebius,
                       PowerMap, SampleGrid, Symbol, angular_derivative_estimate,
                       identity, symbol_from_dict, validate_self_map)
@@ -169,12 +166,14 @@ def _apply_config(args) -> None:
 
     The file may provide symbols (descriptors or mini-syntax strings),
     alphas, grid, quadrature, seed, format and out; explicit command-line
-    flags win over file values.
+    flags win over file values.  ``--seed`` and ``--format`` default to
+    None so that an explicit ``--seed 0`` or ``--format json`` is seen;
+    their defaults (0 and json) are filled in here.
     """
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as handle:
-        config = json.load(handle)
+    config = {}
+    if getattr(args, "config", None):
+        with open(args.config) as handle:
+            config = json.load(handle)
     unknown = set(config) - {"symbols", "alphas", "grid", "quadrature",
                              "seed", "format", "out"}
     if unknown:
@@ -189,17 +188,17 @@ def _apply_config(args) -> None:
         g = config["grid"]
         args.grid = (f"{g['r_min']},{g['r_max']},{g['radial']},"
                      f"{g['angular']},{g['aperture']}")
-    if "seed" in config and args.seed == 0:
-        args.seed = int(config["seed"])
-    if "format" in config and args.format == "json":
-        args.format = config["format"]
+    if args.seed is None:
+        args.seed = int(config.get("seed", 0))
+    if args.format is None:
+        args.format = config.get("format", "json")
     if "out" in config and not args.out:
         args.out = config["out"]
     quad = config.get("quadrature")
     if quad:
-        args.scheme = QuadratureScheme.build(
-            n_x=int(quad.get("n_x", 160)), n_y=int(quad.get("n_y", 400)),
-            y_max=float(quad.get("y_max", 200.0)))
+        args.scheme = _cached_scheme(int(quad.get("n_x", DEFAULT_NX)),
+                                     int(quad.get("n_y", DEFAULT_NY)),
+                                     float(quad.get("y_max", DEFAULT_YMAX)))
 
 
 def _descriptor_to_text(descriptor: dict) -> str:
@@ -221,7 +220,7 @@ def _emit(payload: dict, args) -> None:
     payload = dict(payload)
     payload["generated_at"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat()
-    if getattr(args, "format", "json") == "csv" and "rows" in payload:
+    if args.format == "csv" and "rows" in payload:
         text = _rows_to_csv(payload["rows"])
     else:
         text = _canonical_json(payload) + "\n"
@@ -244,22 +243,6 @@ def _rows_to_csv(rows: list[dict]) -> str:
         flat["symbol"] = row.get("symbol_text", flat.get("symbol"))
         writer.writerow(flat)
     return buffer.getvalue()
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("BERGKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _sweep(cells, worker):
-    workers = _max_workers()
-    if workers == 1 or len(cells) <= 1:
-        return [worker(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +291,18 @@ def _cmd_norm(args) -> int:
         if rep.verdict == "BOUNDED":
             kr = rep.kernel_ratio.value
             ge = rep.gram.value
+            rho = rep.spectral_radius.value
             row.update({
                 "kernel_ratio": kr,
                 "gram_eig": ge,
-                "spectral_radius": rep.spectral_radius.value,
+                # JSON has no inf: null, as in the estimate's own to_dict
+                "spectral_radius": rho if math.isfinite(rho) else None,
                 "rel_gap_kernel": abs(kr - rep.theoretical) / rep.theoretical,
                 "rel_gap_gram": abs(ge - rep.theoretical) / rep.theoretical,
             })
         return row
 
-    rows = _sweep(cells, worker)
+    rows = [worker(cell) for cell in cells]
     payload = {"command": "norm", "seed": args.seed, "grid": grid.to_dict(),
                "rows": rows}
     _emit(payload, args)
@@ -355,20 +340,23 @@ def _cmd_psd(args) -> int:
             return nevanlinna_kernel(symbols[0][1], pts)
         raise CliError(f"unknown kernel {kernel_kind!r} (gram | K:<n> | nevanlinna)")
 
-    verdicts = []
-    failures = 0
+    cells = []
     for alpha in alphas:
         for trial in range(args.trials):
             pts = grid.sample_points(args.points, rng)
-            verdict = psd_check(build(alpha, pts))
-            if not verdict.is_psd:
-                failures += 1
-            verdicts.append({
-                "alpha": alpha,
-                "trial": trial,
-                "points": [[p.real, p.imag] for p in pts],
-                **verdict.to_dict(),
-            })
+            cells.append((alpha, trial, pts, build(alpha, pts)))
+    verdicts = []
+    failures = 0
+    checked = psd_check([matrix for *_, matrix in cells])
+    for (alpha, trial, pts, _), verdict in zip(cells, checked):
+        if not verdict.is_psd:
+            failures += 1
+        verdicts.append({
+            "alpha": alpha,
+            "trial": trial,
+            "points": [[p.real, p.imag] for p in pts],
+            **verdict.to_dict(),
+        })
     payload = {"command": "psd", "seed": args.seed, "kernel": kernel_kind,
                "grid": grid.to_dict(), "trials": args.trials,
                "failures": failures, "verdicts": verdicts}
@@ -469,9 +457,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--alpha", type=float, action="append",
                        help="weight parameter alpha > -1 (repeatable)")
         p.add_argument("--grid", help="r_min,r_max,shells,angles,aperture")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--format", choices=["json", "csv"])
         p.add_argument("--config", help="JSON run-config file; flags win")
         p.set_defaults(scheme=None)
         if symbols:

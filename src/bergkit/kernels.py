@@ -314,30 +314,48 @@ class PsdVerdict:
         }
 
 
-def psd_check(matrix, rel_tol: float = PSD_REL_TOL) -> PsdVerdict:
-    """Positivity verdict for a Hermitian matrix (or KernelMatrix).
+def psd_check(matrix, rel_tol: float = PSD_REL_TOL):
+    """Positivity verdict for a Hermitian matrix (or KernelMatrix), or one
+    verdict per matrix for a sequence of same-size matrices.
 
-    The smallest eigenvalue comes from the rotation-based solver in
-    ``linalg``.  The acceptance threshold is ``rel_tol * max(1, trace/n)``,
-    an absolute floor made scale-aware so that roundoff on large-magnitude
-    kernels does not produce false negatives.
+    The smallest eigenvalues come from one batched call of the
+    rotation-based solver in ``linalg``; eigenvectors are computed only
+    for the matrices that fail, to give their witnesses.  The acceptance
+    threshold is ``rel_tol * max(1, trace/n)``, an absolute floor made
+    scale-aware so that roundoff on large-magnitude kernels does not
+    produce false negatives.
     """
-    entries = matrix.entries if isinstance(matrix, KernelMatrix) else matrix
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if isinstance(matrix, (list, tuple)):
+        if not matrix:
+            return []
+        first = matrix[0]
+        single = not (isinstance(first, KernelMatrix) or np.ndim(first) == 2)
+    else:
+        single = isinstance(matrix, KernelMatrix) or np.ndim(matrix) != 3
+    stack = [matrix] if single else list(matrix)
+    a = np.asarray([m.entries if isinstance(m, KernelMatrix) else m
+                    for m in stack], dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale > 0 and hermitian_defect(a) > 1e-10 * scale:
+    n = a.shape[1]
+    adjoint = a.conj().swapaxes(1, 2)
+    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
+    defect = np.abs(a - adjoint).max(axis=(1, 2), initial=0.0)
+    if np.any((scale > 0) & (defect > 1e-10 * scale)):
         raise ValueError("matrix is not Hermitian within the defect tolerance")
-    hermitian_part = 0.5 * (a + a.conj().T)
+    hermitian_part = 0.5 * (a + adjoint)
     eigenvalues, _ = jacobi_eigh(hermitian_part, compute_vectors=False)
-    min_eig = float(eigenvalues[0])
-    trace = float(np.trace(hermitian_part).real)
-    threshold = rel_tol * max(1.0, trace / max(n, 1))
-    is_psd = min_eig >= -threshold
-    witness = None
-    if not is_psd:
-        _, vectors = jacobi_eigh(hermitian_part, compute_vectors=True)
-        witness = tuple(complex(v) for v in vectors[:, 0])
-    return PsdVerdict(min_eig, threshold, is_psd, witness)
+    min_eigs = eigenvalues[:, 0]
+    traces = np.trace(hermitian_part, axis1=1, axis2=2).real
+    thresholds = rel_tol * np.maximum(1.0, traces / max(n, 1))
+    is_psd = min_eigs >= -thresholds
+    witnesses = [None] * len(stack)
+    failing = np.flatnonzero(~is_psd)
+    if failing.size:
+        _, vectors = jacobi_eigh(hermitian_part[failing], compute_vectors=True)
+        for index, vector in zip(failing, vectors[:, :, 0]):
+            witnesses[index] = tuple(complex(x) for x in vector)
+    verdicts = [PsdVerdict(float(min_eigs[i]), float(thresholds[i]),
+                           bool(is_psd[i]), witnesses[i])
+                for i in range(len(stack))]
+    return verdicts[0] if single else verdicts

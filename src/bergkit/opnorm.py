@@ -228,12 +228,15 @@ class SpectralRadiusEstimate:
 
 
 def spectral_radius_estimate(weight: Weight, phi: Symbol, max_iter: int = 8,
-                             grid: SampleGrid = DEFAULT_GRID) -> SpectralRadiusEstimate:
+                             grid: SampleGrid = DEFAULT_GRID,
+                             angular: Optional[AngularDerivativeEstimate] = None
+                             ) -> SpectralRadiusEstimate:
     """Estimate the spectral radius through powers C^n = C_{phi o ... o phi}.
 
     Each iterate applies the kernel-ratio bound to the n-fold composition
     and takes the n-th root.  Composition stays inside the closed symbol
-    families, with an overflow guard on the composed coefficients.
+    families, with an overflow guard on the composed coefficients.  A
+    given ``angular`` estimate of phi on ``grid`` serves for n = 1.
     """
     if max_iter < 1:
         raise ValueError("need at least one iterate")
@@ -244,7 +247,9 @@ def spectral_radius_estimate(weight: Weight, phi: Symbol, max_iter: int = 8,
     for n in range(1, max_iter + 1):
         if n > 1:
             current = compose(phi, current)
-        est = angular_derivative_estimate(current, grid)
+            est = angular_derivative_estimate(current, grid)
+        else:
+            est = angular or angular_derivative_estimate(phi, grid)
         if est.verdict == "divergent":
             value = math.inf
             per_iterate.append((n, math.inf))
@@ -255,16 +260,19 @@ def spectral_radius_estimate(weight: Weight, phi: Symbol, max_iter: int = 8,
 
 
 def essential_norm_lower_bound(weight: Weight, phi: Symbol,
-                               grid: SampleGrid = DEFAULT_GRID) -> float:
+                               grid: SampleGrid = DEFAULT_GRID,
+                               angular: Optional[AngularDerivativeEstimate] = None
+                               ) -> float:
     """Far-field lower bound for the essential norm.
 
     Normalized kernels k_z/||k_z|| tend weakly to zero as z -> infinity,
     so the ratio bound restricted to the far half of the grid (radii at
     least sqrt(r_min r_max)) lower-bounds the distance to every compact
     operator.  It stays bounded away from zero, consistent with the
-    absence of compact composition operators.
+    absence of compact composition operators.  A given ``angular``
+    estimate of phi on ``grid`` is used instead of a fresh one.
     """
-    est = angular_derivative_estimate(phi, grid)
+    est = angular or angular_derivative_estimate(phi, grid)
     if est.verdict == "divergent":
         raise ValueError("essential norm applies to bounded operators only")
     cutoff = grid.far_field_radius
@@ -337,6 +345,8 @@ def boundedness_verdict(weight: Weight, phi: Symbol,
         kernel_ratio=kernel_ratio_bound(weight, phi, grid, angular=est),
         gram=gram_norm_estimate(weight, phi, points),
         spectral_radius=spectral_radius_estimate(weight, phi,
-                                                 spectral_iterations, grid),
-        essential_lower_bound=essential_norm_lower_bound(weight, phi, grid),
+                                                 spectral_iterations, grid,
+                                                 angular=est),
+        essential_lower_bound=essential_norm_lower_bound(weight, phi, grid,
+                                                         angular=est),
     )

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from bergkit.cli import (CliError, main, parse_halfline, parse_symbol)
+from bergkit.cli import (CliError, _apply_config, _build_parser, main,
+                        parse_halfline, parse_symbol)
+from bergkit.kernels import nevanlinna_kernel, psd_check
 from bergkit.laplace import HalfLineFunction
 from bergkit.symbols import (Affine, CayleyMap, Compose, Moebius, PowerMap,
                              SampleGrid, symbol_from_dict)
@@ -129,6 +131,19 @@ class TestNormCommand:
             rebuilt = symbol_from_dict(row["symbol"])
             assert rebuilt == parse_symbol(row["symbol_text"])
 
+    def test_infinite_spectral_radius_written_as_null(self, tmp_path):
+        # lam = 8: the sixth iterate's trace still rises on the default
+        # grid, so the spectral estimate reads as divergent
+        symbol = ("compose:(moebius:0.75,1.25+0.5j,0,3.0;"
+                  "moebius:1.25,1.0+0.25j,0,2.5)")
+        code, data = run_json(tmp_path, ["norm", "--symbol", symbol,
+                                         "--alpha", "2.52"])
+        assert code == 0
+        row = data["rows"][0]
+        assert row["verdict"] == "BOUNDED"
+        assert row["spectral_radius"] is None
+        assert row["estimates"]["spectral_radius"]["finite"] is False
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         _, a = run_json(tmp_path, ["norm", "--symbol", "affine:2,1",
                                    "--alpha", "0", "--seed", "5"])
@@ -154,6 +169,20 @@ class TestOtherCommands:
                                          "--points", "8", "--trials", "5"])
         assert code == 0
         assert data["failures"] == 0
+
+    def test_psd_batch_matches_single_checks(self, tmp_path):
+        code, data = run_json(tmp_path, ["psd", "--kernel", "nevanlinna",
+                                         "--symbol", "affine:2,1",
+                                         "--alpha", "0", "--alpha", "1",
+                                         "--points", "6", "--trials", "3"])
+        assert code == 0
+        assert [(v["alpha"], v["trial"]) for v in data["verdicts"]] == [
+            (a, t) for a in (0.0, 1.0) for t in range(3)]
+        for v in data["verdicts"]:
+            pts = [complex(re, im) for re, im in v["points"]]
+            single = psd_check(nevanlinna_kernel(Affine(2, 1), pts))
+            assert v["min_eigenvalue"] == single.min_eigenvalue
+            assert v["threshold"] == single.threshold
 
     def test_psd_needs_symbol_for_defect(self, tmp_path):
         assert main(["psd", "--kernel", "K:2"]) == 1
@@ -235,24 +264,35 @@ class TestRunConfig:
         assert code == 0
         assert data["rows"][0]["lhs_closed_form"] == pytest.approx(0.25)
 
+    def test_explicit_seed_zero_beats_config(self, tmp_path):
+        config = self.write_config(tmp_path, {"seed": 7})
+        _, data = run_json(tmp_path, ["angular", "--symbol", "affine:2,1",
+                                      "--config", config, "--seed", "0"])
+        assert data["seed"] == 0
+        _, data = run_json(tmp_path, ["angular", "--symbol", "affine:2,1",
+                                      "--config", config])
+        assert data["seed"] == 7
+
+    def test_explicit_json_format_beats_config(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, {"format": "csv"})
+        args = ["norm", "--symbol", "identity", "--config", config]
+        assert main(args + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "norm"
+        assert main(args) == 0
+        assert capsys.readouterr().out.startswith("symbol,alpha,verdict")
+
+    def test_config_schemes_are_shared(self, tmp_path):
+        config = self.write_config(tmp_path, {
+            "quadrature": {"n_x": 40, "n_y": 100, "y_max": 100.0}})
+        schemes = []
+        for _ in range(2):
+            args = _build_parser().parse_args(
+                ["laplace", "--f", "t*exp(-t)", "--config", config])
+            _apply_config(args)
+            schemes.append(args.scheme)
+        assert schemes[0] is schemes[1]
+        assert (schemes[0].n_x, schemes[0].n_y) == (40, 100)
+
     def test_unknown_keys_rejected(self, tmp_path):
         config = self.write_config(tmp_path, {"mystery": 1})
         assert main(["norm", "--symbol", "identity", "--config", config]) == 1
-
-
-class TestThreadCap:
-    def test_parallel_sweep_matches_serial(self, tmp_path, monkeypatch):
-        args = ["norm", "--symbol", "affine:2,1", "--symbol", "identity",
-                "--alpha", "0", "--alpha", "1"]
-        _, serial = run_json(tmp_path, args)
-        monkeypatch.setenv("BERGKIT_THREADS", "4")
-        _, parallel = run_json(tmp_path, args)
-        serial.pop("generated_at")
-        parallel.pop("generated_at")
-        assert json.dumps(serial, sort_keys=True) == json.dumps(
-            parallel, sort_keys=True)
-
-    def test_bad_value_falls_back_to_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BERGKIT_THREADS", "many")
-        code, data = run_json(tmp_path, ["norm", "--symbol", "identity"])
-        assert code == 0 and len(data["rows"]) == 1

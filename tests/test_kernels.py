@@ -258,6 +258,21 @@ class TestPsdCheck:
     def test_accepts_kernel_matrix_inputs(self):
         assert psd_check(gram_matrix(Weight(0.0), [1.0, 2.0])).is_psd
 
+    def test_sequence_gives_one_verdict_per_matrix(self):
+        rng = np.random.default_rng(4)
+        matrices = [gram_matrix(Weight(1.0), DEFAULT_GRID.sample_points(6, rng))
+                    for _ in range(3)]
+        matrices.insert(1, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError):
+            psd_check(matrices)  # sizes differ
+        matrices[1] = np.diag([1.0, 1.0, -2.0, 1.0, 1.0, 1.0])
+        verdicts = psd_check(matrices)
+        assert [v.is_psd for v in verdicts] == [True, False, True, True]
+        assert [v.witness is None for v in verdicts] == [True, False, True, True]
+        for m, v in zip(matrices, verdicts):
+            assert v == psd_check(m)
+        assert psd_check([]) == []
+
     def test_verdict_round_trips_to_json(self):
         verdict = psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
         data = verdict.to_dict()

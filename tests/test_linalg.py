@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergkit.linalg import (hermitian_defect, jacobi_eigh, pivoted_cholesky,
-                            solve_lower_triangular)
+from bergkit.linalg import (ConvergenceError, hermitian_defect, jacobi_eigh,
+                            pivoted_cholesky, solve_lower_triangular)
 
 RESIDUAL_BUDGET = 1e-10
 
@@ -42,6 +42,46 @@ def test_jacobi_eigenvalues_property(n, seed):
     scale = max(np.abs(w_ref).max(), 1.0)
     assert np.max(np.abs(w - w_ref)) <= 1e-11 * scale
     assert np.all(np.diff(w) >= 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=20),
+       st.integers(min_value=1, max_value=16),
+       st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_jacobi_stack_matches_single_solves(batch, n, seed, vectors):
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-6.0, 0.0, batch)
+    stack = np.array([s * random_hermitian(rng, n) for s in scales])
+    w, v = jacobi_eigh(stack, compute_vectors=vectors)
+    assert w.shape == (batch, n)
+    for i, a in enumerate(stack):
+        w1, v1 = jacobi_eigh(a, compute_vectors=vectors)
+        assert np.array_equal(w[i], w1)
+        if vectors:
+            assert np.array_equal(v[i], v1)
+        w_ref = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(w[i] - w_ref)) <= 1e-12 * np.abs(w_ref).max()
+
+
+def test_jacobi_stack_shapes():
+    rng = np.random.default_rng(3)
+    stack = np.array([random_hermitian(rng, 5) for _ in range(4)])
+    w, v = jacobi_eigh(stack)
+    assert w.shape == (4, 5) and v.shape == (4, 5, 5)
+    for a, wi, vi in zip(stack, w, v):
+        assert np.allclose(a @ vi, vi * wi, atol=1e-12 * np.abs(a).max())
+    w, v = jacobi_eigh(np.empty((0, 3, 3)))
+    assert w.shape == (0, 3) and v.shape == (0, 3, 3)
+
+
+def test_jacobi_raises_when_sweeps_run_out():
+    rng = np.random.default_rng(16)
+    a = random_hermitian(rng, 16)
+    with pytest.raises(ConvergenceError, match="1 of 1 matrices"):
+        jacobi_eigh(a, max_sweeps=1)
+    stack = np.array([a, np.diag(np.arange(16.0)), a])
+    with pytest.raises(ValueError, match="2 of 3 matrices"):
+        jacobi_eigh(stack, compute_vectors=False, max_sweeps=1)
 
 
 def test_jacobi_rejects_non_hermitian():

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from bergkit import opnorm
 from bergkit.kernels import Weight
 from bergkit.opnorm import (boundedness_verdict, default_gram_points,
                             essential_norm_lower_bound, gram_norm_estimate,
@@ -249,6 +251,29 @@ class TestBoundednessVerdict:
         data = report.to_dict()
         assert data["verdict"] == "BOUNDED"
         assert data["gram_eig"]["method"] == "gram_eig"
+
+    def test_angular_estimate_reused(self, monkeypatch):
+        calls = []
+        original = opnorm.angular_derivative_estimate
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        phi = Affine(2, 1)
+        monkeypatch.setattr(opnorm, "angular_derivative_estimate", counting)
+        report = boundedness_verdict(Weight(1.0), phi)
+        # once for the verdict, once per iterate n = 2..6; the first
+        # estimate serves iterate 1 and the essential-norm bound
+        assert len(calls) == 6
+        assert calls.count(phi) == 1
+        monkeypatch.undo()
+        w = Weight(1.0)
+        fresh = {"spectral_radius": spectral_radius_estimate(w, phi, 6).to_dict(),
+                 "essential_lower_bound": essential_norm_lower_bound(w, phi)}
+        reused = {"spectral_radius": report.spectral_radius.to_dict(),
+                  "essential_lower_bound": report.essential_lower_bound}
+        assert json.dumps(reused) == json.dumps(fresh)
 
     def test_default_gram_points_capped(self):
         points = default_gram_points(DEFAULT_GRID)
