@@ -26,9 +26,10 @@ from .kernels import (Weight, defect_kernel_matrix, gram_matrix,
 from .laplace import HalfLineFunction, isometry_check
 from .opnorm import boundedness_verdict, spectral_radius_estimate
 from .space import DEFAULT_NX, DEFAULT_NY, DEFAULT_YMAX, _cached_scheme
-from .symbols import (DEFAULT_GRID, Affine, CayleyMap, Compose, Moebius,
-                      PowerMap, SampleGrid, Symbol, angular_derivative_estimate,
-                      identity, symbol_from_dict, validate_self_map)
+from .symbols import (DEFAULT_GRID, Affine, Compose, Moebius, PowerMap,
+                      SampleGrid, Symbol, angular_derivative_estimate,
+                      cayley_conjugate, identity, symbol_from_dict,
+                      validate_self_map)
 
 __all__ = ["main", "parse_symbol", "parse_halfline"]
 
@@ -60,7 +61,8 @@ def parse_symbol(text: str) -> Symbol:
     """Parse the command-line symbol syntax.
 
     affine:a,b_re[,b_im] | moebius:a,b,c,d | power:p | cayley:a,b,c,d |
-    compose:(s1;s2) | identity
+    compose:(s1;s2) | identity; cayley coefficients must define a disc
+    self-map (see ``cayley_conjugate``).
     """
     text = text.strip()
     if text == "identity":
@@ -105,7 +107,8 @@ def parse_symbol(text: str) -> Symbol:
         if len(parts) != 4:
             raise CliError(f"{kind} syntax is {kind}:a,b,c,d")
         a, b, c, d = (_complex_token(p) for p in parts)
-        return Moebius(a, b, c, d) if kind == "moebius" else CayleyMap(a, b, c, d)
+        return (Moebius(a, b, c, d) if kind == "moebius"
+                else cayley_conjugate(a, b, c, d))
     raise CliError(f"unrecognized symbol kind {kind!r}")
 
 
@@ -150,9 +153,7 @@ def parse_halfline(text: str) -> HalfLineFunction:
     return HalfLineFunction.build(terms)
 
 
-def _parse_grid(text: str | None) -> SampleGrid:
-    if not text:
-        return DEFAULT_GRID
+def _parse_grid(text: str) -> SampleGrid:
     parts = text.split(",")
     if len(parts) != 5:
         raise CliError("grid syntax is r_min,r_max,shells,angles,aperture")
@@ -162,13 +163,16 @@ def _parse_grid(text: str | None) -> SampleGrid:
 
 
 def _apply_config(args) -> None:
-    """Fold a JSON run-config file into the parsed arguments.
+    """Fold a JSON run-config file into the parsed arguments, then parse
+    the grid and validate the symbols, once for every subcommand.
 
     The file may provide symbols (descriptors or mini-syntax strings),
     alphas, grid, quadrature, seed, format and out; explicit command-line
     flags win over file values.  ``--seed`` and ``--format`` default to
     None so that an explicit ``--seed 0`` or ``--format json`` is seen;
-    their defaults (0 and json) are filled in here.
+    their defaults (0 and json) are filled in here.  Afterwards
+    ``args.grid`` is a :class:`SampleGrid` and, for subcommands that take
+    ``--symbol``, ``args.symbols`` holds (text, symbol) pairs.
     """
     config = {}
     if getattr(args, "config", None):
@@ -184,10 +188,12 @@ def _apply_config(args) -> None:
                        for sym in config.get("symbols", [])]
     if args.alpha is None and "alphas" in config:
         args.alpha = [float(a) for a in config["alphas"]]
-    if not args.grid and "grid" in config:
-        g = config["grid"]
-        args.grid = (f"{g['r_min']},{g['r_max']},{g['radial']},"
-                     f"{g['angular']},{g['aperture']}")
+    if args.grid:
+        args.grid = _parse_grid(args.grid)
+    elif "grid" in config:
+        args.grid = SampleGrid.from_dict(config["grid"])
+    else:
+        args.grid = DEFAULT_GRID
     if args.seed is None:
         args.seed = int(config.get("seed", 0))
     if args.format is None:
@@ -199,6 +205,8 @@ def _apply_config(args) -> None:
         args.scheme = _cached_scheme(int(quad.get("n_x", DEFAULT_NX)),
                                      int(quad.get("n_y", DEFAULT_NY)),
                                      float(quad.get("y_max", DEFAULT_YMAX)))
+    if hasattr(args, "symbol"):
+        args.symbols = _validated_symbols(args.symbol, args.grid)
 
 
 def _descriptor_to_text(descriptor: dict) -> str:
@@ -217,7 +225,7 @@ def _canonical_json(payload: dict) -> str:
 
 
 def _emit(payload: dict, args) -> None:
-    payload = dict(payload)
+    payload = dict(payload, command=args.command, seed=args.seed)
     payload["generated_at"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat()
     if args.format == "csv" and "rows" in payload:
@@ -249,9 +257,9 @@ def _rows_to_csv(rows: list[dict]) -> str:
 # subcommands
 
 
-def _validated_symbols(args, grid: SampleGrid):
+def _validated_symbols(texts, grid: SampleGrid):
     symbols = []
-    for text in args.symbol:
+    for text in texts:
         sym = parse_symbol(text)
         result = validate_self_map(sym, grid)
         if not result.accepted:
@@ -263,61 +271,50 @@ def _validated_symbols(args, grid: SampleGrid):
 
 
 def _cmd_norm(args) -> int:
-    _apply_config(args)
-    grid = _parse_grid(args.grid)
-    symbols = _validated_symbols(args, grid)
-    alphas = args.alpha or [0.0]
-    cells = [(text, sym, alpha) for text, sym in symbols for alpha in alphas]
-
-    def worker(cell):
-        text, sym, alpha = cell
-        rep = boundedness_verdict(Weight(alpha), sym, grid)
-        row = {
-            "symbol": sym.to_dict(),
-            "symbol_text": text,
-            "alpha": alpha,
-            "seed": args.seed,
-            "verdict": rep.verdict,
-            "lambda_hat": rep.angular.to_dict()["lambda_hat"],
-            "theoretical": rep.theoretical,
-            "kernel_ratio": None,
-            "gram_eig": None,
-            "spectral_radius": None,
-            "essential_lower_bound": rep.essential_lower_bound,
-            "rel_gap_kernel": None,
-            "rel_gap_gram": None,
-            "estimates": rep.to_dict(),
-        }
-        if rep.verdict == "BOUNDED":
-            kr = rep.kernel_ratio.value
-            ge = rep.gram.value
-            rho = rep.spectral_radius.value
-            row.update({
-                "kernel_ratio": kr,
-                "gram_eig": ge,
-                # JSON has no inf: null, as in the estimate's own to_dict
-                "spectral_radius": rho if math.isfinite(rho) else None,
-                "rel_gap_kernel": abs(kr - rep.theoretical) / rep.theoretical,
-                "rel_gap_gram": abs(ge - rep.theoretical) / rep.theoretical,
-            })
-        return row
-
-    rows = [worker(cell) for cell in cells]
-    payload = {"command": "norm", "seed": args.seed, "grid": grid.to_dict(),
-               "rows": rows}
-    _emit(payload, args)
+    rows = []
+    for text, sym in args.symbols:
+        for alpha in (args.alpha or [0.0]):
+            rep = boundedness_verdict(Weight(alpha), sym, args.grid)
+            row = {
+                "symbol": sym.to_dict(),
+                "symbol_text": text,
+                "alpha": alpha,
+                "seed": args.seed,
+                "verdict": rep.verdict,
+                "lambda_hat": rep.angular.to_dict()["lambda_hat"],
+                "theoretical": rep.theoretical,
+                "kernel_ratio": None,
+                "gram_eig": None,
+                "spectral_radius": None,
+                "essential_lower_bound": rep.essential_lower_bound,
+                "rel_gap_kernel": None,
+                "rel_gap_gram": None,
+                "estimates": rep.to_dict(),
+            }
+            if rep.verdict == "BOUNDED":
+                kr = rep.kernel_ratio.value
+                ge = rep.gram.value
+                rho = rep.spectral_radius.value
+                row.update({
+                    "kernel_ratio": kr,
+                    "gram_eig": ge,
+                    # JSON has no inf: null, as in the estimate's own to_dict
+                    "spectral_radius": rho if math.isfinite(rho) else None,
+                    "rel_gap_kernel": abs(kr - rep.theoretical) / rep.theoretical,
+                    "rel_gap_gram": abs(ge - rep.theoretical) / rep.theoretical,
+                })
+            rows.append(row)
+    _emit({"grid": args.grid.to_dict(), "rows": rows}, args)
     if args.require_bounded and any(r["verdict"] != "BOUNDED" for r in rows):
         return EXIT_UNBOUNDED
     return EXIT_OK
 
 
 def _cmd_psd(args) -> int:
-    _apply_config(args)
-    grid = _parse_grid(args.grid)
+    grid = args.grid
     rng = np.random.default_rng(args.seed)
-    alphas = args.alpha or [0.0]
     kernel_kind = args.kernel
-    symbols = _validated_symbols(args, grid) if args.symbol else []
+    symbols = args.symbols
 
     def build(alpha, pts):
         w = Weight(alpha)
@@ -341,7 +338,7 @@ def _cmd_psd(args) -> int:
         raise CliError(f"unknown kernel {kernel_kind!r} (gram | K:<n> | nevanlinna)")
 
     cells = []
-    for alpha in alphas:
+    for alpha in (args.alpha or [0.0]):
         for trial in range(args.trials):
             pts = grid.sample_points(args.points, rng)
             cells.append((alpha, trial, pts, build(alpha, pts)))
@@ -357,69 +354,56 @@ def _cmd_psd(args) -> int:
             "points": [[p.real, p.imag] for p in pts],
             **verdict.to_dict(),
         })
-    payload = {"command": "psd", "seed": args.seed, "kernel": kernel_kind,
-               "grid": grid.to_dict(), "trials": args.trials,
-               "failures": failures, "verdicts": verdicts}
-    _emit(payload, args)
+    _emit({"kernel": kernel_kind, "grid": grid.to_dict(),
+           "trials": args.trials, "failures": failures,
+           "verdicts": verdicts}, args)
     return EXIT_OK
 
 
 def _cmd_angular(args) -> int:
-    _apply_config(args)
-    grid = _parse_grid(args.grid)
-    symbols = _validated_symbols(args, grid)
     rows = []
-    for text, sym in symbols:
-        est = angular_derivative_estimate(sym, grid)
+    for text, sym in args.symbols:
+        est = angular_derivative_estimate(sym, args.grid)
         rows.append({"symbol": sym.to_dict(), "symbol_text": text,
                      **est.to_dict()})
-    _emit({"command": "angular", "seed": args.seed, "grid": grid.to_dict(),
-           "rows": rows}, args)
+    _emit({"grid": args.grid.to_dict(), "rows": rows}, args)
     return EXIT_OK
 
 
 def _cmd_laplace(args) -> int:
-    _apply_config(args)
     if args.f_json:
         func = HalfLineFunction.from_dict(json.loads(args.f_json))
     elif args.f:
         func = parse_halfline(args.f)
     else:
         raise CliError("laplace needs --f or --f-json")
-    scheme = getattr(args, "scheme", None)
     rows = []
     for alpha in (args.alpha or [0.0]):
-        res = isometry_check(Weight(alpha), func, scheme)
+        res = isometry_check(Weight(alpha), func, args.scheme)
         rows.append({"alpha": alpha, "f": func.to_dict(), **res.to_dict()})
-    _emit({"command": "laplace", "seed": args.seed, "rows": rows}, args)
+    _emit({"rows": rows}, args)
     return EXIT_OK
 
 
 def _cmd_interp(args) -> int:
-    _apply_config(args)
     rows = [interp_params(alpha).to_dict() for alpha in (args.alpha or [1.0])]
-    _emit({"command": "interp", "seed": args.seed, "rows": rows}, args)
+    _emit({"rows": rows}, args)
     return EXIT_OK
 
 
 def _cmd_spectral(args) -> int:
-    _apply_config(args)
-    grid = _parse_grid(args.grid)
-    symbols = _validated_symbols(args, grid)
     rows = []
-    for text, sym in symbols:
+    for text, sym in args.symbols:
         for alpha in (args.alpha or [0.0]):
             est = spectral_radius_estimate(Weight(alpha), sym,
-                                           args.iterations, grid)
+                                           args.iterations, args.grid)
             rows.append({"symbol": sym.to_dict(), "symbol_text": text,
                          "alpha": alpha, **est.to_dict()})
-    _emit({"command": "spectral", "seed": args.seed, "grid": grid.to_dict(),
-           "rows": rows}, args)
+    _emit({"grid": args.grid.to_dict(), "rows": rows}, args)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    _apply_config(args)
     results = report_mod.run_all(args.seed)
     criteria = [r.to_dict() for r in results]
     # Determinism is itself a criterion: rerun the suite with the same seed
@@ -433,10 +417,9 @@ def _cmd_report(args) -> int:
         status = "PASS" if item["passed"] else "FAIL"
         print(f"[{status}] criterion {item['number']:2d}: {item['name']}",
               file=sys.stderr)
-    payload = {"command": "report", "seed": args.seed, "criteria": criteria,
-               "all_passed": all(item["passed"] for item in criteria)}
-    _emit(payload, args)
-    return EXIT_OK if payload["all_passed"] else EXIT_CONFIG
+    all_passed = all(item["passed"] for item in criteria)
+    _emit({"criteria": criteria, "all_passed": all_passed}, args)
+    return EXIT_OK if all_passed else EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +494,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _apply_config(args)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .linalg import hermitian_defect, jacobi_eigh, pivoted_cholesky
+from .symbols import require_half_plane
 
 __all__ = [
     "Weight",
@@ -39,8 +41,6 @@ __all__ = [
     "defect_kernel",
     "defect_kernel_matrix",
     "factorization_residual",
-    "schur_product",
-    "add_constant",
     "psd_check",
 ]
 
@@ -77,19 +77,15 @@ class Weight:
                 "exponent": self.exponent, "half_exponent": self.half_exponent}
 
 
-def _require_half_plane(z: complex, label: str) -> complex:
-    z = complex(z)
-    if z.real <= 0.0:
-        raise ValueError(f"{label} = {z:g} is not in the open right half-plane")
-    return z
-
-
 def bergman_kernel(weight: Weight, omega, z):
-    """Kernel value k_omega(z); accepts scalars or arrays of points."""
-    omega = np.asarray(omega, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    if np.any(omega.real <= 0.0) or np.any(z.real <= 0.0):
-        raise ValueError("kernel arguments must lie in the open half-plane")
+    """Kernel value k_omega(z) = <k_omega, k_z>; scalars or arrays of
+    points, broadcast against each other.
+
+    This is the one place the kernel formula is written: Gram matrices
+    are ``bergman_kernel(weight, pts[None, :], pts[:, None])``.
+    """
+    omega = require_half_plane(omega)
+    z = require_half_plane(z)
     value = weight.norm_const / (np.conj(omega) + z) ** weight.exponent
     if value.ndim == 0:
         return complex(value)
@@ -98,15 +94,7 @@ def bergman_kernel(weight: Weight, omega, z):
 
 def kernel_function(weight: Weight, omega):
     """The function z -> k_omega(z), for quadrature and estimator use."""
-    omega = _require_half_plane(omega, "omega")
-    wbar = omega.conjugate()
-    const = weight.norm_const
-    expo = weight.exponent
-
-    def k(z):
-        return const / (wbar + np.asarray(z, dtype=complex)) ** expo
-
-    return k
+    return partial(bergman_kernel, weight, complex(require_half_plane(omega)))
 
 
 @dataclass(frozen=True)
@@ -177,26 +165,13 @@ def gram_matrix(weight: Weight, points: Sequence[complex]) -> KernelMatrix:
     A conditioning estimate accompanies the matrix; it exceeds 1e12 when
     points nearly coincide, which flags downstream solves as unreliable.
     """
-    pts = np.asarray([_require_half_plane(p, "point") for p in points],
-                     dtype=complex)
+    pts = require_half_plane(points)
     if len(set(pts.tolist())) != pts.size:
         raise ValueError("points must be distinct")
-    base = pts[:, None] + np.conj(pts)[None, :]
-    entries = weight.norm_const / base ** weight.exponent
+    entries = bergman_kernel(weight, pts[None, :], pts[:, None])
     condition = _condition_estimate(entries)
     return KernelMatrix.build(pts, entries, f"gram(alpha={weight.alpha:g})",
                               condition)
-
-
-def _eval_map(fn, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a symbol or plain callable on an array of points."""
-    try:
-        values = np.asarray(fn(pts), dtype=complex)
-        if values.shape == pts.shape:
-            return values
-    except Exception:
-        pass
-    return np.array([complex(fn(complex(p))) for p in pts], dtype=complex)
 
 
 def nevanlinna_kernel(psi, points: Sequence[complex]) -> KernelMatrix:
@@ -204,11 +179,11 @@ def nevanlinna_kernel(psi, points: Sequence[complex]) -> KernelMatrix:
 
     The kernel is positive exactly when Re psi >= 0 on the half-plane, so
     its sampled matrices certify (or refute) positive real part.  ``psi``
-    may be a symbol or any callable.
+    may be a symbol or any callable; it is called once on the point array,
+    and a scalar result stands for a constant function.
     """
-    pts = np.asarray([_require_half_plane(p, "point") for p in points],
-                     dtype=complex)
-    values = _eval_map(psi, pts)
+    pts = require_half_plane(points)
+    values = np.broadcast_to(np.asarray(psi(pts), dtype=complex), pts.shape)
     entries = (values[:, None] + np.conj(values)[None, :]) / (
         pts[:, None] + np.conj(pts)[None, :])
     return KernelMatrix.build(pts, entries, "nevanlinna")
@@ -234,8 +209,7 @@ def defect_kernel(phi, lam: float, n: int, omega, z):
 def defect_kernel_matrix(phi, lam: float, n: int,
                          points: Sequence[complex]) -> KernelMatrix:
     """Sampled matrix of K^n at a point configuration."""
-    pts = np.asarray([_require_half_plane(p, "point") for p in points],
-                     dtype=complex)
+    pts = require_half_plane(points)
     entries = defect_kernel(phi, lam, n, pts[None, :], pts[:, None])
     return KernelMatrix.build(pts, entries, f"defect(n={n}, lam={lam:g})")
 
@@ -272,22 +246,6 @@ def factorization_residual(phi, lam: float, level: int, pairs) -> float:
     ])
     scale = np.maximum(scale, 1e-300)
     return float(np.max(np.abs(k2m - product) / scale))
-
-
-def schur_product(m1: KernelMatrix, m2: KernelMatrix) -> KernelMatrix:
-    """Entrywise (Schur) product; preserves positivity."""
-    if m1.points != m2.points:
-        raise ValueError("kernel matrices are sampled at different points")
-    return KernelMatrix.build(m1.points, m1.entries * m2.entries,
-                              f"schur({m1.kernel_id}, {m2.kernel_id})")
-
-
-def add_constant(m: KernelMatrix, c: float) -> KernelMatrix:
-    """Entrywise addition of a constant c >= 0; preserves positivity."""
-    if c < 0:
-        raise ValueError("constant must be nonnegative")
-    return KernelMatrix.build(m.points, m.entries + c,
-                              f"{m.kernel_id}+{c:g}")
 
 
 @dataclass(frozen=True)

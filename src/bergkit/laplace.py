@@ -21,18 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .kernels import Weight
-from .space import QuadratureScheme, inner_product
+from .space import KernelCombination, QuadratureScheme, inner_product
+from .symbols import require_half_plane
 
 __all__ = [
     "ExpMonomial",
     "HalfLineFunction",
     "laplace_eval",
-    "laplace_transform",
     "mu_alpha_norm",
     "weighted_norm_squared",
     "mu_alpha_density",
@@ -104,9 +105,7 @@ class HalfLineFunction:
 
 def laplace_eval(f: HalfLineFunction, z) -> complex:
     """Closed-form Laplace transform of f at a half-plane point."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real <= 0):
-        raise ValueError("transform evaluated only on the open half-plane")
+    z = require_half_plane(z)
     total = np.zeros(z.shape, dtype=complex)
     for term in f.terms:
         if term.beta <= -1.0:
@@ -117,15 +116,6 @@ def laplace_eval(f: HalfLineFunction, z) -> complex:
     if total.ndim == 0:
         return complex(total)
     return total
-
-
-def laplace_transform(f: HalfLineFunction):
-    """The function z -> (L f)(z), usable as a quadrature integrand."""
-
-    def transformed(z):
-        return laplace_eval(f, z)
-
-    return transformed
 
 
 def weighted_norm_squared(f: HalfLineFunction, alpha: float,
@@ -169,9 +159,7 @@ def mu_alpha_density(weight: Weight, t) -> float:
 
 def kernel_preimage(weight: Weight, omega) -> HalfLineFunction:
     """The half-line function whose transform is exactly k_omega."""
-    omega = complex(omega)
-    if omega.real <= 0:
-        raise ValueError("omega must lie in the open half-plane")
+    omega = complex(require_half_plane(omega))
     coeff = weight.norm_const / math.gamma(2.0 + weight.alpha)
     return HalfLineFunction.build([(coeff, 1.0 + weight.alpha,
                                     omega.conjugate())])
@@ -204,7 +192,7 @@ def isometry_check(weight: Weight, f: HalfLineFunction,
     """Compare ||L f||^2 computed on the Bergman side with the closed-form
     half-line norm."""
     rhs = mu_alpha_norm(weight, f)
-    transformed = laplace_transform(f)
+    transformed = partial(laplace_eval, f)
     lhs_quad = inner_product(weight, transformed, transformed, scheme).real
 
     lhs_closed = None
@@ -213,14 +201,9 @@ def isometry_check(weight: Weight, f: HalfLineFunction,
         # L f = sum c_i Gamma(2+alpha) / (s_i + z)^(2+alpha) is the kernel
         # combination sum chat_i k_{conj(s_i)}; use the Gram identity.
         gamma_top = math.gamma(2.0 + weight.alpha)
-        chat = [term.c * gamma_top / weight.norm_const for term in f.terms]
-        omegas = [term.s.conjugate() for term in f.terms]
-        total = 0j
-        for ci, wi in zip(chat, omegas):
-            for cj, wj in zip(chat, omegas):
-                total += ci * np.conj(cj) * weight.norm_const / (
-                    np.conj(wi) + wj) ** weight.exponent
-        lhs_closed = float(total.real)
+        lhs_closed = KernelCombination.build(
+            weight, [term.c * gamma_top / weight.norm_const for term in f.terms],
+            [term.s.conjugate() for term in f.terms]).norm_squared()
 
     denom = max(abs(rhs), 1e-300)
     quadrature_gap = abs(lhs_quad - rhs) / denom

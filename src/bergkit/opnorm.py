@@ -30,10 +30,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import Weight, PsdVerdict, psd_check
+from .kernels import Weight, PsdVerdict, bergman_kernel, psd_check
 from .linalg import jacobi_eigh, pivoted_cholesky, solve_lower_triangular
 from .symbols import (DEFAULT_GRID, AngularDerivativeEstimate, SampleGrid,
-                      Symbol, angular_derivative_estimate, compose)
+                      Symbol, angular_derivative_estimate, compose,
+                      require_half_plane)
 
 __all__ = [
     "NormEstimate",
@@ -100,9 +101,14 @@ def kernel_ratio_bound(weight: Weight, phi: Symbol,
     return NormEstimate("kernel_ratio", value, grid.size, trace)
 
 
-def _gram_entries(weight: Weight, points: np.ndarray) -> np.ndarray:
-    base = points[:, None] + np.conj(points)[None, :]
-    return weight.norm_const / base ** weight.exponent
+def _gram_pair(weight: Weight, phi: Symbol, points: Sequence[complex]):
+    """Points, and the kernel Gram matrices G at the points and H at their
+    images: G_ij = <k_{z_j}, k_{z_i}>, H_ij = <k_{phi(z_j)}, k_{phi(z_i)}>."""
+    pts = require_half_plane(points)
+    images = require_half_plane(phi(pts), pts)
+    gram = bergman_kernel(weight, pts[None, :], pts[:, None])
+    target = bergman_kernel(weight, images[None, :], images[:, None])
+    return pts, gram, target
 
 
 def _largest_generalized_eig(gram: np.ndarray, target: np.ndarray,
@@ -152,19 +158,11 @@ def gram_norm_estimate(weight: Weight, phi: Symbol,
     norm and is non-decreasing as points are added.  The trace records the
     estimate on nested prefixes of the point list.
     """
-    pts = np.asarray([complex(p) for p in points], dtype=complex)
+    pts, gram, target = _gram_pair(weight, phi, points)
     if pts.size == 0:
         raise ValueError("need at least one point")
-    if np.any(pts.real <= 0):
-        raise ValueError("points must lie in the open half-plane")
     if len(set(pts.tolist())) != pts.size:
         raise ValueError("points must be distinct")
-    images = np.asarray(phi(pts), dtype=complex)
-    if not np.all(np.isfinite(images)) or np.any(images.real <= 0):
-        raise ValueError("symbol leaves the half-plane on the point set")
-
-    gram = _gram_entries(weight, pts)
-    target = _gram_entries(weight, images)
 
     sizes = []
     k = 2
@@ -198,14 +196,7 @@ def psd_boundedness_certificate(weight: Weight, phi: Symbol, lam: float,
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError("lam must be a finite positive number")
-    pts = np.asarray([complex(p) for p in points], dtype=complex)
-    if np.any(pts.real <= 0):
-        raise ValueError("points must lie in the open half-plane")
-    images = np.asarray(phi(pts), dtype=complex)
-    if not np.all(np.isfinite(images)) or np.any(images.real <= 0):
-        raise ValueError("symbol leaves the half-plane on the point set")
-    gram = _gram_entries(weight, pts)
-    target = _gram_entries(weight, images)
+    _, gram, target = _gram_pair(weight, phi, points)
     factor = lam ** weight.exponent
     d = factor * gram.diagonal().real
     scale = 1.0 / np.sqrt(d)

@@ -16,6 +16,7 @@ truncation error below the quadrature targets for alpha >= 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,12 +25,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import Weight, bergman_kernel, kernel_function
+from .symbols import require_half_plane
 
 __all__ = [
     "QuadratureScheme",
     "default_scheme",
     "inner_product",
-    "inner_product_with_error",
     "KernelCombination",
     "reproducing_check",
     "ReproducingResult",
@@ -130,19 +131,6 @@ def inner_product(weight: Weight, f: Callable, g: Callable,
     return complex(total / math.pi)
 
 
-def inner_product_with_error(weight: Weight, f: Callable, g: Callable,
-                             scheme: QuadratureScheme | None = None):
-    """Inner product together with a declared error estimate.
-
-    The estimate is the difference against the doubled-node scheme; the
-    doubled value is returned as the result.
-    """
-    scheme = scheme or default_scheme()
-    coarse = inner_product(weight, f, g, scheme)
-    fine = inner_product(weight, f, g, scheme.doubled())
-    return fine, abs(fine - coarse)
-
-
 @dataclass(frozen=True)
 class KernelCombination:
     """Finite combination f = sum_i c_i k_{z_i} given by coefficients and points."""
@@ -158,34 +146,37 @@ class KernelCombination:
         points = tuple(complex(p) for p in points)
         if len(coeffs) != len(points):
             raise ValueError("need one coefficient per kernel point")
-        for p in points:
-            if p.real <= 0:
-                raise ValueError("kernel points must lie in the half-plane")
+        require_half_plane(points)
         return cls(weight, coeffs, points)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        total = np.zeros_like(z)
-        for c, p in zip(self.coeffs, self.points):
-            total = total + c * bergman_kernel(self.weight, p, z)
+        pts = np.reshape(self.points, (-1,) + (1,) * z.ndim)
+        coeffs = np.reshape(self.coeffs, pts.shape)
+        # The builtin sum adds the rows one point at a time, in point order;
+        # numpy's pairwise reductions would round differently.
+        total = sum(coeffs * bergman_kernel(self.weight, pts, z),
+                    np.zeros_like(z))
         if total.ndim == 0:
             return complex(total)
         return total
 
     def exact_value(self, omega) -> complex:
         """f(omega) from the closed-form kernel, no quadrature."""
-        if not self.coeffs:
-            return 0j
-        return complex(sum(c * bergman_kernel(self.weight, p, omega)
-                           for c, p in zip(self.coeffs, self.points)))
+        values = bergman_kernel(self.weight, np.asarray(self.points, complex),
+                                omega)
+        # Scalar products summed in point order, as the report has always
+        # serialized them: numpy's vectorized complex products use fused
+        # multiply-adds where the CPU has them, and round differently.
+        return complex(sum(c * v for c, v in zip(self.coeffs, values.tolist())))
 
     def norm_squared(self) -> float:
         """||f||^2 from the kernel Gram identity <k_w, k_v> = k_w(v)."""
-        total = 0j
-        for ci, pi in zip(self.coeffs, self.points):
-            for cj, pj in zip(self.coeffs, self.points):
-                total += ci * np.conj(cj) * bergman_kernel(self.weight, pi, pj)
-        return float(total.real)
+        pts = np.asarray(self.points, dtype=complex)
+        gram = bergman_kernel(self.weight, pts[:, None], pts[None, :])
+        pairs = itertools.product(self.coeffs, repeat=2)
+        return float(sum(ci * cj.conjugate() * g for (ci, cj), g
+                         in zip(pairs, gram.ravel().tolist())).real)
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,9 @@ __all__ = [
     "CoefficientOverflow",
     "identity",
     "compose",
-    "iterate",
     "cayley_conjugate",
+    "require_half_plane",
     "validate_self_map",
-    "eval_symbol",
     "angular_derivative_estimate",
     "symbol_from_dict",
 ]
@@ -47,7 +46,12 @@ _COEFF_LIMIT = 1e300
 
 
 class HalfPlaneError(ValueError):
-    """A point or symbol image left the open right half-plane."""
+    """A point or symbol image left the open right half-plane; ``witness``
+    is the first offending point."""
+
+    def __init__(self, message: str, witness: Optional[complex] = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class CoefficientOverflow(OverflowError):
@@ -311,16 +315,6 @@ def _as_matrix(phi: Symbol) -> Optional[np.ndarray]:
     return None
 
 
-def iterate(phi: Symbol, n: int) -> Symbol:
-    """n-fold self-composition phi o ... o phi."""
-    if n < 1:
-        raise ValueError("iteration count must be >= 1")
-    result = phi
-    for _ in range(n - 1):
-        result = compose(phi, result)
-    return result
-
-
 def cayley_conjugate(a, b, c, d) -> CayleyMap:
     """Build the half-plane conjugate of the disc Moebius map
     psi(zeta) = (a zeta + b) / (c zeta + d).
@@ -424,7 +418,29 @@ DEFAULT_GRID = SampleGrid()
 
 
 # ---------------------------------------------------------------------------
-# Validation and evaluation
+# Validation
+
+
+def require_half_plane(values, points=None) -> np.ndarray:
+    """``values`` as a complex array, once every entry is checked to be
+    finite with positive real part.
+
+    Without ``points`` the values are points of H and the error names the
+    first one outside.  With ``points`` they are symbol images of those
+    points, and the error names the first point whose image leaves H.
+    Raises :class:`HalfPlaneError` carrying that witness.
+    """
+    values = np.asarray(values, dtype=complex)
+    bad = ~np.isfinite(values) | (values.real <= 0.0)
+    if not np.any(bad):
+        return values
+    if points is None:
+        witness = complex(values[bad][0])
+        message = f"point {witness:g} is not in the open right half-plane"
+    else:
+        witness = complex(np.broadcast_to(points, values.shape)[bad][0])
+        message = f"symbol leaves the half-plane at z = {witness:g}"
+    raise HalfPlaneError(message, witness)
 
 
 @dataclass(frozen=True)
@@ -443,11 +459,11 @@ class ValidationResult:
 def _sampled_validation(phi: Symbol, grid: SampleGrid) -> ValidationResult:
     pts = grid.flat_points()
     with np.errstate(divide="ignore", invalid="ignore"):
-        image = np.asarray(phi(pts), dtype=complex)
-    bad = ~np.isfinite(image) | (image.real <= 0.0)
-    if np.any(bad):
-        witness = complex(pts[bad][0])
-        return ValidationResult(False, "sampled", witness,
+        image = phi(pts)
+    try:
+        require_half_plane(image, pts)
+    except HalfPlaneError as exc:
+        return ValidationResult(False, "sampled", exc.witness,
                                 "image leaves the half-plane at a sample point")
     return ValidationResult(True, "sampled")
 
@@ -481,33 +497,15 @@ def validate_self_map(phi: Symbol, grid: SampleGrid = DEFAULT_GRID) -> Validatio
     if isinstance(phi, PowerMap):
         if 0.0 < phi.p <= 1.0:
             return ValidationResult(True, "exact")
-        witness = None
         probe = np.exp(1j * (math.pi / 2) * 0.999999)
-        w = probe ** phi.p if phi.p != 0 else complex(1.0)
-        if complex(w).real <= 0:
-            witness = complex(probe)
+        try:
+            require_half_plane(probe ** phi.p, probe)
+            witness = None
+        except HalfPlaneError as exc:
+            witness = exc.witness
         return ValidationResult(False, "exact", witness,
                                 "exponent must lie in (0, 1]")
     return _sampled_validation(phi, grid)
-
-
-def eval_symbol(phi: Symbol, z) -> complex:
-    """Evaluate a validated symbol at a half-plane point.
-
-    Raises :class:`HalfPlaneError` if the image leaves H, which signals a
-    symbol that slipped through sample-based validation.
-    """
-    z = complex(z)
-    if z.real <= 0.0:
-        raise ValueError(f"point {z:g} is not in the open right half-plane")
-    try:
-        w = complex(phi(z))
-    except ZeroDivisionError as exc:
-        raise HalfPlaneError(f"symbol has a pole at z = {z:g}") from exc
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)) or w.real <= 0.0:
-        raise HalfPlaneError(
-            f"image {w:g} of z = {z:g} is outside the half-plane")
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +562,7 @@ def angular_derivative_estimate(phi: Symbol,
         raise ValueError("grid must span at least a factor 1e3 in radius")
     pts = grid.points()
     with np.errstate(divide="ignore", invalid="ignore"):
-        image = np.asarray(phi(pts), dtype=complex)
-    if not np.all(np.isfinite(image)) or np.any(image.real <= 0.0):
-        bad = (~np.isfinite(image)) | (image.real <= 0.0)
-        witness = pts[bad][0]
-        raise HalfPlaneError(
-            f"symbol leaves the half-plane at grid point {witness:g}")
+        image = require_half_plane(phi(pts), pts)
 
     ratios = pts.real / image.real
     shell_max = ratios.max(axis=1)
@@ -606,7 +599,8 @@ def angular_derivative_estimate(phi: Symbol,
 
 
 def symbol_from_dict(data: dict) -> Symbol:
-    """Rebuild a symbol from its JSON descriptor."""
+    """Rebuild a symbol from its JSON descriptor; Cayley descriptors must
+    define a disc self-map (see :func:`cayley_conjugate`)."""
     kind = data.get("kind")
     if kind == "affine":
         return Affine(float(data["a"]), _unpair(data["b"]))
@@ -616,8 +610,8 @@ def symbol_from_dict(data: dict) -> Symbol:
     if kind == "power":
         return PowerMap(float(data["p"]))
     if kind == "cayley":
-        return CayleyMap(_unpair(data["a"]), _unpair(data["b"]),
-                         _unpair(data["c"]), _unpair(data["d"]))
+        return cayley_conjugate(_unpair(data["a"]), _unpair(data["b"]),
+                                _unpair(data["c"]), _unpair(data["d"]))
     if kind == "compose":
         return Compose(symbol_from_dict(data["left"]),
                        symbol_from_dict(data["right"]))

@@ -113,6 +113,23 @@ class TestNormCommand:
     def test_unknown_flag_exit_code(self):
         assert main(["norm", "--bogus"]) == 1
 
+    def test_cayley_must_be_disc_self_map(self, tmp_path, capsys):
+        # psi(zeta) = zeta - 1/2 leaves the disc: phi(0.05) = -0.168 is
+        # outside H, so the map is refused before any estimate runs.
+        out = str(tmp_path / "o.json")
+        code = main(["norm", "--symbol", "cayley:1,-0.5,0,1", "--alpha", "0",
+                     "--out", out])
+        assert code == 1
+        assert "not a disc self-map" in capsys.readouterr().err
+        for symbol in ("cayley:1,-0.5,0,1",
+                       {"kind": "cayley", "a": [1, 0], "b": [-0.5, 0],
+                        "c": [0, 0], "d": [1, 0]}):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"symbols": [symbol]}))
+            assert main(["norm", "--config", str(config), "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "not a disc self-map" in err
+
     def test_csv_format(self, tmp_path, capsys):
         code = main(["norm", "--symbol", "affine:2,1", "--alpha", "0",
                      "--format", "csv"])
@@ -292,6 +309,23 @@ class TestRunConfig:
             schemes.append(args.scheme)
         assert schemes[0] is schemes[1]
         assert (schemes[0].n_x, schemes[0].n_y) == (40, 100)
+
+    def test_partial_grid_block_uses_defaults(self, tmp_path):
+        config = self.write_config(tmp_path, {
+            "grid": {"r_min": 1.0, "r_max": 1e5, "radial": 30,
+                     "angular": 7}})
+        code, data = run_json(tmp_path, ["angular", "--symbol", "affine:2,1",
+                                         "--config", config])
+        assert code == 0
+        assert data["grid"] == SampleGrid(r_max=1e5, radial_count=30,
+                                          angular_count=7).to_dict()
+        assert data["grid"]["aperture"] == SampleGrid().aperture
+
+    def test_non_numeric_grid_value_is_config_error(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, {"grid": {"aperture": "wide"}})
+        assert main(["angular", "--symbol", "affine:2,1",
+                     "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unknown_keys_rejected(self, tmp_path):
         config = self.write_config(tmp_path, {"mystery": 1})

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergkit.kernels import (KernelMatrix, Weight, add_constant,
-                             bergman_kernel, defect_kernel,
+from bergkit.kernels import (Weight, bergman_kernel, defect_kernel,
                              defect_kernel_matrix, factorization_residual,
                              gram_matrix, kernel_function, nevanlinna_kernel,
-                             psd_check, schur_product)
+                             psd_check)
 from bergkit.symbols import DEFAULT_GRID, Affine, Compose, identity
 
 SYMMETRY_RTOL = 1e-12
@@ -129,6 +128,17 @@ class TestNevanlinnaKernel:
         m = nevanlinna_kernel(lambda z: 1.0, [1.0, 2.0])
         np.testing.assert_allclose(m.entries, [[1.0, 2 / 3], [2 / 3, 0.5]])
 
+    def test_callable_failing_on_arrays_raises(self):
+        # psi is called once on the point array; its error is not swallowed
+        # by a silent per-point fallback.
+        def scalar_only(z):
+            if isinstance(z, np.ndarray):
+                raise TypeError("scalars only")
+            return z
+
+        with pytest.raises(TypeError, match="scalars only"):
+            nevanlinna_kernel(scalar_only, [1.0, 2.0])
+
     @pytest.mark.parametrize("psi", [
         identity(),
         lambda z: np.ones_like(z),
@@ -203,33 +213,10 @@ class TestFactorization:
 
 
 class TestMatrixOps:
-    def test_schur_identity(self):
-        m = KernelMatrix.build([1.0, 2.0], np.eye(2), "eye")
-        out = schur_product(m, m)
-        np.testing.assert_allclose(out.entries, np.eye(2))
-        assert psd_check(out).is_psd
-
-    def test_add_constant_to_zero(self):
-        m = KernelMatrix.build([1.0, 2.0], np.zeros((2, 2)), "zero")
-        out = add_constant(m, 1.0)
-        np.testing.assert_allclose(out.entries, 1.0)
-        assert psd_check(out).is_psd
-
-    def test_add_constant_rejects_negative(self):
-        m = KernelMatrix.build([1.0], np.eye(1), "eye")
-        with pytest.raises(ValueError):
-            add_constant(m, -0.5)
-
-    def test_schur_requires_same_points(self):
-        m1 = KernelMatrix.build([1.0, 2.0], np.eye(2), "a")
-        m2 = KernelMatrix.build([1.0, 3.0], np.eye(2), "b")
-        with pytest.raises(ValueError):
-            schur_product(m1, m2)
-
     def test_schur_product_of_psd_defect_matrices_is_psd(self):
+        # Schur product theorem, the step behind K^2m = K^m (K^m + 2 lam^-m)
         m = defect_kernel_matrix(Affine(1, 1), 1.0, 1, [1.0, 2.0, 3.0])
-        verdict = psd_check(schur_product(m, m))
-        assert verdict.is_psd
+        assert psd_check(m.entries * m.entries).is_psd
 
 
 class TestPsdCheck:

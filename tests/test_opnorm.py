@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergkit import opnorm
 from bergkit.kernels import Weight
@@ -12,8 +14,8 @@ from bergkit.opnorm import (boundedness_verdict, default_gram_points,
                             kernel_ratio_bound, norm_theoretical,
                             psd_boundedness_certificate,
                             spectral_radius_estimate)
-from bergkit.symbols import (DEFAULT_GRID, Affine, PowerMap, SampleGrid,
-                             identity)
+from bergkit.symbols import (DEFAULT_GRID, Affine, Moebius, PowerMap,
+                             SampleGrid, identity)
 
 AFFINE_CASES = [(2.0, 1.0), (3.0, 0.0), (0.5, 2.0), (1.0, 5.0)]
 ALPHAS = [0.0, 0.5, 1.0, 2.0, 2.7, 6.0]
@@ -124,6 +126,30 @@ class TestLowerBoundSoundness:
                 assert ge <= theo * (1 + 1e-6)
                 assert kr >= 0.99 * theo
                 assert ge >= 0.99 * theo
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(lambda a, br, bi: (Affine(a, complex(br, bi)), 1 / a),
+                      st.floats(0.25, 4.0), st.floats(0.0, 3.0),
+                      st.floats(-3.0, 3.0)),
+            st.builds(lambda a, br, bi, d: (Moebius(a, complex(br, bi), 0, d),
+                                            d / a),
+                      st.floats(0.5, 3.0), st.floats(0.0, 2.0),
+                      st.floats(-2.0, 2.0), st.floats(0.25, 3.0))),
+        st.floats(-0.9, 6.0, exclude_min=True))
+    def test_gram_trace_bounded_and_monotone(self, symbol, alpha):
+        # Each prefix value is the norm of the adjoint restricted to the
+        # span of more kernels: at most the operator norm, never smaller
+        # than the value on the previous prefix.
+        phi, lam = symbol
+        w = Weight(alpha)
+        theo = norm_theoretical(w, lam)
+        est = gram_norm_estimate(w, phi, np.geomspace(1.0, 1e4, 16))
+        values = [v for _, v in est.trace]
+        assert all(v <= theo * (1 + 1e-6) for v in values)
+        for a, b in zip(values, values[1:]):
+            assert b >= a - 1e-9
 
 
 class TestCertificate:

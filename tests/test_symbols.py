@@ -7,7 +7,7 @@ from bergkit.symbols import (DEFAULT_GRID, Affine, CayleyMap,
                              CoefficientOverflow, Compose, HalfPlaneError,
                              Moebius, PowerMap, SampleGrid,
                              angular_derivative_estimate, cayley_conjugate,
-                             compose, eval_symbol, identity, iterate,
+                             compose, identity, require_half_plane,
                              symbol_from_dict, validate_self_map)
 
 ORACLE_RTOL = 1e-3  # estimator accuracy contract on the default grid
@@ -55,21 +55,26 @@ class TestValidation:
 
 class TestEvaluation:
     def test_affine(self):
-        assert eval_symbol(Affine(2, 1), 1) == 3
+        assert Affine(2, 1)(1) == 3
 
     def test_compose(self):
-        assert eval_symbol(Compose(Affine(2, 0), Affine(1, 1)), 1) == 4
+        assert Compose(Affine(2, 0), Affine(1, 1))(1) == 4
 
     def test_power(self):
-        assert eval_symbol(PowerMap(0.5), 4) == 2
+        assert PowerMap(0.5)(4) == 2
 
     def test_rejects_point_outside_domain(self):
-        with pytest.raises(ValueError):
-            eval_symbol(identity(), -1.0)
+        with pytest.raises(HalfPlaneError) as info:
+            require_half_plane([1.0, -1.0, 2.0])
+        assert info.value.witness == -1.0
+        with pytest.raises(HalfPlaneError):
+            require_half_plane(complex(np.inf, 0.0))
 
     def test_flags_image_outside_half_plane(self):
-        with pytest.raises(HalfPlaneError):
-            eval_symbol(Affine(1, -1), 0.3)
+        pts = np.array([2.0, 0.3, 0.2])
+        with pytest.raises(HalfPlaneError, match="0.3") as info:
+            require_half_plane(Affine(1, -1)(pts), pts)
+        assert info.value.witness == 0.3
 
     def test_vectorized_evaluation(self):
         z = np.array([1.0 + 1j, 2.0, 5.0 - 2j])
@@ -102,14 +107,9 @@ class TestComposition:
         phi = Compose(Affine(2, 1), Affine(3, 0))
         assert phi.known_lambda == pytest.approx(1 / 6)
 
-    def test_iterate(self):
-        phi = iterate(Affine(2, 1), 3)  # 8z + 7
-        assert isinstance(phi, Affine)
-        assert phi.a == 8 and phi.b == 7
-
     def test_overflow_guard(self):
         with pytest.raises(CoefficientOverflow):
-            iterate(Affine(1e200, 0), 2)
+            compose(Affine(1e200, 0), Affine(1e200, 0))
 
 
 class TestSampleGrid:
@@ -242,6 +242,11 @@ class TestCayley:
     def test_rejects_non_self_map(self):
         with pytest.raises(ValueError, match="disc self-map"):
             cayley_conjugate(2, 0, 0, 1)  # psi = 2 zeta
+
+    def test_descriptor_must_be_disc_self_map(self):
+        # psi = zeta - 1/2 leaves the disc; its conjugate leaves H
+        with pytest.raises(ValueError, match="disc self-map"):
+            symbol_from_dict(CayleyMap(1, -0.5, 0, 1).to_dict())
 
     def test_validates_on_half_plane(self):
         phi = cayley_conjugate(1, 0, -1, 2)
