@@ -183,30 +183,46 @@ def _apply_config(args) -> None:
     if unknown:
         raise CliError(f"unknown run-config keys: {sorted(unknown)}")
     if hasattr(args, "symbol") and not args.symbol:
-        args.symbol = [sym if isinstance(sym, str)
-                       else _descriptor_to_text(sym)
-                       for sym in config.get("symbols", [])]
+        args.symbol = _coerce(
+            lambda syms: [sym if isinstance(sym, str)
+                          else _descriptor_to_text(sym) for sym in syms],
+            config, "symbols", [])
     if args.alpha is None and "alphas" in config:
-        args.alpha = [float(a) for a in config["alphas"]]
+        args.alpha = _coerce(lambda alphas: [float(a) for a in alphas],
+                             config, "alphas")
     if args.grid:
         args.grid = _parse_grid(args.grid)
     elif "grid" in config:
-        args.grid = SampleGrid.from_dict(config["grid"])
+        args.grid = _coerce(SampleGrid.from_dict, config, "grid")
     else:
         args.grid = DEFAULT_GRID
     if args.seed is None:
-        args.seed = int(config.get("seed", 0))
+        args.seed = _coerce(int, config, "seed", 0)
     if args.format is None:
         args.format = config.get("format", "json")
     if "out" in config and not args.out:
         args.out = config["out"]
-    quad = config.get("quadrature")
-    if quad:
-        args.scheme = _cached_scheme(int(quad.get("n_x", DEFAULT_NX)),
-                                     int(quad.get("n_y", DEFAULT_NY)),
-                                     float(quad.get("y_max", DEFAULT_YMAX)))
+    if config.get("quadrature"):
+        n_x, n_y, y_max = _coerce(
+            lambda quad: (int(quad.get("n_x", DEFAULT_NX)),
+                          int(quad.get("n_y", DEFAULT_NY)),
+                          float(quad.get("y_max", DEFAULT_YMAX))),
+            config, "quadrature")
+        args.scheme = _cached_scheme(n_x, n_y, y_max)
     if hasattr(args, "symbol"):
         args.symbols = _validated_symbols(args.symbol, args.grid)
+
+
+def _coerce(convert, config: dict, key: str, default=None):
+    """``convert`` applied to the run-config value under ``key``.  A JSON
+    value of the wrong type (null, a number for a list or a block) makes
+    ``convert`` raise TypeError or AttributeError; that becomes a
+    CliError."""
+    try:
+        return convert(config.get(key, default))
+    except (TypeError, AttributeError) as exc:
+        raise CliError(f"run-config {key!r} has a value of the wrong "
+                       f"type: {exc}") from exc
 
 
 def _descriptor_to_text(descriptor: dict) -> str:
@@ -377,10 +393,11 @@ def _cmd_laplace(args) -> int:
         func = parse_halfline(args.f)
     else:
         raise CliError("laplace needs --f or --f-json")
-    rows = []
-    for alpha in (args.alpha or [0.0]):
-        res = isometry_check(Weight(alpha), func, args.scheme)
-        rows.append({"alpha": alpha, "f": func.to_dict(), **res.to_dict()})
+    alphas = args.alpha or [0.0]
+    results = isometry_check([Weight(alpha) for alpha in alphas], func,
+                             args.scheme)
+    rows = [{"alpha": alpha, "f": func.to_dict(), **res.to_dict()}
+            for alpha, res in zip(alphas, results)]
     _emit({"rows": rows}, args)
     return EXIT_OK
 

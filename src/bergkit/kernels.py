@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import hermitian_defect, jacobi_eigh, pivoted_cholesky
+from .linalg import jacobi_eigh, pivoted_cholesky, require_hermitian
 from .symbols import require_half_plane
 
 __all__ = [
@@ -128,10 +128,8 @@ class KernelMatrix:
         points = tuple(complex(p) for p in points)
         if entries.shape != (len(points), len(points)):
             raise ValueError("entry matrix does not match the point list")
-        defect = hermitian_defect(entries)
-        scale = float(np.max(np.abs(entries))) if entries.size else 0.0
-        if scale > 0 and defect > 1e-10 * scale:
-            raise ValueError("kernel matrix is not Hermitian within tolerance")
+        defect = require_hermitian(
+            entries, "kernel matrix is not Hermitian within tolerance")
         return cls(points, entries, kernel_id, defect, condition_estimate)
 
     def to_dict(self) -> dict:
@@ -296,12 +294,8 @@ def psd_check(matrix, rel_tol: float = PSD_REL_TOL):
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
     n = a.shape[1]
-    adjoint = a.conj().swapaxes(1, 2)
-    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
-    defect = np.abs(a - adjoint).max(axis=(1, 2), initial=0.0)
-    if np.any((scale > 0) & (defect > 1e-10 * scale)):
-        raise ValueError("matrix is not Hermitian within the defect tolerance")
-    hermitian_part = 0.5 * (a + adjoint)
+    require_hermitian(a, "matrix is not Hermitian within the defect tolerance")
+    hermitian_part = 0.5 * (a + a.conj().swapaxes(1, 2))
     eigenvalues, _ = jacobi_eigh(hermitian_part, compute_vectors=False)
     min_eigs = eigenvalues[:, 0]
     traces = np.trace(hermitian_part, axis1=1, axis2=2).real

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .kernels import Weight
-from .space import KernelCombination, QuadratureScheme, inner_product
+from .space import (KernelCombination, QuadratureScheme, default_scheme,
+                    weighted_integral)
 from .symbols import require_half_plane
 
 __all__ = [
@@ -187,26 +187,41 @@ class IsometryResult:
                 "quadrature_gap": self.quadrature_gap}
 
 
-def isometry_check(weight: Weight, f: HalfLineFunction,
-                   scheme: QuadratureScheme | None = None) -> IsometryResult:
+def isometry_check(weight: Weight | Sequence[Weight], f: HalfLineFunction,
+                   scheme: QuadratureScheme | None = None
+                   ) -> IsometryResult | list[IsometryResult]:
     """Compare ||L f||^2 computed on the Bergman side with the closed-form
-    half-line norm."""
-    rhs = mu_alpha_norm(weight, f)
-    transformed = partial(laplace_eval, f)
-    lhs_quad = inner_product(weight, transformed, transformed, scheme).real
+    half-line norm, for one weight or for each weight of a sequence.
 
-    lhs_closed = None
-    if f.terms and all(abs(term.beta - (1.0 + weight.alpha)) <= 1e-12
-                       for term in f.terms):
-        # L f = sum c_i Gamma(2+alpha) / (s_i + z)^(2+alpha) is the kernel
-        # combination sum chat_i k_{conj(s_i)}; use the Gram identity.
-        gamma_top = math.gamma(2.0 + weight.alpha)
-        lhs_closed = KernelCombination.build(
-            weight, [term.c * gamma_top / weight.norm_const for term in f.terms],
-            [term.s.conjugate() for term in f.terms]).norm_squared()
+    L f does not depend on alpha, so it is evaluated on the quadrature grid
+    once and shared by both sides of the pairing and by every weight.
+    Returns one :class:`IsometryResult`, or a list with one per weight.
+    """
+    single = isinstance(weight, Weight)
+    weights = (weight,) if single else tuple(weight)
+    rhs_values = [mu_alpha_norm(w, f) for w in weights]
+    scheme = scheme or default_scheme()
+    with np.errstate(invalid="ignore", over="ignore"):
+        transformed = laplace_eval(f, scheme.z)
+        density = transformed * np.conj(transformed)
 
-    denom = max(abs(rhs), 1e-300)
-    quadrature_gap = abs(lhs_quad - rhs) / denom
-    best = lhs_closed if lhs_closed is not None else lhs_quad
-    gap = abs(best - rhs) / denom
-    return IsometryResult(lhs_quad, lhs_closed, rhs, gap, quadrature_gap)
+    results = []
+    for w, rhs in zip(weights, rhs_values):
+        lhs_quad = weighted_integral(w, density, scheme).real
+        lhs_closed = None
+        if f.terms and all(abs(term.beta - (1.0 + w.alpha)) <= 1e-12
+                           for term in f.terms):
+            # L f = sum c_i Gamma(2+alpha) / (s_i + z)^(2+alpha) is the kernel
+            # combination sum chat_i k_{conj(s_i)}; use the Gram identity.
+            gamma_top = math.gamma(2.0 + w.alpha)
+            lhs_closed = KernelCombination.build(
+                w, [term.c * gamma_top / w.norm_const for term in f.terms],
+                [term.s.conjugate() for term in f.terms]).norm_squared()
+
+        denom = max(abs(rhs), 1e-300)
+        quadrature_gap = abs(lhs_quad - rhs) / denom
+        best = lhs_closed if lhs_closed is not None else lhs_quad
+        gap = abs(best - rhs) / denom
+        results.append(IsometryResult(lhs_quad, lhs_closed, rhs, gap,
+                                      quadrature_gap))
+    return results[0] if single else results

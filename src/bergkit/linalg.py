@@ -28,6 +28,7 @@ __all__ = [
     "hermitian_defect",
     "jacobi_eigh",
     "pivoted_cholesky",
+    "require_hermitian",
     "solve_lower_triangular",
 ]
 
@@ -36,12 +37,28 @@ class ConvergenceError(ValueError):
     """Jacobi sweeps ran out before every matrix of the stack converged."""
 
 
-def hermitian_defect(matrix) -> float:
-    """Largest entrywise deviation |M - M*| from conjugate symmetry."""
+HERMITIAN_RTOL = 1e-10
+
+
+def hermitian_defect(matrix):
+    """Largest entrywise deviation |M - M*| from conjugate symmetry: a
+    float for one matrix, an array of one value per matrix for a stack."""
     a = np.asarray(matrix, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - a.conj().T)))
+    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1),
+                                                       initial=0.0)
+    return float(defect) if a.ndim == 2 else defect
+
+
+def require_hermitian(matrix, message: str):
+    """``hermitian_defect(matrix)``, once every matrix of the stack is
+    Hermitian within ``HERMITIAN_RTOL * max|M|``; raises
+    ``ValueError(message)`` otherwise."""
+    a = np.asarray(matrix, dtype=complex)
+    defect = hermitian_defect(a)
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    if np.any((scale > 0) & (defect > HERMITIAN_RTOL * scale)):
+        raise ValueError(message)
+    return defect
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "QuadratureScheme",
     "default_scheme",
     "inner_product",
+    "weighted_integral",
     "KernelCombination",
     "reproducing_check",
     "ReproducingResult",
@@ -98,6 +99,14 @@ class QuadratureScheme:
         return QuadratureScheme.build(2 * self.n_x, 2 * self.n_y,
                                       2.0 * self.y_max)
 
+    @cached_property
+    def z(self) -> np.ndarray:
+        """The tensor grid of nodes, ``z[i, j] = x_nodes[i] + 1j*y_nodes[j]``,
+        built once per scheme and read-only, since every caller shares it."""
+        z = self.x_nodes[:, None] + 1j * self.y_nodes[None, :]
+        z.flags.writeable = False
+        return z
+
     def to_dict(self) -> dict:
         return {"n_x": self.n_x, "n_y": self.n_y, "y_max": self.y_max}
 
@@ -111,6 +120,18 @@ def default_scheme() -> QuadratureScheme:
     return _cached_scheme(DEFAULT_NX, DEFAULT_NY, DEFAULT_YMAX)
 
 
+def weighted_integral(weight: Weight, values: np.ndarray,
+                      scheme: QuadratureScheme) -> complex:
+    """Quadrature approximation of (1/pi) int x^alpha h(z) dx dy, where
+    ``values`` samples h on ``scheme.z``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = values * scheme.x_nodes[:, None] ** weight.alpha
+    if not np.all(np.isfinite(values)):
+        raise ValueError("integrand is not finite at a quadrature node")
+    total = scheme.x_weights @ values @ scheme.y_weights
+    return complex(total / math.pi)
+
+
 def inner_product(weight: Weight, f: Callable, g: Callable,
                   scheme: QuadratureScheme | None = None) -> complex:
     """Quadrature approximation of <f, g> in the weighted Bergman space.
@@ -119,16 +140,10 @@ def inner_product(weight: Weight, f: Callable, g: Callable,
     responsible for integrable decay (kernel combinations always qualify).
     """
     scheme = scheme or default_scheme()
-    x = scheme.x_nodes[:, None]
-    z = x + 1j * scheme.y_nodes[None, :]
     with np.errstate(invalid="ignore", over="ignore"):
-        values = np.asarray(f(z), dtype=complex) * np.conj(
-            np.asarray(g(z), dtype=complex))
-        values = values * x ** weight.alpha
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand is not finite at a quadrature node")
-    total = scheme.x_weights @ values @ scheme.y_weights
-    return complex(total / math.pi)
+        values = np.asarray(f(scheme.z), dtype=complex) * np.conj(
+            np.asarray(g(scheme.z), dtype=complex))
+    return weighted_integral(weight, values, scheme)
 
 
 @dataclass(frozen=True)

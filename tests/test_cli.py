@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bergkit.cli import (CliError, _apply_config, _build_parser, main,
                         parse_halfline, parse_symbol)
@@ -228,6 +230,24 @@ class TestOtherCommands:
         assert code == 0
         assert data["rows"][0]["rhs"] == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("scheme", ["default", "doubled"])
+    def test_laplace_alphas_match_separate_runs(self, tmp_path, scheme):
+        # One op evaluates L f once for all of its alphas; each row must be
+        # the one a run with that alpha alone writes.
+        args = ["laplace", "--f",
+                "(1+2j)*t^2.3*exp(-(1.5+0.5j)*t)+(0.5)*t^3.1*exp(-2*t)"]
+        if scheme == "doubled":
+            config = tmp_path / "doubled.json"
+            config.write_text(json.dumps(
+                {"quadrature": {"n_x": 320, "n_y": 800, "y_max": 400.0}}))
+            args += ["--config", str(config)]
+        alphas = ["0.7", "1.9"]
+        _, together = run_json(tmp_path, args + ["--alpha", alphas[0],
+                                                 "--alpha", alphas[1]])
+        separate = [run_json(tmp_path, args + ["--alpha", a])[1]["rows"][0]
+                    for a in alphas]
+        assert json.dumps(together["rows"]) == json.dumps(separate)
+
     def test_interp(self, tmp_path):
         code, data = run_json(tmp_path, ["interp", "--alpha", "1"])
         assert code == 0
@@ -326,6 +346,46 @@ class TestRunConfig:
         assert main(["angular", "--symbol", "affine:2,1",
                      "--config", config]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command,payload", [
+        (["angular", "--symbol", "affine:2,1"], {"alphas": [None]}),
+        (["angular", "--symbol", "affine:2,1"], {"grid": {"aperture": None}}),
+        (["laplace", "--f", "t*exp(-t)"], {"quadrature": {"n_x": None}}),
+    ], ids=["alphas", "grid", "quadrature"])
+    def test_null_value_is_config_error(self, tmp_path, capsys, command,
+                                        payload):
+        config = self.write_config(tmp_path, payload)
+        assert main(command + ["--config", config]) == 1
+        assert capsys.readouterr().err.startswith("error: run-config")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.fixed_dictionaries({}, optional={
+               "seed": st.integers(0, 10**6),
+               "format": st.sampled_from(["json", "csv"]),
+               "alphas": st.lists(st.floats(-0.9, 10.0), min_size=1,
+                                  max_size=3)}),
+           st.one_of(st.none(), st.just(0), st.integers(1, 10**6)),
+           st.sampled_from([None, "json", "csv"]),
+           st.one_of(st.none(), st.lists(st.floats(-0.9, 10.0), min_size=1,
+                                         max_size=3)))
+    def test_property_explicit_flags_win(self, tmp_path, config, seed, fmt,
+                                         alphas):
+        argv = ["interp", "--config", self.write_config(tmp_path, config)]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        if fmt is not None:
+            argv += ["--format", fmt]
+        for alpha in alphas or []:
+            argv.append(f"--alpha={alpha!r}")  # "-1e-5" alone reads as a flag
+        args = _build_parser().parse_args(argv)
+        _apply_config(args)
+        assert args.seed == (seed if seed is not None
+                             else config.get("seed", 0))
+        assert args.format == (fmt if fmt is not None
+                               else config.get("format", "json"))
+        assert args.alpha == (alphas if alphas is not None
+                              else config.get("alphas"))
 
     def test_unknown_keys_rejected(self, tmp_path):
         config = self.write_config(tmp_path, {"mystery": 1})

@@ -13,6 +13,7 @@ from bergkit.kernels import Weight, bergman_kernel
 from bergkit.laplace import (ExpMonomial, HalfLineFunction, isometry_check,
                              kernel_preimage, laplace_eval, mu_alpha_density,
                              mu_alpha_norm, weighted_norm_squared)
+from bergkit.space import _cached_scheme, default_scheme
 
 
 def halfline(*terms):
@@ -140,6 +141,62 @@ class TestIsometry:
         f = halfline((1, 1.0, 1.0), (2 - 1j, 2.5, 0.5 + 0.25j))
         rebuilt = HalfLineFunction.from_dict(f.to_dict())
         assert rebuilt == f
+
+
+class TestIsometryOverWeights:
+    """One call over several weights evaluates L f once; every result must
+    be bitwise the one a call for that weight alone gives."""
+
+    @staticmethod
+    def assert_matches_single_calls(f, weights, scheme=None):
+        results = isometry_check(weights, f, scheme)
+        assert len(results) == len(weights)
+        for w, result in zip(weights, results):
+            # repr tells every float apart bit for bit, -0.0 included
+            assert repr(result) == repr(isometry_check(w, f, scheme))
+        return results
+
+    def test_weight_list_matches_single_calls(self):
+        f = halfline((1, 2.0, 1.0), (0.5j, 2.0, 2.0 + 0.5j))
+        weights = [Weight(0.0), Weight(1.0), Weight(2.5)]
+        results = self.assert_matches_single_calls(f, weights)
+        assert results[1].lhs_closed_form is not None
+        assert results[0].lhs_closed_form is None
+        assert isometry_check(weights[:1], f) == results[:1]
+
+    # the closed-form side overflows too (a RuntimeWarning), to inf
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_integrand_raises(self):
+        f = halfline((1e200, 1.0, 1.0))  # |L f|^2 overflows near z = 0
+        for weight in (Weight(0.0), [Weight(0.0), Weight(1.0)]):
+            with pytest.raises(ValueError, match="not finite at a quadrature node"):
+                isometry_check(weight, f)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from(["default", "coarse"]),
+           st.integers(min_value=1, max_value=4), st.booleans())
+    def test_property_batch_equals_single_calls(self, seed, scheme_name,
+                                                count, closed):
+        rng = np.random.default_rng(seed)
+        scheme = (default_scheme() if scheme_name == "default"
+                  else _cached_scheme(40, 100, 100.0))
+        alphas = [float(a) for a in rng.uniform(-0.9, 4.0, count)]
+        # closed: every mode has beta = 1 + alphas[0], so L f is a kernel
+        # combination for that weight; the other weights need beta > alpha/2
+        low = max(alphas) / 2 + 0.6
+        betas = ([1.0 + alphas[0]] * 2 if closed
+                 else rng.uniform(low, low + 2.0, 2))
+        alphas = [a for a in alphas if 2.0 * betas[0] > a]
+        f = halfline(*[(complex(rng.normal(), rng.normal()), float(beta),
+                        complex(rng.uniform(0.5, 3.0), rng.normal()))
+                       for beta in betas])
+        weights = [Weight(a) for a in alphas]
+        results = self.assert_matches_single_calls(f, weights, scheme)
+        for alpha, result in zip(alphas, results):
+            if closed and alpha == alphas[0]:
+                assert result.lhs_closed_form is not None
+                assert result.gap <= 1e-10
 
 
 class TestMonomialValidation:

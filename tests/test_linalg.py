@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergkit.linalg import (ConvergenceError, hermitian_defect, jacobi_eigh,
-                            pivoted_cholesky, solve_lower_triangular)
+from bergkit.linalg import (HERMITIAN_RTOL, ConvergenceError, hermitian_defect,
+                            jacobi_eigh, pivoted_cholesky, require_hermitian,
+                            solve_lower_triangular)
 
 RESIDUAL_BUDGET = 1e-10
 
@@ -97,6 +98,22 @@ def test_jacobi_rejects_non_square():
 def test_hermitian_defect():
     assert hermitian_defect(np.eye(3)) == 0.0
     assert hermitian_defect(np.array([[0, 1j], [0, 0]])) == pytest.approx(1.0)
+
+
+def test_require_hermitian_checks_each_matrix_of_a_stack():
+    rng = np.random.default_rng(3)
+    stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
+    stack[2] = 0.0  # a zero matrix is Hermitian at any tolerance
+    scale = np.abs(stack[1]).max()
+    stack[1, 0, 3] += 0.5 * HERMITIAN_RTOL * scale
+    defects = require_hermitian(stack, "not Hermitian")
+    assert list(defects) == [hermitian_defect(m) for m in stack]
+    assert defects[1] > 0.0
+    stack[1, 0, 3] += HERMITIAN_RTOL * scale
+    with pytest.raises(ValueError, match="^not Hermitian$"):
+        require_hermitian(stack, "not Hermitian")
+    with pytest.raises(ValueError, match="^not Hermitian$"):
+        require_hermitian(stack[1], "not Hermitian")
 
 
 def test_pivoted_cholesky_reconstructs():

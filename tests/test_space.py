@@ -56,6 +56,14 @@ class TestInnerProduct:
             assert value.real >= 0
             assert abs(value.imag) <= 1e-12 * max(value.real, 1e-300)
 
+    def test_grid_is_built_once_and_read_only(self):
+        scheme = QuadratureScheme.build(8, 16, 10.0)
+        assert scheme.z is scheme.z
+        assert np.array_equal(scheme.z, scheme.x_nodes[:, None]
+                              + 1j * scheme.y_nodes[None, :])
+        with pytest.raises(ValueError):
+            scheme.z[0, 0] = 1.0
+
     def test_non_finite_integrand_rejected(self):
         w = Weight(0.0)
         bad = lambda z: np.full_like(z, np.inf)
