@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_UNBOUNDED = 2
 
+FORMATS = ("json", "csv")
+
 CSV_COLUMNS = ["symbol", "alpha", "verdict", "lambda_hat", "theoretical",
                "kernel_ratio", "gram_eig", "spectral_radius",
                "essential_lower_bound", "rel_gap_kernel", "rel_gap_gram"]
@@ -93,12 +95,9 @@ def parse_symbol(text: str) -> Symbol:
     kind, _, args = text.partition(":")
     parts = [p for p in args.split(",") if p.strip()]
     if kind == "affine":
-        if len(parts) == 2:
-            return Affine(float(parts[0]), complex(float(parts[1])))
-        if len(parts) == 3:
-            return Affine(float(parts[0]),
-                          complex(float(parts[1]), float(parts[2])))
-        raise CliError("affine syntax is affine:a,b_re[,b_im]")
+        if len(parts) not in (2, 3):
+            raise CliError("affine syntax is affine:a,b_re[,b_im]")
+        return Affine(float(parts[0]), complex(*map(float, parts[1:])))
     if kind == "power":
         if len(parts) != 1:
             raise CliError("power syntax is power:p")
@@ -199,7 +198,7 @@ def _apply_config(args) -> None:
     if args.seed is None:
         args.seed = _coerce(int, config, "seed", 0)
     if args.format is None:
-        args.format = config.get("format", "json")
+        args.format = _coerce(str, config, "format", "json", FORMATS)
     if "out" in config and not args.out:
         args.out = config["out"]
     if config.get("quadrature"):
@@ -213,16 +212,21 @@ def _apply_config(args) -> None:
         args.symbols = _validated_symbols(args.symbol, args.grid)
 
 
-def _coerce(convert, config: dict, key: str, default=None):
+def _coerce(convert, config: dict, key: str, default=None, choices=None):
     """``convert`` applied to the run-config value under ``key``.  A JSON
     value of the wrong type (null, a number for a list or a block) makes
     ``convert`` raise TypeError or AttributeError; that becomes a
-    CliError."""
+    CliError, and so does a value outside ``choices`` when given."""
+    value = config.get(key, default)
     try:
-        return convert(config.get(key, default))
+        converted = convert(value)
     except (TypeError, AttributeError) as exc:
         raise CliError(f"run-config {key!r} has a value of the wrong "
                        f"type: {exc}") from exc
+    if choices is not None and converted not in choices:
+        raise CliError(f"run-config {key!r} must be one of "
+                       f"{', '.join(choices)}, not {value!r}")
+    return converted
 
 
 def _descriptor_to_text(descriptor: dict) -> str:
@@ -443,6 +447,12 @@ def _cmd_report(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads "-1e-5" as an option
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise CliError(message)
 
@@ -459,7 +469,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--grid", help="r_min,r_max,shells,angles,aperture")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"])
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--config", help="JSON run-config file; flags win")
         p.set_defaults(scheme=None)
         if symbols:

@@ -187,17 +187,23 @@ def nevanlinna_kernel(psi, points: Sequence[complex]) -> KernelMatrix:
     return KernelMatrix.build(pts, entries, "nevanlinna")
 
 
+def _defect_sums(phi, omega, z):
+    """base = z + conj(omega) and top = phi(z) + conj(phi(omega)) of K^n."""
+    omega = np.asarray(omega, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    base = z + np.conj(omega)
+    top = np.asarray(phi(z), dtype=complex) + np.conj(np.asarray(phi(omega),
+                                                                 dtype=complex))
+    return base, top
+
+
 def defect_kernel(phi, lam: float, n: int, omega, z):
     """Composition-defect kernel K^n(omega, z) for candidate derivative lam."""
     if not lam > 0:
         raise ValueError("lam must be positive")
     if n < 1:
         raise ValueError("kernel power must be a positive integer")
-    omega = np.asarray(omega, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    base = z + np.conj(omega)
-    top = np.asarray(phi(z), dtype=complex) + np.conj(np.asarray(phi(omega),
-                                                                 dtype=complex))
+    base, top = _defect_sums(phi, omega, z)
     value = (top ** n - lam ** (-float(n)) * base ** n) / base ** n
     if value.ndim == 0:
         return complex(value)
@@ -232,9 +238,7 @@ def factorization_residual(phi, lam: float, level: int, pairs) -> float:
     km = defect_kernel(phi, lam, m, omega, z)
     k2m = defect_kernel(phi, lam, 2 * m, omega, z)
     product = km * (km + 2.0 * lam ** (-float(m)))
-    base = z + np.conj(omega)
-    top = np.asarray(phi(z), dtype=complex) + np.conj(np.asarray(phi(omega),
-                                                                 dtype=complex))
+    base, top = _defect_sums(phi, omega, z)
     # Cancellation scale: the powers entering both sides.
     scale = np.maximum.reduce([
         np.abs(top / base) ** (2 * m),

@@ -87,11 +87,6 @@ class HalfLineFunction:
             total = total + term.c * t ** term.beta * np.exp(-term.s * t)
         return total
 
-    def min_beta(self) -> float:
-        if not self.terms:
-            return math.inf
-        return min(term.beta for term in self.terms)
-
     def to_dict(self) -> list:
         return [term.to_dict() for term in self.terms]
 

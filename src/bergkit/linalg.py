@@ -158,10 +158,7 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, tol: float = 1e-14,
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
     batch, n = a.shape[:2]
-    scale = np.maximum(np.abs(a).max(axis=(1, 2), initial=0.0), 1e-300)
-    defect = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-    if np.any(defect > 1e-8 * scale):
-        raise ValueError("matrix is not Hermitian")
+    require_hermitian(a, "matrix is not Hermitian")
     a = 0.5 * (a + a.conj().swapaxes(1, 2))
     v = (np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
          if compute_vectors else None)

@@ -31,8 +31,10 @@ __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all",
 
 DEFAULT_SEED = 0
 
-# phi(z) = a z + b used throughout the norm-formula checks; lam = 1/a.
-AFFINE_CASES = ((2.0, 1.0), (3.0, 0.0), (0.5, 2.0), (1.0, 5.0))
+# (phi, lam): phi(z) = a z + b used throughout the norm-formula checks,
+# with its angular derivative lam = 1/a.
+AFFINE_CASES = tuple((Affine(a, b), 1.0 / a) for a, b in
+                     ((2.0, 1.0), (3.0, 0.0), (0.5, 2.0), (1.0, 5.0)))
 ALPHAS = (0.0, 0.5, 1.0, 2.0, 2.7, 6.0)
 
 
@@ -59,9 +61,7 @@ def _criterion_1(seed: int) -> CriterionResult:
     gram_points = np.geomspace(1.0, 1e4, 16)
     lowest = 1.0
     overshoot = 0.0
-    for a, b in AFFINE_CASES:
-        phi = Affine(a, b)
-        lam = 1.0 / a
+    for phi, lam in AFFINE_CASES:
         for alpha in ALPHAS:
             w = Weight(alpha)
             theo = norm_theoretical(w, lam)
@@ -130,11 +130,9 @@ def _criterion_4(seed: int) -> CriterionResult:
         ("nevanlinna(z+1/z)", lambda pts: nevanlinna_kernel(
             lambda z: z + 1.0 / z, pts)),
     ]
-    for a, b in AFFINE_CASES:
-        phi = Affine(a, b)
-        lam = 1.0 / a
+    for phi, lam in AFFINE_CASES:
         for n in (1, 2, 4, 8):
-            cases.append((f"defect(a={a:g},b={b:g},n={n})",
+            cases.append((f"defect({phi.describe()}, n={n})",
                           lambda pts, phi=phi, lam=lam, n=n:
                           defect_kernel_matrix(phi, lam, n, pts)))
     for _, build in cases:
@@ -165,9 +163,7 @@ def _criterion_5(seed: int) -> CriterionResult:
                          (count, 2))
     pairs = radii * np.exp(1j * angles)
     worst = 0.0
-    for a, b in AFFINE_CASES:
-        phi = Affine(a, b)
-        lam = 1.0 / a
+    for phi, lam in AFFINE_CASES:
         for level in (0, 1, 2):
             worst = max(worst, factorization_residual(phi, lam, level, pairs))
     return CriterionResult(5, "factorization_identity", worst <= 1e-10,
@@ -181,9 +177,7 @@ def _criterion_6(seed: int) -> CriterionResult:
     true_failures = 0
     missed_detections = 0
     checks = 0
-    for a, b in AFFINE_CASES:
-        phi = Affine(a, b)
-        lam = 1.0 / a
+    for phi, lam in AFFINE_CASES:
         for alpha in (0.0, 1.0, 2.5):
             w = Weight(alpha)
             for _ in range(4):
@@ -290,9 +284,7 @@ def _criterion_9(seed: int) -> CriterionResult:
     n = 8; the coefficient overflow guard stays quiet."""
     worst = 0.0
     overflowed = False
-    for a, b in AFFINE_CASES:
-        phi = Affine(a, b)
-        lam = 1.0 / a
+    for phi, lam in AFFINE_CASES:
         for alpha in ALPHAS:
             w = Weight(alpha)
             try:
@@ -314,9 +306,7 @@ def _criterion_10(seed: int) -> CriterionResult:
     r_max = 1e8 and stays positive (no compact composition operators)."""
     grid = SampleGrid(r_max=1e8)
     lowest = np.inf
-    for a, b in AFFINE_CASES:
-        phi = Affine(a, b)
-        lam = 1.0 / a
+    for phi, lam in AFFINE_CASES:
         for alpha in ALPHAS:
             w = Weight(alpha)
             bound = essential_norm_lower_bound(w, phi, grid)

@@ -1,11 +1,16 @@
 """Holomorphic self-maps of the right half-plane H = {Re z > 0}.
 
-Provides the closed-form symbol families (affine maps, Moebius maps,
-principal power maps, Cayley conjugates of disc maps, compositions),
-self-map validation, non-tangential sample grids, and the estimator for
-the angular derivative at infinity
+Provides the closed-form symbol families, self-map validation,
+non-tangential sample grids, and the estimator for the angular
+derivative at infinity
 
     lambda = lim z / phi(z)  (non-tangential)  =  sup_{z in H} Re z / Re phi(z).
+
+Affine maps, Moebius maps and Cayley conjugates of disc Moebius maps form
+one linear-fractional family: each builds the 2x2 matrix of
+phi(z) = (a z + b)/(c z + d), and evaluation, the analytic lambda = d/a
+(for c = 0) and composition (a matrix product) are written once for all
+three.  Principal power maps and compositions complete the families.
 
 All symbol objects are immutable values; evaluation accepts scalars or
 numpy arrays of half-plane points.
@@ -89,8 +94,30 @@ class Symbol:
         return repr(self)
 
 
+class _LinearFractional(Symbol):
+    """phi(z) = (a z + b) / (c z + d) for the 2x2 ``matrix`` ((a, b), (c, d))
+    that each family builds from its own coefficients."""
+
+    def __call__(self, z):
+        (a, b), (c, d) = self.matrix
+        return (a * z + b) / (c * z + d)
+
+    @property
+    def known_lambda(self) -> Optional[float]:
+        # z / phi(z) -> d/a when c = 0; with c != 0 the ratio grows without
+        # bound, so no finite angular derivative exists.  A negligible c,
+        # as a computed matrix carries, counts as zero.
+        (a, b), (c, d) = self.matrix
+        if a == 0 or abs(c) > 1e-14 * max(abs(a), abs(b), abs(c), abs(d)):
+            return None
+        mu = d / a
+        if mu.real > 0 and abs(mu.imag) <= 1e-14 * abs(mu):
+            return float(mu.real)
+        return None
+
+
 @dataclass(frozen=True)
-class Affine(Symbol):
+class Affine(_LinearFractional):
     """phi(z) = a z + b with real slope a.
 
     A genuine self-map of H requires a > 0 and Re b >= 0, and then
@@ -107,14 +134,9 @@ class Affine(Symbol):
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", complex(self.b))
 
-    def __call__(self, z):
-        return self.a * z + self.b
-
     @property
-    def known_lambda(self) -> Optional[float]:
-        if self.a > 0 and self.b.real >= 0:
-            return 1.0 / self.a
-        return None
+    def matrix(self) -> tuple:
+        return ((complex(self.a), self.b), (0j, 1 + 0j))
 
     def to_dict(self) -> dict:
         return {"kind": "affine", "a": self.a, "b": _pair(self.b)}
@@ -124,49 +146,58 @@ class Affine(Symbol):
 
 
 @dataclass(frozen=True)
-class Moebius(Symbol):
-    """phi(z) = (a z + b) / (c z + d).  Validation is sample-based."""
+class _Coefficients(_LinearFractional):
+    """The four complex coefficients (a z + b)/(c z + d) that define a
+    Moebius or Cayley symbol; a constant map (ad - bc = 0) is refused."""
 
     a: complex
     b: complex
     c: complex
     d: complex
 
-    kind = "moebius"
-
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         if self.a * self.d - self.b * self.c == 0:
-            raise ValueError("Moebius map is degenerate (ad - bc = 0)")
-
-    def __call__(self, z):
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-
-    @property
-    def known_lambda(self) -> Optional[float]:
-        return _moebius_lambda(self.a, self.b, self.c, self.d)
+            raise ValueError(f"{self.kind} map is degenerate (ad - bc = 0)")
 
     def to_dict(self) -> dict:
-        return {"kind": "moebius", "a": _pair(self.a), "b": _pair(self.b),
+        return {"kind": self.kind, "a": _pair(self.a), "b": _pair(self.b),
                 "c": _pair(self.c), "d": _pair(self.d)}
 
     def describe(self) -> str:
-        return f"moebius({self.a:g}, {self.b:g}; {self.c:g}, {self.d:g})"
+        return f"{self.kind}({self.a:g}, {self.b:g}; {self.c:g}, {self.d:g})"
 
 
-def _moebius_lambda(a: complex, b: complex, c: complex, d: complex) -> Optional[float]:
-    # z / phi(z) -> d/a when c = 0; with c != 0 the ratio grows without
-    # bound, so no finite angular derivative exists.
-    if c != 0 or a == 0:
-        return None
-    mu = d / a
-    if mu.real > 0 and abs(mu.imag) <= 1e-14 * abs(mu):
-        return float(mu.real)
-    return None
+@dataclass(frozen=True)
+class Moebius(_Coefficients):
+    """phi(z) = (a z + b) / (c z + d).  Validation is sample-based."""
+
+    kind = "moebius"
+
+    @property
+    def matrix(self) -> tuple:
+        return ((self.a, self.b), (self.c, self.d))
+
+
+# Cayley transform tau(zeta) = (1 + zeta)/(1 - zeta) maps the unit disc
+# onto H; its inverse is (z - 1)/(z + 1).
+_TAU = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex)
+_TAU_INV = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
+
+
+@dataclass(frozen=True)
+class CayleyMap(_Coefficients):
+    """Half-plane conjugate tau o psi o tau^{-1} of the disc Moebius map
+    psi(zeta) = (a zeta + b) / (c zeta + d)."""
+
+    kind = "cayley"
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        psi = np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
+        m = _TAU @ psi @ _TAU_INV
+        return m / np.max(np.abs(m))
 
 
 @dataclass(frozen=True)
@@ -198,55 +229,6 @@ class PowerMap(Symbol):
 
     def describe(self) -> str:
         return f"power(p={self.p:g})"
-
-
-# Cayley transform tau(zeta) = (1 + zeta)/(1 - zeta) maps the unit disc
-# onto H; its inverse is (z - 1)/(z + 1).
-_TAU = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex)
-_TAU_INV = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class CayleyMap(Symbol):
-    """Half-plane conjugate tau o psi o tau^{-1} of a Moebius disc map psi."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    kind = "cayley"
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-
-    @cached_property
-    def half_plane_matrix(self) -> np.ndarray:
-        psi = np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-        m = _TAU @ psi @ _TAU_INV
-        return m / np.max(np.abs(m))
-
-    def __call__(self, z):
-        m = self.half_plane_matrix
-        return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
-
-    @property
-    def known_lambda(self) -> Optional[float]:
-        m = self.half_plane_matrix
-        # The conjugated matrix is computed in floating point; treat a
-        # negligible lower-left entry as exactly zero.
-        c = m[1, 0]
-        if abs(c) <= 1e-14:
-            return _moebius_lambda(m[0, 0], m[0, 1], 0.0, m[1, 1])
-        return None
-
-    def to_dict(self) -> dict:
-        return {"kind": "cayley", "a": _pair(self.a), "b": _pair(self.b),
-                "c": _pair(self.c), "d": _pair(self.d)}
-
-    def describe(self) -> str:
-        return f"cayley({self.a:g}, {self.b:g}; {self.c:g}, {self.d:g})"
 
 
 @dataclass(frozen=True)
@@ -281,38 +263,25 @@ def identity() -> Affine:
     return Affine(1.0, 0j)
 
 
-def _check_affine_coeffs(a: float, b: complex):
-    if abs(a) > _COEFF_LIMIT or abs(b) > _COEFF_LIMIT or not (
-            math.isfinite(a) and math.isfinite(abs(b))):
-        raise CoefficientOverflow("affine coefficients exceeded 1e300")
-
-
 def compose(outer: Symbol, inner: Symbol) -> Symbol:
-    """Composition outer(inner(z)), simplified within closed families."""
-    if isinstance(outer, Affine) and isinstance(inner, Affine):
-        a = outer.a * inner.a
-        b = outer.a * inner.b + outer.b
-        _check_affine_coeffs(a, b)
-        return Affine(a, b)
+    """Composition outer(inner(z)), simplified within closed families:
+    power maps multiply exponents, linear-fractional maps multiply their
+    matrices (an unnormalized Affine for two affine maps, a Moebius map
+    scaled to max|m| = 1 otherwise)."""
     if isinstance(outer, PowerMap) and isinstance(inner, PowerMap):
         return PowerMap(outer.p * inner.p)
-    m_out = _as_matrix(outer)
-    m_in = _as_matrix(inner)
-    if m_out is not None and m_in is not None:
-        m = m_out @ m_in
-        m = m / np.max(np.abs(m))
-        return Moebius(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-    return Compose(outer, inner)
-
-
-def _as_matrix(phi: Symbol) -> Optional[np.ndarray]:
-    if isinstance(phi, Moebius):
-        return phi.matrix()
-    if isinstance(phi, CayleyMap):
-        return phi.half_plane_matrix
-    if isinstance(phi, Affine):
-        return np.array([[phi.a, phi.b], [0.0, 1.0]], dtype=complex)
-    return None
+    if not (isinstance(outer, _LinearFractional)
+            and isinstance(inner, _LinearFractional)):
+        return Compose(outer, inner)
+    with np.errstate(over="ignore", invalid="ignore"):  # affine guard below
+        m = np.array(outer.matrix) @ np.array(inner.matrix)
+    if isinstance(outer, Affine) and isinstance(inner, Affine):
+        a, b = m[0, 0].real, m[0, 1]
+        if not (abs(a) <= _COEFF_LIMIT and abs(b) <= _COEFF_LIMIT):
+            raise CoefficientOverflow("affine coefficients exceeded 1e300")
+        return Affine(a, b)
+    m = m / np.max(np.abs(m))
+    return Moebius(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 def cayley_conjugate(a, b, c, d) -> CayleyMap:
@@ -320,7 +289,8 @@ def cayley_conjugate(a, b, c, d) -> CayleyMap:
     psi(zeta) = (a zeta + b) / (c zeta + d).
 
     The descriptor is rejected (with a witness) unless psi maps a fixed
-    sample of the open disc strictly into the open disc.
+    sample of the open disc strictly into the open disc, and rejected as
+    degenerate when psi is constant (ad - bc = 0).
     """
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     radii = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.9999])
@@ -456,18 +426,6 @@ class ValidationResult:
                 "reason": self.reason}
 
 
-def _sampled_validation(phi: Symbol, grid: SampleGrid) -> ValidationResult:
-    pts = grid.flat_points()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        image = phi(pts)
-    try:
-        require_half_plane(image, pts)
-    except HalfPlaneError as exc:
-        return ValidationResult(False, "sampled", exc.witness,
-                                "image leaves the half-plane at a sample point")
-    return ValidationResult(True, "sampled")
-
-
 def validate_self_map(phi: Symbol, grid: SampleGrid = DEFAULT_GRID) -> ValidationResult:
     """Check that phi maps H into H.
 
@@ -505,7 +463,15 @@ def validate_self_map(phi: Symbol, grid: SampleGrid = DEFAULT_GRID) -> Validatio
             witness = exc.witness
         return ValidationResult(False, "exact", witness,
                                 "exponent must lie in (0, 1]")
-    return _sampled_validation(phi, grid)
+    pts = grid.flat_points()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        image = phi(pts)
+    try:
+        require_half_plane(image, pts)
+    except HalfPlaneError as exc:
+        return ValidationResult(False, "sampled", exc.witness,
+                                "image leaves the half-plane at a sample point")
+    return ValidationResult(True, "sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +570,11 @@ def symbol_from_dict(data: dict) -> Symbol:
     kind = data.get("kind")
     if kind == "affine":
         return Affine(float(data["a"]), _unpair(data["b"]))
-    if kind == "moebius":
-        return Moebius(_unpair(data["a"]), _unpair(data["b"]),
-                       _unpair(data["c"]), _unpair(data["d"]))
+    if kind in ("moebius", "cayley"):
+        build = Moebius if kind == "moebius" else cayley_conjugate
+        return build(*(_unpair(data[key]) for key in "abcd"))
     if kind == "power":
         return PowerMap(float(data["p"]))
-    if kind == "cayley":
-        return cayley_conjugate(_unpair(data["a"]), _unpair(data["b"]),
-                                _unpair(data["c"]), _unpair(data["d"]))
     if kind == "compose":
         return Compose(symbol_from_dict(data["left"]),
                        symbol_from_dict(data["right"]))

@@ -132,6 +132,19 @@ class TestNormCommand:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "not a disc self-map" in err
 
+    def test_degenerate_cayley_refused(self, tmp_path, capsys):
+        # psi = 1/2 is a constant disc self-map; its conjugate is the
+        # constant 3, refused like moebius:0,1,0,1 and affine:0,1.
+        out = str(tmp_path / "o.json")
+        descriptor = {"kind": "cayley", "a": [0, 0], "b": [0.5, 0],
+                      "c": [0, 0], "d": [1, 0]}
+        for argv in (["--symbol", "cayley:0,0.5,0,1"],
+                     ["--symbol", "json:" + json.dumps(descriptor)],
+                     ["--symbol", "moebius:0,1,0,1"],
+                     ["--symbol", "affine:0,1"]):
+            assert main(["norm", *argv, "--alpha", "0", "--out", out]) == 1
+            assert capsys.readouterr().err.startswith("error:")
+
     def test_csv_format(self, tmp_path, capsys):
         code = main(["norm", "--symbol", "affine:2,1", "--alpha", "0",
                      "--format", "csv"])
@@ -248,6 +261,12 @@ class TestOtherCommands:
                     for a in alphas]
         assert json.dumps(together["rows"]) == json.dumps(separate)
 
+    @pytest.mark.parametrize("alpha", ["-1e-5", "-2.5E-1", "-.5e0", "-3e-1"])
+    def test_negative_alpha_in_exponent_form(self, tmp_path, alpha):
+        code, data = run_json(tmp_path, ["interp", "--alpha", alpha])
+        assert code == 0
+        assert data["rows"][0]["alpha"] == float(alpha)
+
     def test_interp(self, tmp_path):
         code, data = run_json(tmp_path, ["interp", "--alpha", "1"])
         assert code == 0
@@ -358,6 +377,15 @@ class TestRunConfig:
         assert main(command + ["--config", config]) == 1
         assert capsys.readouterr().err.startswith("error: run-config")
 
+    @pytest.mark.parametrize("fmt", ["xml", None, ["csv"]],
+                             ids=["xml", "null", "list"])
+    def test_format_must_be_json_or_csv(self, tmp_path, capsys, fmt):
+        config = self.write_config(tmp_path, {"format": fmt})
+        assert main(["interp", "--alpha", "1", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: run-config 'format'")
+        assert captured.out == ""
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.fixed_dictionaries({}, optional={
@@ -377,7 +405,7 @@ class TestRunConfig:
         if fmt is not None:
             argv += ["--format", fmt]
         for alpha in alphas or []:
-            argv.append(f"--alpha={alpha!r}")  # "-1e-5" alone reads as a flag
+            argv += ["--alpha", repr(alpha)]
         args = _build_parser().parse_args(argv)
         _apply_config(args)
         assert args.seed == (seed if seed is not None

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergkit.symbols import (DEFAULT_GRID, Affine, CayleyMap,
                              CoefficientOverflow, Compose, HalfPlaneError,
@@ -87,6 +89,7 @@ class TestComposition:
         phi = compose(Affine(2, 1), Affine(3, 0))
         assert isinstance(phi, Affine)
         assert phi.a == 6 and phi.b == 1
+        assert compose(identity(), phi) == phi
 
     def test_power_simplifies(self):
         phi = compose(PowerMap(0.5), PowerMap(0.8))
@@ -97,6 +100,11 @@ class TestComposition:
         assert isinstance(phi, Moebius)
         for z in (1.0, 2.0 + 1j):
             assert phi(z) == pytest.approx(2 * (z + 1) + 1)
+        # psi(zeta) = (zeta + 1/2)/(1 + zeta/2) conjugates to 3z
+        phi = compose(cayley_conjugate(1, 0.5, 0.5, 1), Affine(1, 1))
+        assert isinstance(phi, Moebius)
+        assert phi(2.0 + 1j) == pytest.approx(3 * (3.0 + 1j))
+        assert phi.known_lambda == pytest.approx(1 / 3)
 
     def test_mixed_families_fall_back_to_compose(self):
         phi = compose(PowerMap(0.5), Affine(2, 0))
@@ -106,10 +114,65 @@ class TestComposition:
     def test_known_lambda_multiplies(self):
         phi = Compose(Affine(2, 1), Affine(3, 0))
         assert phi.known_lambda == pytest.approx(1 / 6)
+        # lambda = d/a is read off the matrix, whether or not phi is a
+        # self-map (validate_self_map refuses both of these)
+        assert Affine(2, -1).known_lambda == 0.5
+        assert Moebius(2, -1, 0, 1).known_lambda == 0.5
 
     def test_overflow_guard(self):
         with pytest.raises(CoefficientOverflow):
             compose(Affine(1e200, 0), Affine(1e200, 0))
+
+
+def _points_of_h():
+    """1-20 points of the right half-plane, as a complex array."""
+    point = st.builds(complex, st.floats(1e-3, 1e3), st.floats(-1e3, 1e3))
+    return st.lists(point, min_size=1, max_size=20).map(np.array)
+
+
+_slope = st.floats(0.25, 4.0)
+_translation = st.builds(complex, st.floats(0.0, 3.0), st.floats(-3.0, 3.0))
+
+
+class TestLinearFractionalFamily:
+    """Affine, Moebius and Cayley maps share one evaluator, one
+    ``known_lambda`` and one composition rule; each must still agree with
+    its own closed form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_points_of_h(), _slope, _translation)
+    def test_affine_closed_form(self, z, a, b):
+        phi = Affine(a, b)
+        assert phi(z).tobytes() == (a * z + b).tobytes()
+        assert repr(phi(complex(z[0]))) == repr(a * complex(z[0]) + b)
+        assert phi.known_lambda == 1 / a
+
+    @settings(max_examples=60, deadline=None)
+    @given(_points_of_h(), st.floats(0.5, 3.0), _translation,
+           st.one_of(st.just(0.0), st.floats(0.1, 3.0)), st.floats(0.25, 3.0))
+    def test_moebius_closed_form(self, z, a, b, c, d):
+        phi = Moebius(a, b, c, d)
+        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        assert phi(z).tobytes() == ((a * z + b) / (c * z + d)).tobytes()
+        assert phi.known_lambda == (d.real / a.real if c == 0 else None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_points_of_h(), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
+    def test_cayley_closed_form(self, z, a, b):
+        # psi(zeta) = (a zeta + b)/(a + b) fixes 1 with psi'(1) = a/(a+b)
+        phi = cayley_conjugate(a, b, 0, a + b)
+        tau_inverse = (z - 1) / (z + 1)
+        psi = (a * tau_inverse + b) / (a + b)
+        np.testing.assert_allclose(phi(z), (1 + psi) / (1 - psi),
+                                   rtol=1e-9)
+        assert phi.known_lambda == pytest.approx(a / (a + b), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_slope, _translation, _slope, _translation)
+    def test_affine_composition_is_exact(self, a1, b1, a2, b2):
+        phi = compose(Affine(a1, b1), Affine(a2, b2))
+        assert repr(phi) == repr(Affine(a1 * a2, a1 * b2 + b1))
+        assert phi.known_lambda == pytest.approx(1 / (a1 * a2), rel=1e-15)
 
 
 class TestSampleGrid:
@@ -169,6 +232,10 @@ class TestAngularDerivative:
         # phi -> 2 at infinity, so Re z / Re phi grows linearly.
         est = angular_derivative_estimate(Moebius(2, 1, 1, 3))
         assert est.verdict == "divergent"
+        assert est.known_lambda is None
+        # |c| <= 1e-14 max|m| (rounding level) counts as c = 0
+        assert Moebius(2, 1, 1e-13, 3).known_lambda is None
+        assert Moebius(2, 1, 3e-14, 3).known_lambda == 1.5
 
     def test_inconclusive_then_resolves(self):
         slow = Affine(1, 1e5)
@@ -242,6 +309,8 @@ class TestCayley:
     def test_rejects_non_self_map(self):
         with pytest.raises(ValueError, match="disc self-map"):
             cayley_conjugate(2, 0, 0, 1)  # psi = 2 zeta
+        with pytest.raises(ValueError, match="degenerate"):
+            cayley_conjugate(0, 0.5, 0, 1)  # psi = 1/2 is constant
 
     def test_descriptor_must_be_disc_self_map(self):
         # psi = zeta - 1/2 leaves the disc; its conjugate leaves H
