@@ -10,10 +10,10 @@ behind the norm formula  ||C_phi|| = lambda^((2+alpha)/2).
 
 from .interp import (InterpolationData, dw_density, exponent_identity_check,
                      interp_params, norm_rescaling_check)
-from .kernels import (KernelMatrix, PsdVerdict, Weight, bergman_kernel,
-                      defect_kernel, defect_kernel_matrix,
-                      factorization_residual, gram_matrix, kernel_function,
-                      nevanlinna_kernel, psd_check)
+from .kernels import (PsdVerdict, Weight, bergman_kernel, defect_kernel,
+                      defect_kernel_matrix, factorization_residual,
+                      gram_matrix, kernel_function, nevanlinna_kernel,
+                      psd_check)
 from .laplace import (ExpMonomial, HalfLineFunction, IsometryResult,
                       isometry_check, kernel_preimage, laplace_eval,
                       mu_alpha_density, mu_alpha_norm, weighted_norm_squared)

@@ -39,10 +39,6 @@ EXIT_UNBOUNDED = 2
 
 FORMATS = ("json", "csv")
 
-CSV_COLUMNS = ["symbol", "alpha", "verdict", "lambda_hat", "theoretical",
-               "kernel_ratio", "gram_eig", "spectral_radius",
-               "essential_lower_bound", "rel_gap_kernel", "rel_gap_gram"]
-
 
 class CliError(ValueError):
     pass
@@ -169,7 +165,8 @@ def _apply_config(args) -> None:
     alphas, grid, quadrature, seed, format and out; explicit command-line
     flags win over file values.  ``--seed`` and ``--format`` default to
     None so that an explicit ``--seed 0`` or ``--format json`` is seen;
-    their defaults (0 and json) are filled in here.  Afterwards
+    their defaults (0 and json) are filled in here, and csv is refused
+    for ``psd`` and ``report``, which have no rows.  Afterwards
     ``args.grid`` is a :class:`SampleGrid` and, for subcommands that take
     ``--symbol``, ``args.symbols`` holds (text, symbol) pairs.
     """
@@ -199,6 +196,9 @@ def _apply_config(args) -> None:
         args.seed = _coerce(int, config, "seed", 0)
     if args.format is None:
         args.format = _coerce(str, config, "format", "json", FORMATS)
+    if args.format == "csv" and args.command in ("psd", "report"):
+        raise CliError(f"{args.command} writes JSON only: it has no rows "
+                       "for --format csv")
     if "out" in config and not args.out:
         args.out = config["out"]
     if config.get("quadrature"):
@@ -248,7 +248,7 @@ def _emit(payload: dict, args) -> None:
     payload = dict(payload, command=args.command, seed=args.seed)
     payload["generated_at"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat()
-    if args.format == "csv" and "rows" in payload:
+    if args.format == "csv":
         text = _rows_to_csv(payload["rows"])
     else:
         text = _canonical_json(payload) + "\n"
@@ -260,16 +260,18 @@ def _emit(payload: dict, args) -> None:
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
+    """The rows as a table whose columns are their scalar fields in row
+    order.  ``symbol_text`` is written as ``symbol``; dict and list fields,
+    and the per-row ``seed`` the payload already carries, are left out."""
+    if not rows:
+        return ""
+    columns = [key for key, val in rows[0].items()
+               if not isinstance(val, (dict, list)) and key != "seed"]
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS,
-                            extrasaction="ignore")
-    writer.writeheader()
-    for row in rows:
-        flat = {key: ("inf" if isinstance(val, float) and math.isinf(val)
-                      else val)
-                for key, val in row.items() if key in CSV_COLUMNS}
-        flat["symbol"] = row.get("symbol_text", flat.get("symbol"))
-        writer.writerow(flat)
+    writer = csv.writer(buffer)
+    writer.writerow(["symbol" if key == "symbol_text" else key
+                     for key in columns])
+    writer.writerows([row.get(key) for key in columns] for row in rows)
     return buffer.getvalue()
 
 
@@ -330,33 +332,43 @@ def _cmd_norm(args) -> int:
     return EXIT_OK
 
 
+def _kernel_builder(args):
+    """``(alpha, points) -> matrix`` for ``--kernel``, settled once per op:
+    the kernel syntax, its need for ``--symbol`` and, for K:<n>, the
+    angular derivative lam (estimated when the symbol has no closed
+    form)."""
+    kind = args.kernel
+    if kind == "gram":
+        return lambda alpha, pts: gram_matrix(Weight(alpha), pts)
+    defect = kind.startswith("K:")
+    if not (defect or kind == "nevanlinna"):
+        raise CliError(f"unknown kernel {kind!r} (gram | K:<n> | nevanlinna)")
+    if not args.symbols:
+        raise CliError(f"{'K:<n>' if defect else kind} kernels need --symbol")
+    _, sym = args.symbols[0]
+    if not defect:
+        return lambda alpha, pts: nevanlinna_kernel(sym, pts)
+    try:
+        n = int(kind[2:])
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise CliError(f"K:<n> kernels need an integer n >= 1, not {kind!r}")
+    lam = sym.known_lambda
+    if lam is None:
+        lam = angular_derivative_estimate(sym, args.grid).lambda_hat
+    if not math.isfinite(lam):
+        raise CliError("symbol has no finite angular derivative")
+    return lambda alpha, pts: defect_kernel_matrix(sym, lam, n, pts)
+
+
 def _cmd_psd(args) -> int:
+    build = _kernel_builder(args)
+    for flag, count in (("points", args.points), ("trials", args.trials)):
+        if count < 1:
+            raise CliError(f"--{flag} must be at least 1, not {count}")
     grid = args.grid
     rng = np.random.default_rng(args.seed)
-    kernel_kind = args.kernel
-    symbols = args.symbols
-
-    def build(alpha, pts):
-        w = Weight(alpha)
-        if kernel_kind == "gram":
-            return gram_matrix(w, pts)
-        if kernel_kind.startswith("K:"):
-            if not symbols:
-                raise CliError("K:<n> kernels need --symbol")
-            n = int(kernel_kind.split(":", 1)[1])
-            _, sym = symbols[0]
-            lam = sym.known_lambda
-            if lam is None:
-                lam = angular_derivative_estimate(sym, grid).lambda_hat
-            if not math.isfinite(lam):
-                raise CliError("symbol has no finite angular derivative")
-            return defect_kernel_matrix(sym, lam, n, pts)
-        if kernel_kind == "nevanlinna":
-            if not symbols:
-                raise CliError("nevanlinna kernels need --symbol")
-            return nevanlinna_kernel(symbols[0][1], pts)
-        raise CliError(f"unknown kernel {kernel_kind!r} (gram | K:<n> | nevanlinna)")
-
     cells = []
     for alpha in (args.alpha or [0.0]):
         for trial in range(args.trials):
@@ -374,7 +386,7 @@ def _cmd_psd(args) -> int:
             "points": [[p.real, p.imag] for p in pts],
             **verdict.to_dict(),
         })
-    _emit({"kernel": kernel_kind, "grid": grid.to_dict(),
+    _emit({"kernel": args.kernel, "grid": grid.to_dict(),
            "trials": args.trials, "failures": failures,
            "verdicts": verdicts}, args)
     return EXIT_OK

@@ -6,9 +6,9 @@ kernels
     k_w(z) = 2^alpha (1 + alpha) / (conj(w) + z)^(2 + alpha),
 
 evaluated with the principal power (the base always has positive real
-part).  This module builds Hermitian matrices of kernel values at point
-configurations, the Nevanlinna kernel (psi(z) + conj psi(w))/(z + conj w),
-and the composition-defect kernels
+part).  This module builds kernel matrices, as plain complex arrays, at
+point configurations: Gram matrices, the Nevanlinna kernel
+(psi(z) + conj psi(w))/(z + conj w), and the composition-defect kernels
 
     K^n(w, z) = [ (phi(z) + conj phi(w))^n - lam^{-n} (z + conj w)^n ]
                 / (z + conj w)^n,
@@ -20,19 +20,17 @@ decided by a self-contained Hermitian eigensolver (see ``linalg``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import jacobi_eigh, pivoted_cholesky, require_hermitian
+from .linalg import jacobi_eigh
 from .symbols import require_half_plane
 
 __all__ = [
     "Weight",
-    "KernelMatrix",
     "PsdVerdict",
     "bergman_kernel",
     "kernel_function",
@@ -44,7 +42,6 @@ __all__ = [
     "psd_check",
 ]
 
-CONDITION_WARNING_LIMIT = 1e12
 PSD_REL_TOL = 1e-9
 
 
@@ -97,82 +94,16 @@ def kernel_function(weight: Weight, omega):
     return partial(bergman_kernel, weight, complex(require_half_plane(omega)))
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Hermitian matrix of kernel evaluations with provenance.
-
-    ``entries[i, j] = K(points[j], points[i])``, i.e. column j holds the
-    kernel function attached to ``points[j]`` evaluated at every point, so
-    for the Bergman kernel ``entries[i, j] = <k_{z_j}, k_{z_i}>``.
-    """
-
-    points: tuple
-    entries: np.ndarray
-    kernel_id: str
-    hermitian_defect: float
-    condition_estimate: Optional[float] = None
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    @property
-    def conditioning_warning(self) -> bool:
-        return (self.condition_estimate is not None
-                and self.condition_estimate > CONDITION_WARNING_LIMIT)
-
-    @classmethod
-    def build(cls, points, entries, kernel_id: str,
-              condition_estimate: Optional[float] = None) -> "KernelMatrix":
-        entries = np.asarray(entries, dtype=complex)
-        points = tuple(complex(p) for p in points)
-        if entries.shape != (len(points), len(points)):
-            raise ValueError("entry matrix does not match the point list")
-        defect = require_hermitian(
-            entries, "kernel matrix is not Hermitian within tolerance")
-        return cls(points, entries, kernel_id, defect, condition_estimate)
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel_id,
-            "points": [[p.real, p.imag] for p in self.points],
-            "entries": [[[v.real, v.imag] for v in row] for row in self.entries],
-            "hermitian_defect": self.hermitian_defect,
-            "condition_estimate": self.condition_estimate,
-        }
-
-
-def _condition_estimate(entries: np.ndarray) -> float:
-    """Spread of the pivoted-Cholesky pivots of the diagonally normalized
-    matrix; blows up when two points nearly coincide."""
-    d = entries.diagonal().real
-    if np.any(d <= 0.0):
-        return math.inf
-    scale = 1.0 / np.sqrt(d)
-    normalized = entries * np.outer(scale, scale)
-    kept, lower, dropped = pivoted_cholesky(normalized, drop_tol=0.0)
-    if dropped or len(kept) < entries.shape[0]:
-        return math.inf
-    pivots = np.abs(np.diag(lower)) ** 2
-    return float(pivots.max() / pivots.min())
-
-
-def gram_matrix(weight: Weight, points: Sequence[complex]) -> KernelMatrix:
-    """Gram matrix <k_{z_j}, k_{z_i}> of Bergman kernels at distinct points.
-
-    A conditioning estimate accompanies the matrix; it exceeds 1e12 when
-    points nearly coincide, which flags downstream solves as unreliable.
-    """
+def gram_matrix(weight: Weight, points: Sequence[complex]) -> np.ndarray:
+    """Gram matrix <k_{z_j}, k_{z_i}> of Bergman kernels at distinct
+    points: entry (i, j) is ``bergman_kernel(weight, z_j, z_i)``."""
     pts = require_half_plane(points)
     if len(set(pts.tolist())) != pts.size:
         raise ValueError("points must be distinct")
-    entries = bergman_kernel(weight, pts[None, :], pts[:, None])
-    condition = _condition_estimate(entries)
-    return KernelMatrix.build(pts, entries, f"gram(alpha={weight.alpha:g})",
-                              condition)
+    return bergman_kernel(weight, pts[None, :], pts[:, None])
 
 
-def nevanlinna_kernel(psi, points: Sequence[complex]) -> KernelMatrix:
+def nevanlinna_kernel(psi, points: Sequence[complex]) -> np.ndarray:
     """Matrix of (psi(z_i) + conj psi(z_j)) / (z_i + conj z_j).
 
     The kernel is positive exactly when Re psi >= 0 on the half-plane, so
@@ -182,9 +113,8 @@ def nevanlinna_kernel(psi, points: Sequence[complex]) -> KernelMatrix:
     """
     pts = require_half_plane(points)
     values = np.broadcast_to(np.asarray(psi(pts), dtype=complex), pts.shape)
-    entries = (values[:, None] + np.conj(values)[None, :]) / (
+    return (values[:, None] + np.conj(values)[None, :]) / (
         pts[:, None] + np.conj(pts)[None, :])
-    return KernelMatrix.build(pts, entries, "nevanlinna")
 
 
 def _defect_sums(phi, omega, z):
@@ -211,11 +141,11 @@ def defect_kernel(phi, lam: float, n: int, omega, z):
 
 
 def defect_kernel_matrix(phi, lam: float, n: int,
-                         points: Sequence[complex]) -> KernelMatrix:
-    """Sampled matrix of K^n at a point configuration."""
+                         points: Sequence[complex]) -> np.ndarray:
+    """Sampled matrix of K^n at a point configuration: entry (i, j) is
+    ``K^n(z_j, z_i)``."""
     pts = require_half_plane(points)
-    entries = defect_kernel(phi, lam, n, pts[None, :], pts[:, None])
-    return KernelMatrix.build(pts, entries, f"defect(n={n}, lam={lam:g})")
+    return defect_kernel(phi, lam, n, pts[None, :], pts[:, None])
 
 
 def factorization_residual(phi, lam: float, level: int, pairs) -> float:
@@ -275,43 +205,40 @@ class PsdVerdict:
 
 
 def psd_check(matrix, rel_tol: float = PSD_REL_TOL):
-    """Positivity verdict for a Hermitian matrix (or KernelMatrix), or one
-    verdict per matrix for a sequence of same-size matrices.
+    """Positivity verdict for one Hermitian (n, n) matrix, or one verdict
+    per matrix for a stack: a list of same-size matrices or a (B, n, n)
+    array.
 
     The smallest eigenvalues come from one batched call of the
-    rotation-based solver in ``linalg``; eigenvectors are computed only
-    for the matrices that fail, to give their witnesses.  The acceptance
-    threshold is ``rel_tol * max(1, trace/n)``, an absolute floor made
-    scale-aware so that roundoff on large-magnitude kernels does not
-    produce false negatives.
+    rotation-based solver in ``linalg``, which also checks and takes the
+    Hermitian part; eigenvectors are computed only for the matrices that
+    fail, to give their witnesses.  The acceptance threshold is
+    ``rel_tol * max(1, trace/n)``, an absolute floor made scale-aware so
+    that roundoff on large-magnitude kernels does not produce false
+    negatives; the trace is that of the Hermitian part, whose diagonal is
+    ``Re M_ii``.
     """
-    if isinstance(matrix, (list, tuple)):
-        if not matrix:
-            return []
-        first = matrix[0]
-        single = not (isinstance(first, KernelMatrix) or np.ndim(first) == 2)
-    else:
-        single = isinstance(matrix, KernelMatrix) or np.ndim(matrix) != 3
-    stack = [matrix] if single else list(matrix)
-    a = np.asarray([m.entries if isinstance(m, KernelMatrix) else m
-                    for m in stack], dtype=complex)
+    if isinstance(matrix, (list, tuple)) and not matrix:
+        return []
+    a = np.asarray(matrix, dtype=complex)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
     n = a.shape[1]
-    require_hermitian(a, "matrix is not Hermitian within the defect tolerance")
-    hermitian_part = 0.5 * (a + a.conj().swapaxes(1, 2))
-    eigenvalues, _ = jacobi_eigh(hermitian_part, compute_vectors=False)
+    eigenvalues, _ = jacobi_eigh(a, compute_vectors=False)
     min_eigs = eigenvalues[:, 0]
-    traces = np.trace(hermitian_part, axis1=1, axis2=2).real
+    traces = np.trace(a, axis1=1, axis2=2).real
     thresholds = rel_tol * np.maximum(1.0, traces / max(n, 1))
     is_psd = min_eigs >= -thresholds
-    witnesses = [None] * len(stack)
+    witnesses = [None] * len(a)
     failing = np.flatnonzero(~is_psd)
     if failing.size:
-        _, vectors = jacobi_eigh(hermitian_part[failing], compute_vectors=True)
+        _, vectors = jacobi_eigh(a[failing], compute_vectors=True)
         for index, vector in zip(failing, vectors[:, :, 0]):
             witnesses[index] = tuple(complex(x) for x in vector)
     verdicts = [PsdVerdict(float(min_eigs[i]), float(thresholds[i]),
                            bool(is_psd[i]), witnesses[i])
-                for i in range(len(stack))]
+                for i in range(len(a))]
     return verdicts[0] if single else verdicts

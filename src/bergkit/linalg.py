@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "hermitian_defect",
     "jacobi_eigh",
     "pivoted_cholesky",
     "require_hermitian",
@@ -40,25 +39,15 @@ class ConvergenceError(ValueError):
 HERMITIAN_RTOL = 1e-10
 
 
-def hermitian_defect(matrix):
-    """Largest entrywise deviation |M - M*| from conjugate symmetry: a
-    float for one matrix, an array of one value per matrix for a stack."""
+def require_hermitian(matrix, message: str) -> None:
+    """Raise ``ValueError(message)`` unless every matrix of the stack is
+    Hermitian within ``HERMITIAN_RTOL * max|M|``, entrywise."""
     a = np.asarray(matrix, dtype=complex)
     defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1),
                                                        initial=0.0)
-    return float(defect) if a.ndim == 2 else defect
-
-
-def require_hermitian(matrix, message: str):
-    """``hermitian_defect(matrix)``, once every matrix of the stack is
-    Hermitian within ``HERMITIAN_RTOL * max|M|``; raises
-    ``ValueError(message)`` otherwise."""
-    a = np.asarray(matrix, dtype=complex)
-    defect = hermitian_defect(a)
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     if np.any((scale > 0) & (defect > HERMITIAN_RTOL * scale)):
         raise ValueError(message)
-    return defect
 
 
 @lru_cache(maxsize=None)
@@ -249,11 +238,9 @@ def pivoted_cholesky(matrix, drop_tol: float = 1e-12):
         available[j] = False
         work = work - np.outer(col, col.conj())
 
-    k = len(chosen)
-    lower = np.zeros((k, k), dtype=complex)
-    for cidx, col in enumerate(columns):
-        for ridx in range(cidx, k):
-            lower[ridx, cidx] = col[chosen[ridx]]
+    # Row r is the pivot chosen[r] of every column; column c is zero at
+    # the pivots chosen before it, so ``lower`` is lower triangular.
+    lower = np.array(columns, dtype=complex).reshape(len(chosen), n).T[chosen]
     dropped = [i for i in range(n) if available[i]]
     return chosen, lower, dropped
 

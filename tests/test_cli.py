@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -219,6 +220,23 @@ class TestOtherCommands:
     def test_psd_needs_symbol_for_defect(self, tmp_path):
         assert main(["psd", "--kernel", "K:2"]) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--trials", "-3"], "--trials must be at least 1"),
+        (["--trials", "0"], "--trials must be at least 1"),
+        (["--points", "0"], "--points must be at least 1"),
+        (["--kernel", "bogus", "--trials", "0"], "unknown kernel 'bogus'"),
+        (["--kernel", "K:0", "--symbol", "affine:2,1", "--trials", "0"],
+         "K:<n> kernels need an integer n >= 1"),
+        (["--kernel", "K:2", "--trials", "0"], "K:<n> kernels need --symbol"),
+    ], ids=["negative-trials", "zero-trials", "zero-points", "bogus-kernel",
+            "K0", "K2-without-symbol"])
+    def test_psd_input_checks(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.json"
+        assert main(["psd", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_angular(self, tmp_path):
         code, data = run_json(tmp_path, ["angular", "--symbol", "affine:3,2"])
         assert code == 0
@@ -281,6 +299,57 @@ class TestOtherCommands:
         row = data["rows"][0]
         assert row["value"] == pytest.approx(0.5, rel=1e-3)
         assert len(row["per_iterate"]) == 4
+
+
+def csv_text(value) -> str:
+    # a float is written by repr, as in the JSON; null is an empty cell
+    if value is None:
+        return ""
+    return json.dumps(value) if isinstance(value, float) else str(value)
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--symbol", "affine:2,1", "--symbol", "power:0.5",
+         "--alpha", "0", "--alpha", "1.5"],
+        ["angular", "--symbol", "affine:3,2", "--symbol", "power:0.5"],
+        ["spectral", "--symbol", "affine:2,1", "--alpha", "0",
+         "--alpha", "1"],
+        ["laplace", "--f", "t^2*exp(-t)", "--alpha", "0", "--alpha", "2"],
+        ["interp", "--alpha", "1", "--alpha", "2.5"],
+    ], ids=lambda argv: argv[0])
+    def test_every_scalar_row_field_is_written(self, tmp_path, argv):
+        _, data = run_json(tmp_path, argv)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+        with open(out, newline="") as handle:
+            table = list(csv.DictReader(handle))
+        assert len(table) == len(data["rows"])
+        for row, written in zip(data["rows"], table):
+            scalars = {("symbol" if key == "symbol_text" else key): value
+                       for key, value in row.items()
+                       if not isinstance(value, (dict, list))
+                       and key != "seed"}
+            assert set(written) == set(scalars)
+            for key, value in scalars.items():
+                assert written[key] == csv_text(value), key
+
+    @pytest.mark.parametrize("command", ["psd", "report"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_json_only_commands_refuse_csv(self, tmp_path, capsys, command,
+                                           source):
+        out = tmp_path / "out.csv"
+        if source == "flag":
+            extra = ["--format", "csv"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"format": "csv"}))
+            extra = ["--config", str(config)]
+        assert main([command, *extra, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {command} writes JSON only")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestRunConfig:
