@@ -17,18 +17,17 @@ from .kernels import (PsdVerdict, Weight, bergman_kernel, defect_kernel,
 from .laplace import (ExpMonomial, HalfLineFunction, IsometryResult,
                       isometry_check, kernel_preimage, laplace_eval,
                       mu_alpha_density, mu_alpha_norm, weighted_norm_squared)
-from .opnorm import (BoundednessReport, ConditioningError, NormEstimate,
-                     SpectralRadiusEstimate, boundedness_verdict,
-                     essential_norm_lower_bound, gram_norm_estimate,
-                     kernel_ratio_bound, norm_theoretical,
+from .opnorm import (BoundednessReport, NormEstimate, SpectralRadiusEstimate,
+                     boundedness_verdict, essential_norm_lower_bound,
+                     gram_norm_estimate, kernel_ratio_bound, norm_theoretical,
                      psd_boundedness_certificate, spectral_radius_estimate)
 from .space import (KernelCombination, QuadratureScheme, ReproducingResult,
                     default_scheme, inner_product, reproducing_check)
 from .symbols import (DEFAULT_GRID, Affine, AngularDerivativeEstimate,
                       CayleyMap, CoefficientOverflow, Compose, HalfPlaneError,
                       Moebius, PowerMap, SampleGrid, Symbol,
-                      ValidationResult, angular_derivative_estimate,
-                      cayley_conjugate, compose, identity, require_half_plane,
-                      symbol_from_dict, validate_self_map)
+                      angular_derivative_estimate, cayley_conjugate, compose,
+                      identity, require_half_plane, symbol_from_dict,
+                      validate_self_map)
 
 __version__ = "0.1.0"

@@ -26,10 +26,10 @@ from .kernels import (Weight, defect_kernel_matrix, gram_matrix,
 from .laplace import HalfLineFunction, isometry_check
 from .opnorm import boundedness_verdict, spectral_radius_estimate
 from .space import DEFAULT_NX, DEFAULT_NY, DEFAULT_YMAX, _cached_scheme
-from .symbols import (DEFAULT_GRID, Affine, Compose, Moebius, PowerMap,
-                      SampleGrid, Symbol, angular_derivative_estimate,
-                      cayley_conjugate, identity, symbol_from_dict,
-                      validate_self_map)
+from .symbols import (DEFAULT_GRID, Affine, Compose, HalfPlaneError, Moebius,
+                      PowerMap, SampleGrid, Symbol,
+                      angular_derivative_estimate, cayley_conjugate, identity,
+                      symbol_from_dict, validate_self_map)
 
 __all__ = ["main", "parse_symbol", "parse_halfline"]
 
@@ -166,18 +166,20 @@ def _apply_config(args) -> None:
     flags win over file values.  ``--seed`` and ``--format`` default to
     None so that an explicit ``--seed 0`` or ``--format json`` is seen;
     their defaults (0 and json) are filled in here, and csv is refused
-    for ``psd`` and ``report``, which have no rows.  Afterwards
-    ``args.grid`` is a :class:`SampleGrid` and, for subcommands that take
-    ``--symbol``, ``args.symbols`` holds (text, symbol) pairs.
+    for ``psd`` and ``report``, which have no rows.  Unknown keys are
+    refused at the top level and in the grid and quadrature blocks.
+    Afterwards ``args.grid`` is a :class:`SampleGrid` and, for subcommands
+    that take ``--symbol``, ``args.symbols`` holds (text, symbol) pairs,
+    at least one except for ``psd``.
     """
     config = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:
             config = json.load(handle)
-    unknown = set(config) - {"symbols", "alphas", "grid", "quadrature",
-                             "seed", "format", "out"}
-    if unknown:
-        raise CliError(f"unknown run-config keys: {sorted(unknown)}")
+        if not isinstance(config, dict):
+            raise CliError("a run-config file must hold a JSON object")
+    _refuse_unknown(config, ("symbols", "alphas", "grid", "quadrature",
+                             "seed", "format", "out"), "run-config")
     if hasattr(args, "symbol") and not args.symbol:
         args.symbol = _coerce(
             lambda syms: [sym if isinstance(sym, str)
@@ -202,14 +204,23 @@ def _apply_config(args) -> None:
     if "out" in config and not args.out:
         args.out = config["out"]
     if config.get("quadrature"):
-        n_x, n_y, y_max = _coerce(
-            lambda quad: (int(quad.get("n_x", DEFAULT_NX)),
-                          int(quad.get("n_y", DEFAULT_NY)),
-                          float(quad.get("y_max", DEFAULT_YMAX))),
-            config, "quadrature")
-        args.scheme = _cached_scheme(n_x, n_y, y_max)
+        def params(quad):
+            _refuse_unknown(quad, ("n_x", "n_y", "y_max"), "quadrature")
+            return (int(quad.get("n_x", DEFAULT_NX)),
+                    int(quad.get("n_y", DEFAULT_NY)),
+                    float(quad.get("y_max", DEFAULT_YMAX)))
+        args.scheme = _cached_scheme(*_coerce(params, config, "quadrature"))
     if hasattr(args, "symbol"):
         args.symbols = _validated_symbols(args.symbol, args.grid)
+        if not args.symbols and args.command != "psd":
+            raise CliError(f"{args.command} needs --symbol or a run-config "
+                           "'symbols' list")
+
+
+def _refuse_unknown(block, known, name: str) -> None:
+    unknown = block.keys() - set(known)
+    if unknown:
+        raise CliError(f"unknown {name} keys: {sorted(unknown)}")
 
 
 def _coerce(convert, config: dict, key: str, default=None, choices=None):
@@ -283,11 +294,12 @@ def _validated_symbols(texts, grid: SampleGrid):
     symbols = []
     for text in texts:
         sym = parse_symbol(text)
-        result = validate_self_map(sym, grid)
-        if not result.accepted:
-            raise CliError(f"symbol {text!r} rejected: {result.reason}"
-                           + (f" (witness {result.witness:g})"
-                              if result.witness is not None else ""))
+        try:
+            validate_self_map(sym, grid)
+        except HalfPlaneError as exc:
+            raise CliError(f"symbol {text!r} rejected: {exc}"
+                           + (f" (witness {exc.witness:g})"
+                              if exc.witness is not None else "")) from exc
         symbols.append((text, sym))
     return symbols
 

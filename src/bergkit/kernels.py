@@ -69,10 +69,6 @@ class Weight:
     def half_exponent(self) -> float:
         return (2.0 + self.alpha) / 2.0
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "norm_const": self.norm_const,
-                "exponent": self.exponent, "half_exponent": self.half_exponent}
-
 
 def bergman_kernel(weight: Weight, omega, z):
     """Kernel value k_omega(z) = <k_omega, k_z>; scalars or arrays of
@@ -204,7 +200,7 @@ class PsdVerdict:
         }
 
 
-def psd_check(matrix, rel_tol: float = PSD_REL_TOL):
+def psd_check(matrix):
     """Positivity verdict for one Hermitian (n, n) matrix, or one verdict
     per matrix for a stack: a list of same-size matrices or a (B, n, n)
     array.
@@ -213,7 +209,7 @@ def psd_check(matrix, rel_tol: float = PSD_REL_TOL):
     rotation-based solver in ``linalg``, which also checks and takes the
     Hermitian part; eigenvectors are computed only for the matrices that
     fail, to give their witnesses.  The acceptance threshold is
-    ``rel_tol * max(1, trace/n)``, an absolute floor made scale-aware so
+    ``PSD_REL_TOL * max(1, trace/n)``, an absolute floor made scale-aware so
     that roundoff on large-magnitude kernels does not produce false
     negatives; the trace is that of the Hermitian part, whose diagonal is
     ``Re M_ii``.
@@ -230,7 +226,7 @@ def psd_check(matrix, rel_tol: float = PSD_REL_TOL):
     eigenvalues, _ = jacobi_eigh(a, compute_vectors=False)
     min_eigs = eigenvalues[:, 0]
     traces = np.trace(a, axis1=1, axis2=2).real
-    thresholds = rel_tol * np.maximum(1.0, traces / max(n, 1))
+    thresholds = PSD_REL_TOL * np.maximum(1.0, traces / max(n, 1))
     is_psd = min_eigs >= -thresholds
     witnesses = [None] * len(a)
     failing = np.flatnonzero(~is_psd)

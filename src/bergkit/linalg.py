@@ -37,6 +37,8 @@ class ConvergenceError(ValueError):
 
 
 HERMITIAN_RTOL = 1e-10
+JACOBI_TOL = 1e-14
+CHOLESKY_DROP_TOL = 1e-12
 
 
 def require_hermitian(matrix, message: str) -> None:
@@ -123,16 +125,16 @@ def _rotate(a: np.ndarray, v, skip: np.ndarray, planes: int) -> None:
     flat[:, ::n + 1].imag = 0.0
 
 
-def jacobi_eigh(matrix, compute_vectors: bool = True, tol: float = 1e-14,
-                max_sweeps: int = 60):
+def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     """Eigendecomposition of complex Hermitian matrices by cyclic Jacobi
     rotations in Brent-Luk order.
 
     ``matrix`` is one (n, n) matrix or a stack (B, n, n).  Each rotation
     is a 2x2 unitary that annihilates one off-diagonal pair; a matrix
     leaves the sweeps once its off-diagonal Frobenius mass is at most
-    ``tol * ||M||_F``, and ``ConvergenceError`` (a ``ValueError``) is
-    raised when ``max_sweeps`` sweeps leave any matrix above that.
+    ``JACOBI_TOL * ||M||_F``, and ``ConvergenceError`` (a ``ValueError``)
+    is raised when ``max_sweeps`` sweeps leave any matrix above that.
+    A matrix with an inf or NaN entry is refused with ``ValueError``.
     Eigenvalues are returned in ascending order, shape (n,) or (B, n);
     the matching unitary eigenvector matrices (columns) are returned when
     ``compute_vectors`` is set, otherwise ``None``.
@@ -147,12 +149,14 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, tol: float = 1e-14,
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
     batch, n = a.shape[:2]
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     require_hermitian(a, "matrix is not Hermitian")
     a = 0.5 * (a + a.conj().swapaxes(1, 2))
     v = (np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
          if compute_vectors else None)
 
-    target = tol * np.linalg.norm(a, axis=(1, 2))
+    target = JACOBI_TOL * np.linalg.norm(a, axis=(1, 2))
     # Rotations on entries this small cannot move the off-diagonal mass
     # above the convergence target, so they are skipped.
     skip = target / (2.0 * max(n, 1))
@@ -194,15 +198,15 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, tol: float = 1e-14,
     return w, v
 
 
-def pivoted_cholesky(matrix, drop_tol: float = 1e-12):
+def pivoted_cholesky(matrix):
     """Cholesky factorization with greedy diagonal pivoting.
 
     Factors the Hermitian PSD matrix as ``M[kept][:, kept] = L L*`` where
     ``kept`` is the pivot order.  Pivoting stops once the largest remaining
-    Schur-complement diagonal drops below ``drop_tol`` times the largest
-    initial diagonal; the indices left over are reported as dropped instead
-    of being regularized, which would spoil lower-bound guarantees built on
-    the factor.
+    Schur-complement diagonal drops below ``CHOLESKY_DROP_TOL`` times the
+    largest initial diagonal; the indices left over are reported as dropped
+    instead of being regularized, which would spoil lower-bound guarantees
+    built on the factor.
 
     Returns ``(kept, L, dropped)`` with ``L`` lower triangular of size
     ``len(kept)``.
@@ -219,7 +223,7 @@ def pivoted_cholesky(matrix, drop_tol: float = 1e-12):
     ceiling = float(np.max(diag0))
     if ceiling <= 0.0:
         return [], np.empty((0, 0), dtype=complex), list(range(n))
-    floor = drop_tol * ceiling
+    floor = CHOLESKY_DROP_TOL * ceiling
 
     work = a.copy()
     chosen: list[int] = []

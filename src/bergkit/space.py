@@ -107,9 +107,6 @@ class QuadratureScheme:
         z.flags.writeable = False
         return z
 
-    def to_dict(self) -> dict:
-        return {"n_x": self.n_x, "n_y": self.n_y, "y_max": self.y_max}
-
 
 @lru_cache(maxsize=8)
 def _cached_scheme(n_x: int, n_y: int, y_max: float) -> QuadratureScheme:
@@ -200,24 +197,18 @@ class ReproducingResult:
     exact: complex
     quadrature: complex
 
-    def to_dict(self) -> dict:
-        return {"residual": self.residual,
-                "exact": [self.exact.real, self.exact.imag],
-                "quadrature": [self.quadrature.real, self.quadrature.imag]}
-
 
 def reproducing_check(weight: Weight, combination: KernelCombination,
-                      omega, scheme: QuadratureScheme | None = None) -> ReproducingResult:
+                      omega) -> ReproducingResult:
     """Residual |<f, k_omega> - f(omega)| for a finite kernel combination.
 
     The inner product side runs through quadrature while f(omega) comes
     from the closed-form kernel, so the residual measures how well the
-    numerical pairing reproduces point evaluation.
+    numerical pairing reproduces point evaluation on the default scheme.
     """
     omega = complex(omega)
     exact = combination.exact_value(omega)
     if not combination.coeffs:
         return ReproducingResult(0.0, 0j, 0j)
-    quad = inner_product(weight, combination,
-                         kernel_function(weight, omega), scheme)
+    quad = inner_product(weight, combination, kernel_function(weight, omega))
     return ReproducingResult(abs(quad - exact), exact, quad)

@@ -34,7 +34,6 @@ __all__ = [
     "Compose",
     "SampleGrid",
     "DEFAULT_GRID",
-    "ValidationResult",
     "AngularDerivativeEstimate",
     "HalfPlaneError",
     "CoefficientOverflow",
@@ -51,8 +50,9 @@ _COEFF_LIMIT = 1e300
 
 
 class HalfPlaneError(ValueError):
-    """A point or symbol image left the open right half-plane; ``witness``
-    is the first offending point."""
+    """A point or symbol image left the open right half-plane, or a symbol
+    is not a self-map of it; ``witness`` is the first offending point, or
+    None when there is none."""
 
     def __init__(self, message: str, witness: Optional[complex] = None):
         super().__init__(message)
@@ -89,9 +89,6 @@ class Symbol:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return repr(self)
 
 
 class _LinearFractional(Symbol):
@@ -141,9 +138,6 @@ class Affine(_LinearFractional):
     def to_dict(self) -> dict:
         return {"kind": "affine", "a": self.a, "b": _pair(self.b)}
 
-    def describe(self) -> str:
-        return f"affine(a={self.a:g}, b={self.b:g})"
-
 
 @dataclass(frozen=True)
 class _Coefficients(_LinearFractional):
@@ -164,9 +158,6 @@ class _Coefficients(_LinearFractional):
     def to_dict(self) -> dict:
         return {"kind": self.kind, "a": _pair(self.a), "b": _pair(self.b),
                 "c": _pair(self.c), "d": _pair(self.d)}
-
-    def describe(self) -> str:
-        return f"{self.kind}({self.a:g}, {self.b:g}; {self.c:g}, {self.d:g})"
 
 
 @dataclass(frozen=True)
@@ -227,9 +218,6 @@ class PowerMap(Symbol):
     def to_dict(self) -> dict:
         return {"kind": "power", "p": self.p}
 
-    def describe(self) -> str:
-        return f"power(p={self.p:g})"
-
 
 @dataclass(frozen=True)
 class Compose(Symbol):
@@ -254,9 +242,6 @@ class Compose(Symbol):
     def to_dict(self) -> dict:
         return {"kind": "compose", "left": self.left.to_dict(),
                 "right": self.right.to_dict()}
-
-    def describe(self) -> str:
-        return f"{self.left.describe()} o {self.right.describe()}"
 
 
 def identity() -> Affine:
@@ -325,6 +310,10 @@ class SampleGrid:
     radial_count: int = 40
     angular_count: int = 9
 
+    # to_dict key -> field
+    _KEYS = {"aperture": "aperture", "r_min": "r_min", "r_max": "r_max",
+             "radial": "radial_count", "angular": "angular_count"}
+
     def __post_init__(self):
         if not 0.0 < self.aperture < math.pi / 2:
             raise ValueError("aperture must lie in (0, pi/2)")
@@ -371,17 +360,17 @@ class SampleGrid:
         return pool[np.sort(idx)]
 
     def to_dict(self) -> dict:
-        return {"aperture": self.aperture, "r_min": self.r_min,
-                "r_max": self.r_max, "radial": self.radial_count,
-                "angular": self.angular_count}
+        return {key: getattr(self, name) for key, name in self._KEYS.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SampleGrid":
-        return cls(aperture=float(data.get("aperture", math.pi / 3)),
-                   r_min=float(data.get("r_min", 1.0)),
-                   r_max=float(data.get("r_max", 1e6)),
-                   radial_count=int(data.get("radial", 40)),
-                   angular_count=int(data.get("angular", 9)))
+        """Inverse of ``to_dict``: a missing key keeps the field default,
+        an unknown key is refused."""
+        unknown = data.keys() - cls._KEYS.keys()
+        if unknown:
+            raise ValueError(f"unknown grid keys: {sorted(unknown)}")
+        return cls(**{name: type(getattr(cls, name))(data[key])
+                      for key, name in cls._KEYS.items() if key in data})
 
 
 DEFAULT_GRID = SampleGrid()
@@ -413,65 +402,49 @@ def require_half_plane(values, points=None) -> np.ndarray:
     raise HalfPlaneError(message, witness)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    accepted: bool
-    mode: str  # "exact" for closed-form criteria, "sampled" otherwise
-    witness: Optional[complex] = None
-    reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {"accepted": self.accepted, "mode": self.mode,
-                "witness": None if self.witness is None else _pair(self.witness),
-                "reason": self.reason}
-
-
-def validate_self_map(phi: Symbol, grid: SampleGrid = DEFAULT_GRID) -> ValidationResult:
-    """Check that phi maps H into H.
+def validate_self_map(phi: Symbol, grid: SampleGrid = DEFAULT_GRID) -> None:
+    """Check that phi maps H into H, or raise :class:`HalfPlaneError` with
+    the reason and a witness point.
 
     Affine and power maps are decided exactly from their parameters.
     Moebius maps, Cayley conjugates and compositions are checked at every
-    grid point; acceptance is then flagged ``sampled`` so downstream
-    reports carry the caveat.  Rejections carry a witness point with
-    Re phi(z) <= 0 whenever one exists.
+    grid point.  The witness has Re phi(z) <= 0 whenever one exists, and
+    is None otherwise.
     """
     if isinstance(phi, Affine):
         if phi.a > 0 and phi.b.real >= 0:
-            return ValidationResult(True, "exact")
+            return
         if phi.a > 0:
             # Re phi(x) = a x + Re b < 0 at x = -Re b / (2a).
             witness = complex(-phi.b.real / (2.0 * phi.a), 0.0)
-            return ValidationResult(False, "exact", witness,
-                                    "translation leaves the half-plane (Re b < 0)")
+            raise HalfPlaneError(
+                "translation leaves the half-plane (Re b < 0)", witness)
         if phi.a == 0:
             witness = None
             if phi.b.real <= 0:
                 witness = complex(1.0, 0.0)
-            return ValidationResult(False, "exact", witness,
-                                    "slope must be positive (constant maps excluded)")
+            raise HalfPlaneError(
+                "slope must be positive (constant maps excluded)", witness)
         witness = complex((1.0 + abs(phi.b.real)) / (-phi.a), 0.0)
-        return ValidationResult(False, "exact", witness,
-                                "negative slope reverses the half-plane")
+        raise HalfPlaneError("negative slope reverses the half-plane", witness)
     if isinstance(phi, PowerMap):
         if 0.0 < phi.p <= 1.0:
-            return ValidationResult(True, "exact")
+            return
         probe = np.exp(1j * (math.pi / 2) * 0.999999)
         try:
             require_half_plane(probe ** phi.p, probe)
             witness = None
         except HalfPlaneError as exc:
             witness = exc.witness
-        return ValidationResult(False, "exact", witness,
-                                "exponent must lie in (0, 1]")
+        raise HalfPlaneError("exponent must lie in (0, 1]", witness)
     pts = grid.flat_points()
     with np.errstate(divide="ignore", invalid="ignore"):
         image = phi(pts)
     try:
         require_half_plane(image, pts)
     except HalfPlaneError as exc:
-        return ValidationResult(False, "sampled", exc.witness,
-                                "image leaves the half-plane at a sample point")
-    return ValidationResult(True, "sampled")
+        raise HalfPlaneError("image leaves the half-plane at a sample point",
+                             exc.witness) from None
 
 
 # ---------------------------------------------------------------------------

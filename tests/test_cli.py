@@ -116,6 +116,14 @@ class TestNormCommand:
     def test_unknown_flag_exit_code(self):
         assert main(["norm", "--bogus"]) == 1
 
+    @pytest.mark.parametrize("command", ["norm", "angular", "spectral"])
+    def test_no_symbol_exit_code(self, tmp_path, capsys, command):
+        # a run that checks nothing says so instead of writing "rows": []
+        out = tmp_path / "o.json"
+        assert main([command, "--alpha", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {command} needs")
+        assert not out.exists()
+
     def test_cayley_must_be_disc_self_map(self, tmp_path, capsys):
         # psi(zeta) = zeta - 1/2 leaves the disc: phi(0.05) = -0.168 is
         # outside H, so the map is refused before any estimate runs.
@@ -164,9 +172,9 @@ class TestNormCommand:
             rebuilt = symbol_from_dict(row["symbol"])
             assert rebuilt == parse_symbol(row["symbol_text"])
 
-    def test_infinite_spectral_radius_written_as_null(self, tmp_path):
+    def test_large_lambda_spectral_radius_finite(self, tmp_path):
         # lam = 8: the sixth iterate's trace still rises on the default
-        # grid, so the spectral estimate reads as divergent
+        # grid; a bounded phi has bounded iterates, so it stays finite
         symbol = ("compose:(moebius:0.75,1.25+0.5j,0,3.0;"
                   "moebius:1.25,1.0+0.25j,0,2.5)")
         code, data = run_json(tmp_path, ["norm", "--symbol", symbol,
@@ -174,8 +182,15 @@ class TestNormCommand:
         assert code == 0
         row = data["rows"][0]
         assert row["verdict"] == "BOUNDED"
-        assert row["spectral_radius"] is None
-        assert row["estimates"]["spectral_radius"]["finite"] is False
+        theoretical = row["theoretical"]
+        assert theoretical == pytest.approx(8.0 ** 2.26)
+        assert 0.9 * theoretical <= row["spectral_radius"]
+        assert row["spectral_radius"] <= theoretical * (1 + 1e-6)
+        estimate = row["estimates"]["spectral_radius"]
+        assert estimate["finite"] is True
+        assert len(estimate["per_iterate"]) == 6
+        for _, value in estimate["per_iterate"]:
+            assert value is not None and value <= theoretical * (1 + 1e-6)
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         _, a = run_json(tmp_path, ["norm", "--symbol", "affine:2,1",
@@ -487,3 +502,28 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self, tmp_path):
         config = self.write_config(tmp_path, {"mystery": 1})
         assert main(["norm", "--symbol", "identity", "--config", config]) == 1
+
+    @pytest.mark.parametrize("payload", [None, [1], 5],
+                             ids=["null", "list", "number"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, payload):
+        # null and a number used to end in a TypeError traceback
+        config = self.write_config(tmp_path, payload)
+        assert main(["angular", "--symbol", "affine:2,1",
+                     "--config", config]) == 1
+        assert capsys.readouterr().err == ("error: a run-config file must "
+                                           "hold a JSON object\n")
+
+    @pytest.mark.parametrize("command,payload,message", [
+        (["angular", "--symbol", "affine:2,1"], {"grid": {"rmax": 1e3}},
+         "unknown grid keys: ['rmax']"),
+        (["laplace", "--f", "t*exp(-t)"], {"quadrature": {"nx": 320}},
+         "unknown quadrature keys: ['nx']"),
+    ], ids=["grid", "quadrature"])
+    def test_unknown_block_keys_rejected(self, tmp_path, capsys, command,
+                                         payload, message):
+        # a mistyped key used to run silently with the default value
+        config = self.write_config(tmp_path, payload)
+        assert main(command + ["--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""

@@ -8,7 +8,8 @@ from bergkit.kernels import (Weight, bergman_kernel, defect_kernel,
                              gram_matrix, kernel_function, nevanlinna_kernel,
                              psd_check)
 from bergkit.linalg import HERMITIAN_RTOL
-from bergkit.symbols import DEFAULT_GRID, Affine, Compose, identity
+from bergkit.symbols import (DEFAULT_GRID, Affine, Compose, SampleGrid,
+                             identity)
 
 SYMMETRY_RTOL = 1e-12
 
@@ -84,6 +85,17 @@ class TestGramMatrix:
             for _ in range(5):
                 pts = DEFAULT_GRID.sample_points(6, rng)
                 assert psd_check(gram_matrix(Weight(alpha), pts)).is_psd
+
+    def test_psd_check_refuses_non_finite_gram(self):
+        # kernels at points near 0 overflow; the verdict used to come back
+        # with an inf threshold instead of an error
+        grid = SampleGrid(r_min=1e-300, r_max=1, aperture=1)
+        pts = grid.sample_points(8, np.random.default_rng(0))
+        with np.errstate(all="ignore"):
+            gram = gram_matrix(Weight(6), pts)
+            assert not np.all(np.isfinite(gram))
+            with pytest.raises(ValueError, match="non-finite"):
+                psd_check(gram)
 
     def test_hermitian_defect_small(self):
         rng = np.random.default_rng(11)

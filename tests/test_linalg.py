@@ -90,6 +90,15 @@ def test_jacobi_rejects_non_hermitian():
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_jacobi_rejects_non_finite(bad):
+    # checked before the Hermitian test, which NaN entries would pass
+    with pytest.raises(ValueError, match="non-finite"):
+        jacobi_eigh(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        jacobi_eigh(np.array([np.eye(2), [[bad, 0.0], [0.0, 1.0]]]))
+
+
 def test_jacobi_rejects_non_square():
     with pytest.raises(ValueError):
         jacobi_eigh(np.ones((2, 3)))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bergkit import opnorm
@@ -15,7 +15,8 @@ from bergkit.opnorm import (boundedness_verdict, default_gram_points,
                             psd_boundedness_certificate,
                             spectral_radius_estimate)
 from bergkit.symbols import (DEFAULT_GRID, Affine, Moebius, PowerMap,
-                             SampleGrid, identity)
+                             SampleGrid, angular_derivative_estimate,
+                             identity)
 
 AFFINE_CASES = [(2.0, 1.0), (3.0, 0.0), (0.5, 2.0), (1.0, 5.0)]
 ALPHAS = [0.0, 0.5, 1.0, 2.0, 2.7, 6.0]
@@ -102,6 +103,13 @@ class TestGramEstimate:
                                  [1.0, 1.0 + 1e-13, 10.0])
         assert est.points_used == 2
 
+    def test_non_finite_gram_refused(self):
+        # the diagonal at 1e160 underflows, so normalization is not finite;
+        # the estimate used to come back as NaN
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite"):
+            gram_norm_estimate(Weight(0), Affine(2, 1), [1.0, 1e160])
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             gram_norm_estimate(Weight(0.0), identity(), [])
@@ -182,6 +190,13 @@ class TestCertificate:
                 far = DEFAULT_GRID.sample_points(6, rng, far_field=True)
                 assert not psd_boundedness_certificate(w, phi, 0.8 * lam, far).is_psd
 
+    def test_non_finite_certificate_refused(self):
+        # used to give a NaN threshold
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite"):
+            psd_boundedness_certificate(Weight(0), Affine(2, 1), 0.5,
+                                        [1.0, 1e200])
+
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             psd_boundedness_certificate(Weight(0.0), identity(), math.inf, [1.0])
@@ -214,6 +229,42 @@ class TestSpectralRadius:
     def test_iteration_validation(self):
         with pytest.raises(ValueError):
             spectral_radius_estimate(Weight(0.0), identity(), 0)
+
+    def test_inconclusive_symbol_keeps_divergence_rule(self):
+        # z^0.9 reads inconclusive on the default grid, and its third
+        # iterate z^0.729 divergent: nothing vouches for the iterates
+        phi = PowerMap(0.9)
+        assert angular_derivative_estimate(phi).verdict == "inconclusive"
+        est = spectral_radius_estimate(Weight(0.0), phi, 8)
+        assert est.value == math.inf
+        assert est.per_iterate[-1] == (3, math.inf)
+        assert all(math.isfinite(v) for _, v in est.per_iterate[:-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(1 / 8, 8.0),
+        st.one_of(
+            st.builds(lambda br, bi: lambda lam: Affine(1 / lam,
+                                                        complex(br, bi)),
+                      st.floats(0.0, 3.0), st.floats(-3.0, 3.0)),
+            st.builds(lambda a, br, bi: lambda lam: Moebius(
+                          a, complex(br, bi), 0, lam * a),
+                      st.floats(0.25, 4.0), st.floats(0.0, 3.0),
+                      st.floats(-3.0, 3.0))),
+        st.floats(0.0, 6.0))
+    def test_bounded_iterates_stay_finite(self, lam, family, alpha):
+        # Julia's lemma: Re z / Re phi^n(z) <= lam^n, so once phi reads
+        # finite every iterate is a finite lower bound for the norm, also
+        # when lam^n is too large for its trace to plateau on the grid
+        phi = family(lam)
+        est = angular_derivative_estimate(phi)
+        assume(est.verdict == "finite")
+        w = Weight(alpha)
+        theo = norm_theoretical(w, lam)
+        rho = spectral_radius_estimate(w, phi, 8, angular=est)
+        assert len(rho.per_iterate) == 8
+        for _, value in rho.per_iterate:
+            assert math.isfinite(value) and value <= theo * (1 + 1e-6)
 
 
 class TestEssentialNorm:

@@ -17,42 +17,40 @@ ORACLE_RTOL = 1e-3  # estimator accuracy contract on the default grid
 
 class TestValidation:
     def test_affine_accept_exact(self):
-        result = validate_self_map(Affine(2, 1))
-        assert result.accepted and result.mode == "exact"
+        assert validate_self_map(Affine(2, 1)) is None
 
     def test_affine_reject_with_witness(self):
-        result = validate_self_map(Affine(1, -1))
-        assert not result.accepted
-        assert result.witness == pytest.approx(0.5)
-        assert Affine(1, -1)(result.witness).real == pytest.approx(-0.5)
+        with pytest.raises(HalfPlaneError, match=r"Re b < 0") as info:
+            validate_self_map(Affine(1, -1))
+        assert info.value.witness == pytest.approx(0.5)
+        assert Affine(1, -1)(info.value.witness).real == pytest.approx(-0.5)
 
     def test_power_accept_exact(self):
-        result = validate_self_map(PowerMap(0.5))
-        assert result.accepted and result.mode == "exact"
+        assert validate_self_map(PowerMap(0.5)) is None
 
     def test_power_out_of_range(self):
-        assert not validate_self_map(PowerMap(1.5)).accepted
-        assert not validate_self_map(PowerMap(-0.5)).accepted
+        for p in (1.5, -0.5):
+            with pytest.raises(HalfPlaneError, match=r"exponent must lie"):
+                validate_self_map(PowerMap(p))
 
     def test_constant_map_excluded(self):
-        result = validate_self_map(Affine(0.0, 1.0))
-        assert not result.accepted
+        with pytest.raises(HalfPlaneError, match="constant maps excluded"):
+            validate_self_map(Affine(0.0, 1.0))
 
     def test_negative_slope_witness(self):
-        result = validate_self_map(Affine(-1.0, 2.0))
-        assert not result.accepted
-        assert Affine(-1.0, 2.0)(result.witness).real <= 0
+        with pytest.raises(HalfPlaneError, match="negative slope") as info:
+            validate_self_map(Affine(-1.0, 2.0))
+        assert Affine(-1.0, 2.0)(info.value.witness).real <= 0
 
     def test_moebius_sampled(self):
-        good = validate_self_map(Moebius(2, 1, 0, 1))
-        assert good.accepted and good.mode == "sampled"
-        bad = validate_self_map(Moebius(1, 0, 0, -1))  # phi(z) = -z
-        assert not bad.accepted
-        assert bad.witness is not None
+        assert validate_self_map(Moebius(2, 1, 0, 1)) is None
+        with pytest.raises(HalfPlaneError, match="sample point") as info:
+            validate_self_map(Moebius(1, 0, 0, -1))  # phi(z) = -z
+        assert info.value.witness is not None
+        assert Moebius(1, 0, 0, -1)(info.value.witness).real <= 0
 
     def test_compose_flagged_sampled(self):
-        result = validate_self_map(Compose(Affine(2, 0), Affine(1, 1)))
-        assert result.accepted and result.mode == "sampled"
+        assert validate_self_map(Compose(Affine(2, 0), Affine(1, 1))) is None
 
 
 class TestEvaluation:
@@ -319,7 +317,7 @@ class TestCayley:
 
     def test_validates_on_half_plane(self):
         phi = cayley_conjugate(1, 0, -1, 2)
-        assert validate_self_map(phi).accepted
+        assert validate_self_map(phi) is None
 
 
 class TestSerialization:
