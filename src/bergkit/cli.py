@@ -202,7 +202,7 @@ def _apply_config(args) -> None:
         raise CliError(f"{args.command} writes JSON only: it has no rows "
                        "for --format csv")
     if "out" in config and not args.out:
-        args.out = config["out"]
+        args.out = _coerce(_string, config, "out")
     if config.get("quadrature"):
         def params(quad):
             _refuse_unknown(quad, ("n_x", "n_y", "y_max"), "quadrature")
@@ -238,6 +238,12 @@ def _coerce(convert, config: dict, key: str, default=None, choices=None):
         raise CliError(f"run-config {key!r} must be one of "
                        f"{', '.join(choices)}, not {value!r}")
     return converted
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"need a string, not {type(value).__name__}")
+    return value
 
 
 def _descriptor_to_text(descriptor: dict) -> str:
@@ -439,11 +445,11 @@ def _cmd_interp(args) -> int:
 def _cmd_spectral(args) -> int:
     rows = []
     for text, sym in args.symbols:
+        est = angular_derivative_estimate(sym, args.grid)
         for alpha in (args.alpha or [0.0]):
-            est = spectral_radius_estimate(Weight(alpha), sym,
-                                           args.iterations, args.grid)
+            rho = spectral_radius_estimate(Weight(alpha), est, args.iterations)
             rows.append({"symbol": sym.to_dict(), "symbol_text": text,
-                         "alpha": alpha, **est.to_dict()})
+                         "alpha": alpha, **rho.to_dict()})
     _emit({"grid": args.grid.to_dict(), "rows": rows}, args)
     return EXIT_OK
 
@@ -547,7 +553,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _apply_config(args)
         return args.func(args)
-    except (ValueError, OverflowError) as exc:  # CliError is a ValueError
+    except (ValueError, OverflowError, OSError) as exc:  # CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -80,20 +80,19 @@ def norm_theoretical(weight: Weight, lam: float) -> float:
     return lam ** weight.half_exponent
 
 
-def kernel_ratio_bound(weight: Weight, phi: Symbol,
-                       grid: SampleGrid = DEFAULT_GRID,
-                       angular: Optional[AngularDerivativeEstimate] = None) -> NormEstimate:
-    """Lower bound sup_grid (Re z / Re phi(z))^((2+alpha)/2) for the norm.
+def kernel_ratio_bound(weight: Weight,
+                       est: AngularDerivativeEstimate) -> NormEstimate:
+    """Lower bound sup_grid (Re z / Re phi(z))^((2+alpha)/2) for the norm,
+    read off the angular estimate ``est`` of phi on its grid.
 
     Each grid point gives the exact value of ||C* k_z|| / ||k_z||, so the
     supremum is always a certified lower bound; it is flagged infinite when
     the ratio trace satisfies the divergence rule (unbounded operator).
     """
-    est = angular or angular_derivative_estimate(phi, grid)
     he = weight.half_exponent
     trace = tuple((r, v ** he) for r, v in est.trace)
     value = math.inf if est.verdict == "divergent" else est.sup_ratio ** he
-    return NormEstimate("kernel_ratio", value, grid.size, trace)
+    return NormEstimate("kernel_ratio", value, est.grid.size, trace)
 
 
 def _gram_pair(weight: Weight, phi: Symbol, points: Sequence[complex]):
@@ -148,16 +147,13 @@ def gram_norm_estimate(weight: Weight, phi: Symbol,
         k *= 2
     sizes.append(pts.size)
     trace = []
-    used = pts.size
-    value = 0.0
     for size in sizes:
         mu, kept = _largest_generalized_eig(gram[:size, :size],
                                             target[:size, :size])
         value = math.sqrt(max(mu, 0.0))
         trace.append((size, value))
-        if size == pts.size:
-            used = kept
-    return NormEstimate("gram_eig", value, used, tuple(trace))
+    # the last prefix is the full point set
+    return NormEstimate("gram_eig", value, kept, tuple(trace))
 
 
 def psd_boundedness_certificate(weight: Weight, phi: Symbol, lam: float,
@@ -195,32 +191,30 @@ class SpectralRadiusEstimate:
                                 for n, v in self.per_iterate]}
 
 
-def spectral_radius_estimate(weight: Weight, phi: Symbol, max_iter: int = 8,
-                             grid: SampleGrid = DEFAULT_GRID,
-                             angular: Optional[AngularDerivativeEstimate] = None
-                             ) -> SpectralRadiusEstimate:
+def spectral_radius_estimate(weight: Weight, est: AngularDerivativeEstimate,
+                             max_iter: int = 8) -> SpectralRadiusEstimate:
     """Estimate the spectral radius through powers C^n = C_{phi o ... o phi}.
 
     Each iterate applies the kernel-ratio bound to the n-fold composition
-    and takes the n-th root.  Composition stays inside the closed symbol
-    families, with an overflow guard on the composed coefficients.  A
-    given ``angular`` estimate of phi on ``grid`` serves for n = 1.  Once
-    phi reads finite no iterate is classified again: Julia's lemma gives
-    Re z / Re phi^n(z) <= lam^n, so a trace that still rises on the fixed
-    grid is a finite lower bound.  Else a divergent iterate gives inf.
+    and takes the n-th root.  The angular estimate ``est`` of phi serves
+    for n = 1; later iterates are estimated on its grid.  Composition
+    stays inside the closed symbol families, with an overflow guard on
+    the composed coefficients.  Once phi reads finite no iterate is
+    classified again: Julia's lemma gives Re z / Re phi^n(z) <= lam^n, so
+    a trace that still rises on the fixed grid is a finite lower bound.
+    Else a divergent iterate gives inf.
     """
     if max_iter < 1:
         raise ValueError("need at least one iterate")
     he = weight.half_exponent
-    est = angular or angular_derivative_estimate(phi, grid)
     bounded = est.verdict == "finite"
     per_iterate = []
-    current = phi
+    phi = current = est.phi
     value = math.inf
     for n in range(1, max_iter + 1):
         if n > 1:
             current = compose(phi, current)
-            est = angular_derivative_estimate(current, grid)
+            est = angular_derivative_estimate(current, est.grid)
         if est.verdict == "divergent" and not bounded:
             value = math.inf
             per_iterate.append((n, math.inf))
@@ -230,23 +224,20 @@ def spectral_radius_estimate(weight: Weight, phi: Symbol, max_iter: int = 8,
     return SpectralRadiusEstimate(value, tuple(per_iterate))
 
 
-def essential_norm_lower_bound(weight: Weight, phi: Symbol,
-                               grid: SampleGrid = DEFAULT_GRID,
-                               angular: Optional[AngularDerivativeEstimate] = None
-                               ) -> float:
-    """Far-field lower bound for the essential norm.
+def essential_norm_lower_bound(weight: Weight,
+                               est: AngularDerivativeEstimate) -> float:
+    """Far-field lower bound for the essential norm, read off the angular
+    estimate ``est`` of phi on its grid.
 
     Normalized kernels k_z/||k_z|| tend weakly to zero as z -> infinity,
     so the ratio bound restricted to the far half of the grid (radii at
     least sqrt(r_min r_max)) lower-bounds the distance to every compact
     operator.  It stays bounded away from zero, consistent with the
-    absence of compact composition operators.  A given ``angular``
-    estimate of phi on ``grid`` is used instead of a fresh one.
+    absence of compact composition operators.
     """
-    est = angular or angular_derivative_estimate(phi, grid)
     if est.verdict == "divergent":
         raise ValueError("essential norm applies to bounded operators only")
-    cutoff = grid.far_field_radius
+    cutoff = est.grid.far_field_radius
     far = [v for r, v in est.trace if r >= cutoff]
     return max(far) ** weight.half_exponent
 
@@ -311,10 +302,8 @@ def boundedness_verdict(weight: Weight, phi: Symbol,
         lambda_used=lam,
         lambda_source=source,
         theoretical=norm_theoretical(weight, lam),
-        kernel_ratio=kernel_ratio_bound(weight, phi, grid, angular=est),
+        kernel_ratio=kernel_ratio_bound(weight, est),
         gram=gram_norm_estimate(weight, phi, default_gram_points(grid)),
-        spectral_radius=spectral_radius_estimate(weight, phi, 6, grid,
-                                                 angular=est),
-        essential_lower_bound=essential_norm_lower_bound(weight, phi, grid,
-                                                         angular=est),
+        spectral_radius=spectral_radius_estimate(weight, est, 6),
+        essential_lower_bound=essential_norm_lower_bound(weight, est),
     )

@@ -24,8 +24,8 @@ from .opnorm import (boundedness_verdict, essential_norm_lower_bound,
                      psd_boundedness_certificate, spectral_radius_estimate)
 from .space import KernelCombination, reproducing_check
 from .symbols import (DEFAULT_GRID, Affine, CoefficientOverflow,
-                      HalfPlaneError, PowerMap, SampleGrid, identity,
-                      validate_self_map)
+                      HalfPlaneError, PowerMap, SampleGrid,
+                      angular_derivative_estimate, identity, validate_self_map)
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all",
            "DEFAULT_SEED"]
@@ -63,10 +63,11 @@ def _criterion_1(seed: int) -> CriterionResult:
     lowest = 1.0
     overshoot = 0.0
     for phi, lam in AFFINE_CASES:
+        est = angular_derivative_estimate(phi)
         for alpha in ALPHAS:
             w = Weight(alpha)
             theo = norm_theoretical(w, lam)
-            for value in (kernel_ratio_bound(w, phi).value,
+            for value in (kernel_ratio_bound(w, est).value,
                           gram_norm_estimate(w, phi, gram_points).value):
                 lowest = min(lowest, value / theo)
                 overshoot = max(overshoot, value / theo - 1.0)
@@ -282,15 +283,16 @@ def _criterion_9(seed: int) -> CriterionResult:
     worst = 0.0
     overflowed = False
     for phi, lam in AFFINE_CASES:
+        est = angular_derivative_estimate(phi)
         for alpha in ALPHAS:
             w = Weight(alpha)
             try:
-                est = spectral_radius_estimate(w, phi, max_iter=8)
+                rho = spectral_radius_estimate(w, est, max_iter=8)
             except CoefficientOverflow:
                 overflowed = True
                 continue
             theo = norm_theoretical(w, lam)
-            worst = max(worst, abs(est.value - theo) / theo)
+            worst = max(worst, abs(rho.value - theo) / theo)
     passed = worst <= 0.02 and not overflowed
     return CriterionResult(9, "spectral_radius_agreement", passed, {
         "max_relative_error": worst,
@@ -304,9 +306,10 @@ def _criterion_10(seed: int) -> CriterionResult:
     grid = SampleGrid(r_max=1e8)
     lowest = np.inf
     for phi, lam in AFFINE_CASES:
+        est = angular_derivative_estimate(phi, grid)
         for alpha in ALPHAS:
             w = Weight(alpha)
-            bound = essential_norm_lower_bound(w, phi, grid)
+            bound = essential_norm_lower_bound(w, est)
             lowest = min(lowest, bound / norm_theoretical(w, lam))
     passed = lowest >= 0.98
     return CriterionResult(10, "essential_norm_lower_bound", passed,

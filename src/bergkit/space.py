@@ -91,14 +91,6 @@ class QuadratureScheme:
         wy = np.concatenate(wys)
         return cls(x, wx, y, wy, n_x, n_y, y_max)
 
-    def doubled(self) -> "QuadratureScheme":
-        """Refinement used for error estimation: twice the nodes in each
-        direction and twice the truncation window, so the declared error
-        estimate sees the |y| > y_max tail as well (it decays only like
-        y_max^-(2+alpha))."""
-        return QuadratureScheme.build(2 * self.n_x, 2 * self.n_y,
-                                      2.0 * self.y_max)
-
     @cached_property
     def z(self) -> np.ndarray:
         """The tensor grid of nodes, ``z[i, j] = x_nodes[i] + 1j*y_nodes[j]``,

@@ -461,15 +461,18 @@ class AngularDerivativeEstimate:
 
     ``verdict`` is ``finite`` when the per-shell trace has plateaued,
     ``divergent`` when it keeps growing geometrically (then ``lambda_hat``
-    is +inf), and ``inconclusive`` otherwise.
+    is +inf), and ``inconclusive`` otherwise.  ``phi`` and ``grid`` are
+    the symbol and the grid it was computed on.
     """
 
     lambda_hat: float
     sup_ratio: float
     trace: tuple
     verdict: str
-    known_lambda: Optional[float] = None
-    rel_error_vs_known: Optional[float] = None
+    known_lambda: Optional[float]
+    rel_error_vs_known: Optional[float]
+    phi: Symbol
+    grid: SampleGrid
 
     def to_dict(self) -> dict:
         return {
@@ -530,7 +533,7 @@ def angular_derivative_estimate(phi: Symbol,
     if known is not None and not math.isinf(lambda_hat):
         rel_error = abs(lambda_hat - known) / known
     return AngularDerivativeEstimate(lambda_hat, sup_ratio, trace, verdict,
-                                     known, rel_error)
+                                     known, rel_error, phi, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bergkit
 from bergkit.cli import (CliError, _apply_config, _build_parser, main,
                         parse_halfline, parse_symbol)
 from bergkit.kernels import nevanlinna_kernel, psd_check
@@ -527,3 +532,38 @@ class TestRunConfig:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("out", [["x.json"], 5, True, None],
+                             ids=["list", "number", "true", "null"])
+    def test_out_must_be_a_string(self, tmp_path, out):
+        # a list ended in a TypeError traceback, 5 opened file descriptor 5
+        # and true wrote to fd 1 and closed it, so each runs in its own
+        # process
+        config = self.write_config(tmp_path, {"out": out})
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(bergkit.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "bergkit.cli", "interp", "--alpha", "1",
+             "--config", config],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: run-config 'out'")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+
+class TestFileErrors:
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["interp", "--config", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
+        assert "Traceback" not in err
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out.json")
+        assert main(["interp", "--alpha", "1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and out in err
+        assert "Traceback" not in err

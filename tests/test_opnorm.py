@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,21 +43,24 @@ class TestTheoretical:
 
 class TestKernelRatio:
     def test_pure_dilation_exact(self):
-        est = kernel_ratio_bound(Weight(0.0), Affine(2, 0))
+        est = kernel_ratio_bound(Weight(0.0),
+                                 angular_derivative_estimate(Affine(2, 0)))
         assert est.value == pytest.approx(0.5, abs=1e-15)
 
     def test_translation_approaches_one(self):
-        est = kernel_ratio_bound(Weight(0.0), Affine(1, 1))
+        est = kernel_ratio_bound(Weight(0.0),
+                                 angular_derivative_estimate(Affine(1, 1)))
         assert 0.999 <= est.value < 1.0
 
     def test_sqrt_flagged_unbounded(self):
-        est = kernel_ratio_bound(Weight(0.0), PowerMap(0.5))
+        est = kernel_ratio_bound(Weight(0.0),
+                                 angular_derivative_estimate(PowerMap(0.5)))
         assert math.isinf(est.value)
         assert not est.finite
 
     def test_trace_is_powered_ratio(self):
         w = Weight(2.0)
-        est = kernel_ratio_bound(w, Affine(2, 0))
+        est = kernel_ratio_bound(w, angular_derivative_estimate(Affine(2, 0)))
         for _, value in est.trace:
             assert value == pytest.approx(0.25)
 
@@ -125,10 +129,11 @@ class TestLowerBoundSoundness:
         for a, b in AFFINE_CASES:
             phi = Affine(a, b)
             lam = 1 / a
+            est = angular_derivative_estimate(phi)
             for alpha in ALPHAS:
                 w = Weight(alpha)
                 theo = norm_theoretical(w, lam)
-                kr = kernel_ratio_bound(w, phi).value
+                kr = kernel_ratio_bound(w, est).value
                 ge = gram_norm_estimate(w, phi, gram_points).value
                 assert kr <= theo + 1e-9
                 assert ge <= theo * (1 + 1e-6)
@@ -204,38 +209,44 @@ class TestCertificate:
 
 class TestSpectralRadius:
     def test_affine_matches_norm(self):
-        est = spectral_radius_estimate(Weight(0.0), Affine(2, 1), 8)
+        est = spectral_radius_estimate(
+            Weight(0.0), angular_derivative_estimate(Affine(2, 1)), 8)
         assert est.value == pytest.approx(0.5, rel=1e-3)
         assert len(est.per_iterate) == 8
 
     def test_translation(self):
-        est = spectral_radius_estimate(Weight(0.0), Affine(1, 1), 8)
+        est = spectral_radius_estimate(
+            Weight(0.0), angular_derivative_estimate(Affine(1, 1)), 8)
         assert est.value == pytest.approx(1.0, rel=1e-3)
 
     def test_identity_exact(self):
-        est = spectral_radius_estimate(Weight(1.5), identity(), 4)
+        est = spectral_radius_estimate(
+            Weight(1.5), angular_derivative_estimate(identity()), 4)
         assert est.value == 1.0
 
     def test_agreement_with_theory(self):
         for a, b in AFFINE_CASES:
             phi = Affine(a, b)
             lam = 1 / a
+            angular = angular_derivative_estimate(phi)
             for alpha in ALPHAS:
                 w = Weight(alpha)
-                est = spectral_radius_estimate(w, phi, 8)
+                est = spectral_radius_estimate(w, angular, 8)
                 theo = norm_theoretical(w, lam)
                 assert abs(est.value - theo) / theo <= 0.02
 
     def test_iteration_validation(self):
         with pytest.raises(ValueError):
-            spectral_radius_estimate(Weight(0.0), identity(), 0)
+            spectral_radius_estimate(
+                Weight(0.0), angular_derivative_estimate(identity()), 0)
 
     def test_inconclusive_symbol_keeps_divergence_rule(self):
         # z^0.9 reads inconclusive on the default grid, and its third
         # iterate z^0.729 divergent: nothing vouches for the iterates
         phi = PowerMap(0.9)
-        assert angular_derivative_estimate(phi).verdict == "inconclusive"
-        est = spectral_radius_estimate(Weight(0.0), phi, 8)
+        angular = angular_derivative_estimate(phi)
+        assert angular.verdict == "inconclusive"
+        est = spectral_radius_estimate(Weight(0.0), angular, 8)
         assert est.value == math.inf
         assert est.per_iterate[-1] == (3, math.inf)
         assert all(math.isfinite(v) for _, v in est.per_iterate[:-1])
@@ -261,7 +272,7 @@ class TestSpectralRadius:
         assume(est.verdict == "finite")
         w = Weight(alpha)
         theo = norm_theoretical(w, lam)
-        rho = spectral_radius_estimate(w, phi, 8, angular=est)
+        rho = spectral_radius_estimate(w, est, 8)
         assert len(rho.per_iterate) == 8
         for _, value in rho.per_iterate:
             assert math.isfinite(value) and value <= theo * (1 + 1e-6)
@@ -269,30 +280,35 @@ class TestSpectralRadius:
 
 class TestEssentialNorm:
     def test_dilation_saturates_full_norm(self):
-        assert essential_norm_lower_bound(Weight(0.0), Affine(2, 0)) == pytest.approx(0.5)
+        est = angular_derivative_estimate(Affine(2, 0))
+        assert essential_norm_lower_bound(Weight(0.0), est) == pytest.approx(0.5)
 
     def test_translation_tends_to_one(self):
         grid = SampleGrid(r_max=1e8)
-        bound = essential_norm_lower_bound(Weight(1.0), Affine(1, 10), grid)
+        est = angular_derivative_estimate(Affine(1, 10), grid)
+        bound = essential_norm_lower_bound(Weight(1.0), est)
         assert bound == pytest.approx(1.0, rel=1e-4)
 
     def test_identity(self):
-        assert essential_norm_lower_bound(Weight(2.0), identity()) == 1.0
+        est = angular_derivative_estimate(identity())
+        assert essential_norm_lower_bound(Weight(2.0), est) == 1.0
 
     def test_far_field_reaches_norm(self):
         grid = SampleGrid(r_max=1e8)
         for a, b in AFFINE_CASES:
             phi = Affine(a, b)
             lam = 1 / a
+            est = angular_derivative_estimate(phi, grid)
             for alpha in ALPHAS:
                 w = Weight(alpha)
-                bound = essential_norm_lower_bound(w, phi, grid)
+                bound = essential_norm_lower_bound(w, est)
                 assert bound >= 0.98 * norm_theoretical(w, lam)
                 assert bound > 0
 
     def test_rejects_unbounded(self):
         with pytest.raises(ValueError):
-            essential_norm_lower_bound(Weight(0.0), PowerMap(0.5))
+            essential_norm_lower_bound(Weight(0.0),
+                                       angular_derivative_estimate(PowerMap(0.5)))
 
 
 class TestBoundednessVerdict:
@@ -329,28 +345,42 @@ class TestBoundednessVerdict:
         assert data["verdict"] == "BOUNDED"
         assert data["gram_eig"]["method"] == "gram_eig"
 
-    def test_angular_estimate_reused(self, monkeypatch):
-        calls = []
-        original = opnorm.angular_derivative_estimate
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-
-        phi = Affine(2, 1)
-        monkeypatch.setattr(opnorm, "angular_derivative_estimate", counting)
-        report = boundedness_verdict(Weight(1.0), phi)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(lambda a, br, bi: Affine(a, complex(br, bi)),
+                      st.floats(0.25, 4.0), st.floats(0.0, 3.0),
+                      st.floats(-3.0, 3.0)),
+            st.builds(lambda a, br, bi, d: Moebius(a, complex(br, bi), 0, d),
+                      st.floats(0.5, 3.0), st.floats(0.0, 2.0),
+                      st.floats(-2.0, 2.0), st.floats(0.25, 3.0))),
+        st.floats(0.0, 6.0),
+        st.builds(lambda r_max, shells, angles: SampleGrid(
+                      r_max=r_max, radial_count=shells, angular_count=angles),
+                  st.floats(1e4, 1e8), st.integers(20, 60),
+                  st.integers(1, 9)))
+    def test_angular_estimate_reused(self, phi, alpha, grid):
+        # one estimate of phi on the grid feeds every bound derived from it
+        w = Weight(alpha)
+        with mock.patch.object(opnorm, "angular_derivative_estimate",
+                               wraps=angular_derivative_estimate) as counting:
+            report = boundedness_verdict(w, phi, grid)
+        assume(report.verdict == "BOUNDED")
+        calls = [call.args[0] for call in counting.call_args_list]
         # once for the verdict, once per iterate n = 2..6; the first
         # estimate serves iterate 1 and the essential-norm bound
         assert len(calls) == 6
         assert calls.count(phi) == 1
-        monkeypatch.undo()
-        w = Weight(1.0)
-        fresh = {"spectral_radius": spectral_radius_estimate(w, phi, 6).to_dict(),
-                 "essential_lower_bound": essential_norm_lower_bound(w, phi)}
-        reused = {"spectral_radius": report.spectral_radius.to_dict(),
+        est = angular_derivative_estimate(phi, grid)
+        fresh = {"kernel_ratio": kernel_ratio_bound(w, est).to_dict(),
+                 "spectral_radius": spectral_radius_estimate(w, est,
+                                                             6).to_dict(),
+                 "essential_lower_bound": essential_norm_lower_bound(w, est)}
+        reused = {"kernel_ratio": report.kernel_ratio.to_dict(),
+                  "spectral_radius": report.spectral_radius.to_dict(),
                   "essential_lower_bound": report.essential_lower_bound}
         assert json.dumps(reused) == json.dumps(fresh)
+        assert report.kernel_ratio.points_used == grid.size
 
     def test_default_gram_points_capped(self):
         points = default_gram_points(DEFAULT_GRID)

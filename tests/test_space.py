@@ -87,7 +87,8 @@ class TestDoublingConsistency:
             if previous is not None and previous > 1e-6:
                 assert err <= previous / 4
             previous = err
-            scheme = scheme.doubled()
+            scheme = QuadratureScheme.build(2 * scheme.n_x, 2 * scheme.n_y,
+                                            2 * scheme.y_max)
 
     def test_default_scheme_meets_contract_at_alpha_zero(self):
         w = Weight(0.0)
@@ -101,7 +102,9 @@ class TestErrorEstimate:
         w = Weight(0.0)
         k = kernel_function(w, 1.0)
         coarse = inner_product(w, k, k)
-        value = inner_product(w, k, k, default_scheme().doubled())
+        s = default_scheme()
+        value = inner_product(w, k, k, QuadratureScheme.build(
+            2 * s.n_x, 2 * s.n_y, 2 * s.y_max))
         estimate = abs(value - coarse)
         true_coarse_error = abs(coarse.real - 0.25)
         assert estimate == pytest.approx(true_coarse_error, rel=0.6)
