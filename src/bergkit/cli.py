@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import math
@@ -311,10 +312,14 @@ def _validated_symbols(texts, grid: SampleGrid):
 
 
 def _cmd_norm(args) -> int:
+    alphas = args.alpha or [0.0]
+    reports = iter(boundedness_verdict([Weight(alpha) for alpha in alphas],
+                                       [sym for _, sym in args.symbols],
+                                       args.grid))
     rows = []
     for text, sym in args.symbols:
-        for alpha in (args.alpha or [0.0]):
-            rep = boundedness_verdict(Weight(alpha), sym, args.grid)
+        for alpha in alphas:
+            rep = next(reports)
             row = {
                 "symbol": sym.to_dict(),
                 "symbol_text": text,
@@ -487,6 +492,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bergkit",
                      description="Composition-operator numerics on weighted "

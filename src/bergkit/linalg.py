@@ -250,7 +250,13 @@ def pivoted_cholesky(matrix):
 
 
 def solve_lower_triangular(lower, rhs):
-    """Forward substitution ``L X = B`` for lower-triangular ``L``."""
+    """Forward substitution ``L X = B`` for lower-triangular ``L``.
+
+    ``rhs`` is an (n,) vector, an (n, k) matrix or a stack (B, n, k) of
+    right-hand sides that the one ``lower`` serves.  Each matrix of a
+    stack is solved with the same products, in the same memory layout,
+    as it is alone, so its solution is the same bit for bit.
+    """
     l = np.asarray(lower, dtype=complex)
     b = np.array(rhs, dtype=complex)
     squeeze = b.ndim == 1
@@ -259,5 +265,5 @@ def solve_lower_triangular(lower, rhs):
     n = l.shape[0]
     x = np.zeros_like(b)
     for i in range(n):
-        x[i] = (b[i] - l[i, :i] @ x[:i]) / l[i, i]
+        x[..., i, :] = (b[..., i, :] - l[i, :i] @ x[..., :i, :]) / l[i, i]
     return x[:, 0] if squeeze else x

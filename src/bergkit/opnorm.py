@@ -95,33 +95,65 @@ def kernel_ratio_bound(weight: Weight,
     return NormEstimate("kernel_ratio", value, est.grid.size, trace)
 
 
-def _gram_pair(weight: Weight, phi: Symbol, points: Sequence[complex]):
-    """Points, and the kernel Gram matrices G at the points and H at their
-    images: G_ij = <k_{z_j}, k_{z_i}>, H_ij = <k_{phi(z_j)}, k_{phi(z_i)}>."""
-    pts = require_half_plane(points)
-    images = require_half_plane(phi(pts), pts)
-    gram = bergman_kernel(weight, pts[None, :], pts[:, None])
-    target = bergman_kernel(weight, images[None, :], images[:, None])
-    return pts, gram, target
+def _prefix_sizes(count: int) -> list:
+    """Sizes 2, 4, 8, ... below ``count``, then ``count``: the nested
+    prefixes of the point list that make the Gram trace."""
+    sizes = []
+    k = 2
+    while k < count:
+        sizes.append(k)
+        k *= 2
+    return sizes + [count]
 
 
-def _largest_generalized_eig(gram: np.ndarray,
-                             target: np.ndarray) -> tuple[float, int]:
-    """Largest mu with target v = mu gram v, via pivoted Cholesky on the
-    diagonally normalized Gram matrix.  Ill-conditioned directions are
-    dropped (never ridge-regularized) to preserve the lower-bound property;
-    the unit diagonal always keeps the first pivot."""
-    d = gram.diagonal().real
-    scale = 1.0 / np.sqrt(d)
-    gn = gram * np.outer(scale, scale)
-    hn = target * np.outer(scale, scale)
-    kept, lower, _ = pivoted_cholesky(gn)
-    hk = hn[np.ix_(kept, kept)]
-    x = solve_lower_triangular(lower, hk)
-    a = solve_lower_triangular(lower, x.conj().T).conj().T
-    a = 0.5 * (a + a.conj().T)
-    eigenvalues, _ = jacobi_eigh(a, compute_vectors=False)
-    return float(eigenvalues[-1]), len(kept)
+def _gram_estimates(pts: np.ndarray, weights: Sequence[Weight],
+                    images: Sequence[np.ndarray]) -> list:
+    """The Gram bound of every (symbol, weight) cell, symbol-major, where
+    ``images[s]`` are phi(pts) for symbol s.
+
+    Per weight, the Gram matrix G of the points is diagonally normalized
+    and each prefix of it factored by pivoted Cholesky once, for every
+    symbol; ill-conditioned directions are dropped (never
+    ridge-regularized) to keep the lower-bound property, and the unit
+    diagonal always keeps the first pivot.  Each symbol's pencil
+    L^-1 H L^-* on a prefix comes from two triangular solves with that
+    shared L, so the symbols' pencils have one order and go to one Jacobi
+    stack.  A stack entry is bitwise its one-matrix solve, so a cell's
+    estimate does not depend on the cells beside it.
+    """
+    if pts.size == 0:
+        raise ValueError("need at least one point")
+    if len(set(pts.tolist())) != pts.size:
+        raise ValueError("points must be distinct")
+    images = np.asarray(images)
+    symbols = np.arange(len(images))
+    sizes = _prefix_sizes(pts.size)
+    mu = np.empty((len(images), len(weights), len(sizes)))
+    kept_counts = []  # pivots kept on the full point set, per weight
+    for j, weight in enumerate(weights):
+        gram = bergman_kernel(weight, pts[None, :], pts[:, None])
+        scale = 1.0 / np.sqrt(gram.diagonal().real)
+        gn = gram * np.outer(scale, scale)
+        hn = (bergman_kernel(weight, images[:, None, :], images[:, :, None])
+              * np.outer(scale, scale))
+        for column, size in enumerate(sizes):
+            kept, lower, _ = pivoted_cholesky(gn[:size, :size])
+            hk = hn[np.ix_(symbols, kept, kept)]
+            x = solve_lower_triangular(lower, hk)
+            a = solve_lower_triangular(lower, x.conj().swapaxes(1, 2))
+            a = a.conj().swapaxes(1, 2)
+            a = 0.5 * (a + a.conj().swapaxes(1, 2))
+            eigenvalues, _ = jacobi_eigh(a, compute_vectors=False)
+            mu[:, j, column] = eigenvalues[:, -1]
+        kept_counts.append(len(kept))
+    estimates = []
+    for per_symbol in mu:
+        for row, kept in zip(per_symbol, kept_counts):
+            trace = tuple((size, math.sqrt(max(float(m), 0.0)))
+                          for size, m in zip(sizes, row))
+            estimates.append(NormEstimate("gram_eig", trace[-1][1], kept,
+                                          trace))
+    return estimates
 
 
 def gram_norm_estimate(weight: Weight, phi: Symbol,
@@ -132,33 +164,19 @@ def gram_norm_estimate(weight: Weight, phi: Symbol,
     the largest mu solving H v = mu G v is the squared norm of the adjoint
     restricted to span{k_{z_i}}; its square root never exceeds the operator
     norm and is non-decreasing as points are added.  The trace records the
-    estimate on nested prefixes of the point list.
+    estimate on nested prefixes of the point list.  This is the one-cell
+    case of the Gram bound in :func:`boundedness_verdict`.
     """
-    pts, gram, target = _gram_pair(weight, phi, points)
-    if pts.size == 0:
-        raise ValueError("need at least one point")
-    if len(set(pts.tolist())) != pts.size:
-        raise ValueError("points must be distinct")
-
-    sizes = []
-    k = 2
-    while k < pts.size:
-        sizes.append(k)
-        k *= 2
-    sizes.append(pts.size)
-    trace = []
-    for size in sizes:
-        mu, kept = _largest_generalized_eig(gram[:size, :size],
-                                            target[:size, :size])
-        value = math.sqrt(max(mu, 0.0))
-        trace.append((size, value))
-    # the last prefix is the full point set
-    return NormEstimate("gram_eig", value, kept, tuple(trace))
+    pts = require_half_plane(points)
+    images = require_half_plane(phi(pts), pts)
+    return _gram_estimates(pts, [weight], [images])[0]
 
 
 def psd_boundedness_certificate(weight: Weight, phi: Symbol, lam: float,
-                                points: Sequence[complex]) -> PsdVerdict:
-    """Positivity verdict for lam^(2+alpha) G - H at the given points.
+                                points) -> PsdVerdict:
+    """Positivity verdict for lam^(2+alpha) G - H at the given points, or
+    one verdict per point set for a list of same-size sets (one batched
+    :func:`psd_check`).
 
     Positivity at every tested configuration is evidence (not proof) for
     norm <= lam^((2+alpha)/2).  The matrix is normalized by the congruence
@@ -169,12 +187,14 @@ def psd_boundedness_certificate(weight: Weight, phi: Symbol, lam: float,
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError("lam must be a finite positive number")
-    _, gram, target = _gram_pair(weight, phi, points)
+    pts = require_half_plane(points)
+    images = require_half_plane(phi(pts), pts)
+    gram = bergman_kernel(weight, pts[..., None, :], pts[..., :, None])
+    target = bergman_kernel(weight, images[..., None, :], images[..., :, None])
     factor = lam ** weight.exponent
-    d = factor * gram.diagonal().real
-    scale = 1.0 / np.sqrt(d)
-    certificate = (factor * gram - target) * np.outer(scale, scale)
-    return psd_check(certificate)
+    scale = 1.0 / np.sqrt(factor * gram.diagonal(axis1=-2, axis2=-1).real)
+    return psd_check((factor * gram - target)
+                     * (scale[..., :, None] * scale[..., None, :]))
 
 
 @dataclass(frozen=True)
@@ -277,33 +297,50 @@ def default_gram_points(grid: SampleGrid) -> np.ndarray:
     return np.geomspace(grid.r_min, hi, 12).astype(complex)
 
 
-def boundedness_verdict(weight: Weight, phi: Symbol,
-                        grid: SampleGrid = DEFAULT_GRID) -> BoundednessReport:
+def boundedness_verdict(weight, phi, grid: SampleGrid = DEFAULT_GRID):
     """Full report: boundedness verdict plus every estimator on success.
+
+    ``weight`` is one :class:`Weight` or a sequence, and ``phi`` one
+    :class:`Symbol` or a sequence; with a sequence the reports come as a
+    flat list, symbol-major (every weight of the first symbol, then the
+    next symbol).  The angular estimate is made once per symbol and the
+    Gram factor once per weight (see ``_gram_estimates``).
 
     The operator is bounded exactly when the angular-derivative trace
     converges; a divergent trace is returned with its witness radii.  The
     theoretical norm uses the analytic angular derivative when the family
     provides one, otherwise the estimated value.  The Gram bound uses
     ``default_gram_points(grid)`` and the spectral estimate six iterates.
+    A refused Gram pencil (non-finite, or not converged) of any cell
+    raises for the whole call.
     """
-    est = angular_derivative_estimate(phi, grid)
-    if est.verdict == "divergent":
-        return BoundednessReport("UNBOUNDED", est)
-    if est.verdict == "inconclusive":
-        return BoundednessReport("INCONCLUSIVE", est)
-
-    if phi.known_lambda is not None:
-        lam, source = phi.known_lambda, "analytic"
-    else:
-        lam, source = est.lambda_hat, "estimated"
-    return BoundednessReport(
-        "BOUNDED", est,
-        lambda_used=lam,
-        lambda_source=source,
-        theoretical=norm_theoretical(weight, lam),
-        kernel_ratio=kernel_ratio_bound(weight, est),
-        gram=gram_norm_estimate(weight, phi, default_gram_points(grid)),
-        spectral_radius=spectral_radius_estimate(weight, est, 6),
-        essential_lower_bound=essential_norm_lower_bound(weight, est),
-    )
+    single = isinstance(weight, Weight) and isinstance(phi, Symbol)
+    weights = [weight] if isinstance(weight, Weight) else list(weight)
+    phis = [phi] if isinstance(phi, Symbol) else list(phi)
+    ests = [angular_derivative_estimate(sym, grid) for sym in phis]
+    pts = default_gram_points(grid)
+    images = [require_half_plane(sym(pts), pts)
+              for sym, est in zip(phis, ests) if est.verdict == "finite"]
+    grams = iter(_gram_estimates(pts, weights, images) if images else [])
+    reports = []
+    for sym, est in zip(phis, ests):
+        if est.verdict != "finite":
+            verdict = ("UNBOUNDED" if est.verdict == "divergent"
+                       else "INCONCLUSIVE")
+            reports += [BoundednessReport(verdict, est) for _ in weights]
+            continue
+        if sym.known_lambda is not None:
+            lam, source = sym.known_lambda, "analytic"
+        else:
+            lam, source = est.lambda_hat, "estimated"
+        reports += [BoundednessReport(
+            "BOUNDED", est,
+            lambda_used=lam,
+            lambda_source=source,
+            theoretical=norm_theoretical(w, lam),
+            kernel_ratio=kernel_ratio_bound(w, est),
+            gram=next(grams),
+            spectral_radius=spectral_radius_estimate(w, est, 6),
+            essential_lower_bound=essential_norm_lower_bound(w, est),
+        ) for w in weights]
+    return reports[0] if single else reports

@@ -178,18 +178,17 @@ def _criterion_6(seed: int) -> CriterionResult:
     for phi, lam in AFFINE_CASES:
         for alpha in (0.0, 1.0, 2.5):
             w = Weight(alpha)
-            for _ in range(4):
-                pts = DEFAULT_GRID.sample_points(8, rng)
-                checks += 1
-                if not psd_boundedness_certificate(w, phi, lam, pts).is_psd:
-                    true_failures += 1
-            far_configs = [DEFAULT_GRID.sample_points(8, rng, far_field=True)
-                           for _ in range(3)]
-            far_configs.append(np.array([1e3, 1e4], dtype=complex))
-            for pts in far_configs:
-                checks += 1
-                if psd_boundedness_certificate(w, phi, 0.8 * lam, pts).is_psd:
-                    missed_detections += 1
+            near = [DEFAULT_GRID.sample_points(8, rng) for _ in range(4)]
+            far = [DEFAULT_GRID.sample_points(8, rng, far_field=True)
+                   for _ in range(3)]
+            # one batched call per lam and point-set size
+            verdicts = psd_boundedness_certificate(w, phi, lam, near)
+            true_failures += sum(not v.is_psd for v in verdicts)
+            undersized = psd_boundedness_certificate(w, phi, 0.8 * lam, far)
+            undersized.append(psd_boundedness_certificate(
+                w, phi, 0.8 * lam, [1e3, 1e4]))
+            missed_detections += sum(v.is_psd for v in undersized)
+            checks += len(verdicts) + len(undersized)
     passed = true_failures == 0 and missed_detections == 0
     return CriterionResult(6, "certificate_sharpness", passed, {
         "checks": checks,

@@ -329,7 +329,8 @@ class SampleGrid:
         return self.radial_count * self.angular_count
 
     def radii(self) -> np.ndarray:
-        return np.geomspace(self.r_min, self.r_max, self.radial_count)
+        """Shell radii, geometric from r_min to r_max; read-only."""
+        return self._arrays[0]
 
     def angles(self) -> np.ndarray:
         if self.angular_count == 1:
@@ -337,8 +338,18 @@ class SampleGrid:
         return np.linspace(-self.aperture, self.aperture, self.angular_count)
 
     def points(self) -> np.ndarray:
-        """Grid points, shape (radial_count, angular_count)."""
-        return self.radii()[:, None] * np.exp(1j * self.angles())[None, :]
+        """Grid points, shape (radial_count, angular_count); read-only."""
+        return self._arrays[1]
+
+    @cached_property
+    def _arrays(self) -> tuple:
+        # Built once per grid and shared by every caller, hence read-only;
+        # the cache is not a field, so ==, hash and to_dict ignore it.
+        radii = np.geomspace(self.r_min, self.r_max, self.radial_count)
+        points = radii[:, None] * np.exp(1j * self.angles())[None, :]
+        radii.flags.writeable = False
+        points.flags.writeable = False
+        return radii, points
 
     def flat_points(self) -> np.ndarray:
         return self.points().ravel()

@@ -197,6 +197,28 @@ class TestNormCommand:
         for _, value in estimate["per_iterate"]:
             assert value is not None and value <= theoretical * (1 + 1e-6)
 
+    def test_cells_match_one_cell_runs(self, tmp_path):
+        # one run over 3 symbols x 2 alphas gives the rows of the six
+        # one-cell runs, in symbol-major order, each with the run's seed
+        symbols = ["affine:2,1", "power:0.5", "cayley:2.0,1.0,0,3.0"]
+        alphas = ["0.3", "2.7"]
+        argv = ["norm", "--seed", "9"]
+        for symbol in symbols:
+            argv += ["--symbol", symbol]
+        for alpha in alphas:
+            argv += ["--alpha", alpha]
+        _, data = run_json(tmp_path, argv)
+        rows = []
+        for symbol in symbols:
+            for alpha in alphas:
+                _, one = run_json(tmp_path, ["norm", "--seed", "9", "--symbol",
+                                             symbol, "--alpha", alpha])
+                rows += one["rows"]
+        assert [row["verdict"] for row in rows] == ["BOUNDED"] * 2 + [
+            "UNBOUNDED"] * 2 + ["BOUNDED"] * 2
+        assert (json.dumps(data["rows"], sort_keys=True)
+                == json.dumps(rows, sort_keys=True))
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         _, a = run_json(tmp_path, ["norm", "--symbol", "affine:2,1",
                                    "--alpha", "0", "--seed", "5"])
@@ -205,6 +227,33 @@ class TestNormCommand:
         a.pop("generated_at")
         b.pop("generated_at")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestParserReuse:
+    def test_no_state_leaks_into_the_next_call(self, tmp_path, capsys):
+        # The parser is built once per process.  Neither the appended
+        # --symbol/--alpha values nor config symbols of one call may reach
+        # the next: a bare call fails as it does in a fresh process.
+        assert _build_parser() is _build_parser()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"symbols": ["affine:3,1"],
+                                      "alphas": [0.5]}))
+        out = str(tmp_path / "o.json")
+        assert main(["norm", "--symbol", "affine:2,1", "--alpha", "0",
+                     "--alpha", "1", "--config", str(config),
+                     "--out", out]) == 0
+        assert main(["norm", "--config", str(config), "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["norm"]) == 1
+        captured = capsys.readouterr()
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(bergkit.__file__).parents[1]))
+        fresh = subprocess.run([sys.executable, "-m", "bergkit.cli", "norm"],
+                               capture_output=True, text=True, env=env,
+                               cwd=tmp_path, timeout=60)
+        assert fresh.returncode == 1
+        assert "needs --symbol" in captured.err
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
 
 
 class TestOtherCommands:

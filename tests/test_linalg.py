@@ -160,3 +160,29 @@ def test_solve_lower_triangular():
     assert np.allclose(l @ x, b, atol=1e-12)
     xv = solve_lower_triangular(l, b[:, 0])
     assert np.allclose(l @ xv, b[:, 0], atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_solve_lower_triangular_stack_matches_single_solves(n, m, batch, seed,
+                                                            transposed):
+    # A stack of right-hand sides, C-ordered or the conjugate transposes
+    # of C-ordered matrices (as the Gram pencils pass them), gives each
+    # matrix the bits of its own solve.
+    rng = np.random.default_rng(seed)
+    l = np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    l += n * np.eye(n)
+    shape = (batch, m, n) if transposed else (batch, n, m)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if transposed:
+        stack = stack.conj().swapaxes(1, 2)
+    x = solve_lower_triangular(l, stack)
+    assert x.shape == (batch, n, m)
+    for i in range(batch):
+        single = solve_lower_triangular(l, stack[i])
+        assert single.strides == x[i].strides
+        assert (np.ascontiguousarray(x[i]).tobytes()
+                == np.ascontiguousarray(single).tobytes())

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from bergkit import opnorm
 from bergkit.kernels import Weight
+from bergkit.linalg import ConvergenceError, jacobi_eigh
 from bergkit.opnorm import (boundedness_verdict, default_gram_points,
                             essential_norm_lower_bound, gram_norm_estimate,
                             kernel_ratio_bound, norm_theoretical,
@@ -17,7 +19,7 @@ from bergkit.opnorm import (boundedness_verdict, default_gram_points,
                             spectral_radius_estimate)
 from bergkit.symbols import (DEFAULT_GRID, Affine, Moebius, PowerMap,
                              SampleGrid, angular_derivative_estimate,
-                             identity)
+                             cayley_conjugate, compose, identity)
 
 AFFINE_CASES = [(2.0, 1.0), (3.0, 0.0), (0.5, 2.0), (1.0, 5.0)]
 ALPHAS = [0.0, 0.5, 1.0, 2.0, 2.7, 6.0]
@@ -194,6 +196,18 @@ class TestCertificate:
                 assert psd_boundedness_certificate(w, phi, lam, pts).is_psd
                 far = DEFAULT_GRID.sample_points(6, rng, far_field=True)
                 assert not psd_boundedness_certificate(w, phi, 0.8 * lam, far).is_psd
+
+    def test_point_set_list_matches_single_calls(self):
+        rng = np.random.default_rng(5)
+        w, phi = Weight(1.3), Affine(2, 1)
+        for lam in (0.5, 0.4):
+            sets = [DEFAULT_GRID.sample_points(6, rng) for _ in range(4)]
+            verdicts = psd_boundedness_certificate(w, phi, lam, sets)
+            assert isinstance(verdicts, list) and len(verdicts) == 4
+            singles = [psd_boundedness_certificate(w, phi, lam, pts)
+                       for pts in sets]
+            assert ([json.dumps(v.to_dict()) for v in verdicts]
+                    == [json.dumps(v.to_dict()) for v in singles])
 
     def test_non_finite_certificate_refused(self):
         # used to give a NaN threshold
@@ -386,3 +400,94 @@ class TestBoundednessVerdict:
         points = default_gram_points(DEFAULT_GRID)
         assert points.max().real <= 1e4
         assert len(points) == 12
+
+
+# Symbols of every family `bergkit norm` is benchmarked on: bounded affine,
+# c = 0 Moebius, Cayley and compositions, the identity as power:1, and the
+# unbounded power:p (p <= 0.7) and finite-limit Moebius maps.
+_AFFINE = st.builds(lambda a, br, bi: Affine(a, complex(br, bi)),
+                    st.floats(0.5, 4.0), st.floats(0.25, 3.0),
+                    st.floats(-2.0, 2.0))
+_MOEBIUS = st.builds(lambda a, br, bi, d: Moebius(a, complex(br, bi), 0, d),
+                     st.floats(0.5, 3.0), st.floats(0.25, 2.0),
+                     st.floats(-2.0, 2.0), st.floats(0.25, 3.0))
+_SYMBOLS = st.one_of(
+    _AFFINE, _MOEBIUS,
+    st.builds(lambda a, b: cayley_conjugate(a, b, 0, a + b),
+              st.floats(1.0, 4.0), st.floats(1.0, 4.0)),
+    st.builds(compose, st.one_of(_AFFINE, _MOEBIUS),
+              st.one_of(_AFFINE, _MOEBIUS)),
+    st.just(PowerMap(1.0)),
+    st.builds(PowerMap, st.floats(0.1, 0.7)),
+    st.builds(lambda a, b, c, d: Moebius(a, b, c, d),
+              st.floats(0.5, 3.0), st.floats(0.0, 3.0), st.floats(0.25, 3.0),
+              st.floats(0.25, 3.0)).filter(lambda m: m.a * m.d != m.b * m.c))
+
+
+class TestBatchedVerdict:
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(_SYMBOLS, min_size=1, max_size=7),
+           st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3))
+    def test_matches_one_cell_calls(self, phis, alphas):
+        # one call over every (symbol, weight) cell, symbol-major, gives
+        # each cell the report of its own call
+        weights = [Weight(alpha) for alpha in alphas]
+        reports = boundedness_verdict(weights, phis)
+        singles = [boundedness_verdict(w, phi) for phi in phis
+                   for w in weights]
+        assert ([json.dumps(r.to_dict()) for r in reports]
+                == [json.dumps(r.to_dict()) for r in singles])
+
+    def test_single_sequence_arguments(self):
+        phi, w = Affine(2, 1), Weight(1.0)
+        one = json.dumps(boundedness_verdict(w, phi).to_dict())
+        for args in (([w], phi), (w, [phi]), ([w], [phi])):
+            reports = boundedness_verdict(*args)
+            assert [json.dumps(r.to_dict()) for r in reports] == [one]
+
+    def test_gram_factored_once_per_weight(self):
+        phis = [Affine(2, 1), Moebius(1, 1j, 0, 2), PowerMap(0.5), identity()]
+        weights = [Weight(0.5), Weight(2.0)]
+        with mock.patch.object(opnorm, "pivoted_cholesky",
+                               wraps=opnorm.pivoted_cholesky) as factor, \
+                mock.patch.object(opnorm, "jacobi_eigh",
+                                  wraps=jacobi_eigh) as solve:
+            reports = boundedness_verdict(weights, phis)
+        assert [r.verdict for r in reports[4:6]] == ["UNBOUNDED"] * 2
+        # 12 Gram points: prefixes 2, 4, 8 and 12 for each weight, and one
+        # Jacobi stack of the 3 bounded symbols' pencils per factor
+        assert factor.call_count == 2 * 4
+        stacks = [call.args[0].shape[0] for call in solve.call_args_list]
+        assert stacks == [3] * (2 * 4)
+
+    def test_no_gram_stage_without_bounded_symbols(self):
+        # The 12 Gram points of this grid coincide; with no BOUNDED symbol
+        # the call never reaches the Gram bound and still reports.
+        grid = SampleGrid(r_min=1e4, r_max=1e7)
+        reports = boundedness_verdict([Weight(0.0), Weight(1.0)],
+                                      [PowerMap(0.5)], grid)
+        assert [r.verdict for r in reports] == ["UNBOUNDED"] * 2
+        assert boundedness_verdict(Weight(0.0), PowerMap(0.5),
+                                   grid).verdict == "UNBOUNDED"
+
+    def test_non_finite_cell_refuses_the_call(self):
+        # On this grid the alpha = 0 Gram diagonal overflows at the first
+        # point, while alpha = -0.5 stays finite: one refused cell makes
+        # the whole call raise instead of returning a NaN row.
+        grid = SampleGrid(r_min=1e-160, radial_count=400, angular_count=3)
+        good, bad = Weight(-0.5), Weight(0.0)
+        assert boundedness_verdict(good, Affine(2, 1), grid).verdict == "BOUNDED"
+        with np.errstate(all="ignore"):
+            for weights in ([good, bad], [bad, good]):
+                with pytest.raises(ValueError, match="non-finite"):
+                    boundedness_verdict(weights, [Affine(2, 1), PowerMap(0.5)],
+                                        grid)
+
+    def test_unconverged_cell_refuses_the_call(self):
+        # One Jacobi sweep leaves the larger pencils unconverged.
+        with mock.patch.object(opnorm, "jacobi_eigh",
+                               functools.partial(jacobi_eigh, max_sweeps=1)):
+            with pytest.raises(ConvergenceError,
+                               match=r"\d+ of \d+ matrices did not converge"):
+                boundedness_verdict([Weight(0.0), Weight(2.0)],
+                                    [identity(), Affine(2, 1)])

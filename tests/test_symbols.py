@@ -186,6 +186,26 @@ class TestSampleGrid:
         steps = r[1:] / r[:-1]
         assert np.allclose(steps, steps[0])
 
+    def test_arrays_cached_read_only_and_not_part_of_the_value(self):
+        grid = SampleGrid(r_max=1e7, radial_count=30, angular_count=5)
+        twin = SampleGrid(r_max=1e7, radial_count=30, angular_count=5)
+        before = (hash(grid), grid.to_dict())
+        assert grid.radii() is grid.radii()
+        assert grid.points() is grid.points()
+        with pytest.raises(ValueError):
+            grid.radii()[0] = 2.0
+        with pytest.raises(ValueError):
+            grid.points()[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            grid.flat_points()[0] = 2.0
+        assert (hash(grid), grid.to_dict()) == before
+        assert grid == twin and hash(grid) == hash(twin)
+        assert np.array_equal(grid.radii(),
+                              np.geomspace(1.0, 1e7, 30))
+        assert np.array_equal(grid.points(),
+                              grid.radii()[:, None]
+                              * np.exp(1j * grid.angles())[None, :])
+
     def test_non_tangential_containment(self):
         pts = DEFAULT_GRID.flat_points()
         bound = math.tan(DEFAULT_GRID.aperture)
