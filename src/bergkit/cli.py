@@ -149,6 +149,40 @@ def parse_halfline(text: str) -> HalfLineFunction:
     return HalfLineFunction.build(terms)
 
 
+def _parse_halfline_json(text: str) -> HalfLineFunction:
+    """Parse the ``--f-json`` descriptor: the list that
+    ``HalfLineFunction.to_dict`` writes, one ``{"c": [re, im], "beta": b,
+    "s": [re, im]}`` object per mode, with finite numbers.  ``[]`` is the
+    zero function; anything else is a CliError naming the first bad mode.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"--f-json is not JSON: {exc}") from exc
+    if not isinstance(data, list):
+        raise CliError("--f-json must be a JSON list of modes, not "
+                       f"{json.dumps(data)}")
+    for index, mode in enumerate(data):
+        if not (isinstance(mode, dict) and mode.keys() == {"c", "beta", "s"}
+                and _finite_number(mode["beta"])
+                and all(isinstance(mode[key], list) and len(mode[key]) == 2
+                        and all(map(_finite_number, mode[key]))
+                        for key in ("c", "s"))):
+            raise CliError(f"--f-json mode {index} must be "
+                           '{"c": [re, im], "beta": b, "s": [re, im]}, not '
+                           f"{json.dumps(mode)}")
+    return HalfLineFunction.from_dict(data)
+
+
+def _finite_number(value) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _parse_grid(text: str) -> SampleGrid:
     parts = text.split(",")
     if len(parts) != 5:
@@ -427,7 +461,7 @@ def _cmd_angular(args) -> int:
 
 def _cmd_laplace(args) -> int:
     if args.f_json:
-        func = HalfLineFunction.from_dict(json.loads(args.f_json))
+        func = _parse_halfline_json(args.f_json)
     elif args.f:
         func = parse_halfline(args.f)
     else:

@@ -70,6 +70,28 @@ class Weight:
         return (2.0 + self.alpha) / 2.0
 
 
+def _shifted_power(shift, z, p) -> np.ndarray:
+    """``(shift + z) ** float(p)`` as a new complex array, bit for bit.
+
+    This is the one place a complex base is raised to a real power.  The
+    sum is formed once and the power is taken in place on it, so 0-d
+    inputs give a 0-d array.  numpy's ``**`` multiplies out an integral
+    ``p`` and takes the square root of an array at ``p = 0.5``; those
+    cases keep numpy's own ufunc.  Any other ``p`` goes to libm ``cpow``,
+    which glibc defines as ``cexp(p * clog(w))``: the same three steps
+    here skip its per-element call and a full-size temporary.
+    """
+    p = float(p)
+    w = np.asarray(np.add(shift, z), dtype=complex)
+    if p.is_integer():
+        return np.power(w, p, out=w)
+    if p == 0.5 and w.ndim:
+        return np.sqrt(w, out=w)
+    np.log(w, out=w)
+    w *= p
+    return np.exp(w, out=w)
+
+
 def bergman_kernel(weight: Weight, omega, z):
     """Kernel value k_omega(z) = <k_omega, k_z>; scalars or arrays of
     points, broadcast against each other.
@@ -79,7 +101,8 @@ def bergman_kernel(weight: Weight, omega, z):
     """
     omega = require_half_plane(omega)
     z = require_half_plane(z)
-    value = weight.norm_const / (np.conj(omega) + z) ** weight.exponent
+    value = _shifted_power(np.conj(omega), z, weight.exponent)
+    np.divide(weight.norm_const, value, out=value)
     if value.ndim == 0:
         return complex(value)
     return value

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import Weight
+from .kernels import Weight, _shifted_power
 from .space import (KernelCombination, QuadratureScheme, default_scheme,
                     weighted_integral)
 from .symbols import require_half_plane
@@ -98,16 +98,36 @@ class HalfLineFunction:
                           for item in data])
 
 
-def laplace_eval(f: HalfLineFunction, z) -> complex:
-    """Closed-form Laplace transform of f at a half-plane point."""
+def _modes_text(f: HalfLineFunction, *indices: int) -> str:
+    """Names the modes of f at ``indices`` in the ``--f`` syntax."""
+    named = [f"{i} ({f.terms[i].c:g})*t^{f.terms[i].beta:g}"
+             f"*exp(-({f.terms[i].s:g})*t)" for i in dict.fromkeys(indices)]
+    return ("mode " if len(named) == 1 else "modes ") + " and ".join(named)
+
+
+def _gamma(x: float, source: Callable[[], str]) -> float:
+    """math.gamma(x), or an OverflowError that names ``source()``, the
+    modes or the weight whose closed form needs it."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowError(f"Gamma({x:g}) of {source()} overflows") from None
+
+
+def laplace_eval(f: HalfLineFunction, z):
+    """Closed-form Laplace transform of f at half-plane points: a complex
+    for a scalar ``z``, else a new array of ``z``'s shape.  ``z`` itself
+    is not written to."""
     z = require_half_plane(z)
     total = np.zeros(z.shape, dtype=complex)
-    for term in f.terms:
+    for index, term in enumerate(f.terms):
         if term.beta <= -1.0:
             raise ValueError(
                 f"transform of t^{term.beta:g} diverges at the origin")
-        total = total + term.c * math.gamma(1.0 + term.beta) / (
-            term.s + z) ** (1.0 + term.beta)
+        gamma = _gamma(1.0 + term.beta, lambda: _modes_text(f, index))
+        mode = _shifted_power(term.s, z, 1.0 + term.beta)
+        np.divide(term.c * gamma, mode, out=mode)
+        total += mode
     if total.ndim == 0:
         return complex(total)
     return total
@@ -127,20 +147,21 @@ def weighted_norm_squared(f: HalfLineFunction, alpha: float,
                 f"t^{term.beta:g} mode is not square-integrable against the "
                 f"weight (needs beta > alpha/2 = {alpha / 2:g})")
     total = 0j
-    for ti in f.terms:
-        for tj in f.terms:
+    for i, ti in enumerate(f.terms):
+        for j, tj in enumerate(f.terms):
             power = ti.beta + tj.beta - alpha
             sigma = ti.s + np.conj(tj.s)
-            total += (ti.c * np.conj(tj.c) * math.gamma(power)
-                      / sigma ** power)
+            gamma = _gamma(power, lambda: _modes_text(f, i, j))
+            total += ti.c * np.conj(tj.c) * gamma / sigma ** power
     value = complex(total * density_const / 2.0 ** alpha)
     return float(value.real)
 
 
 def mu_alpha_norm(weight: Weight, f: HalfLineFunction) -> float:
     """||f||^2 in L^2(dmu_alpha), in closed form."""
-    return weighted_norm_squared(f, weight.alpha,
-                                 math.gamma(1.0 + weight.alpha))
+    gamma = _gamma(1.0 + weight.alpha,
+                   lambda: f"the weight alpha = {weight.alpha:g}")
+    return weighted_norm_squared(f, weight.alpha, gamma)
 
 
 def mu_alpha_density(weight: Weight, t) -> float:
@@ -197,8 +218,8 @@ def isometry_check(weight: Weight | Sequence[Weight], f: HalfLineFunction,
     rhs_values = [mu_alpha_norm(w, f) for w in weights]
     scheme = scheme or default_scheme()
     with np.errstate(invalid="ignore", over="ignore"):
-        transformed = laplace_eval(f, scheme.z)
-        density = transformed * np.conj(transformed)
+        density = laplace_eval(f, scheme.z)
+        density *= density.conj()
 
     results = []
     for w, rhs in zip(weights, rhs_values):

@@ -330,6 +330,53 @@ class TestOtherCommands:
         assert code == 0
         assert data["rows"][0]["rhs"] == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("descr,message", [
+        ('[{"c": [1, 0]}]', "mode 0 must be"),
+        ("[[1, 2, 3]]", "mode 0 must be"),
+        ('[{"c": 1, "beta": 1, "s": [1, 0]}]', "mode 0 must be"),
+        ('[{"c": [1, 0], "beta": 1, "s": [1, 0]}, '
+         '{"c": [1, 0], "beta": "1", "s": [1, 0]}]', "mode 1 must be"),
+        ('[{"c": [1, 0], "beta": NaN, "s": [1, 0]}]', "mode 0 must be"),
+        ('[{"c": [1, 0], "beta": 1, "s": [1, 0], "x": 0}]', "mode 0 must be"),
+        ('[{"c": [1, 0], "beta": 1' + "0" * 400 + ', "s": [1, 0]}]',
+         "mode 0 must be"),
+        ("{}", "must be a JSON list of modes"),
+        ("[{", "--f-json is not JSON"),
+    ], ids=["missing-keys", "list-mode", "scalar-c", "string-beta", "nan-beta",
+            "huge-int-beta", "extra-key", "object", "not-json"])
+    def test_laplace_malformed_json_descriptor(self, tmp_path, capsys, descr,
+                                               message):
+        out = tmp_path / "out.json"
+        assert main(["laplace", "--f-json", descr, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --f-json ") and message in err
+        assert not out.exists()
+
+    def test_laplace_empty_json_descriptor_is_the_zero_function(self,
+                                                                tmp_path):
+        code, data = run_json(tmp_path, ["laplace", "--f-json", "[]"])
+        assert code == 0
+        row = data["rows"][0]
+        assert row["f"] == [] and row["rhs"] == 0.0 and row["gap"] == 0.0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--f", "t^400*exp(-t)"],
+         "Gamma(800) of mode 0 (1+0j)*t^400*exp(-(1+0j)*t) overflows"),
+        (["--f", "t*exp(-t)+t^300*exp(-2*t)"],
+         "Gamma(301) of modes 0 (1+0j)*t^1*exp(-(1+0j)*t) and "
+         "1 (1+0j)*t^300*exp(-(2+0j)*t) overflows"),
+        (["--f", "t^171*exp(-t)", "--alpha", "170.5"],
+         "Gamma(172) of mode 0 (1+0j)*t^171*exp(-(1+0j)*t) overflows"),
+        (["--f", "t^172*exp(-t)", "--alpha", "200"],
+         "Gamma(201) of the weight alpha = 200 overflows"),
+    ], ids=["norm-mode", "norm-pair", "transform-mode", "weight"])
+    def test_laplace_gamma_overflow_names_its_source(self, tmp_path, capsys,
+                                                     argv, message):
+        out = tmp_path / "out.json"
+        assert main(["laplace", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("scheme", ["default", "doubled"])
     def test_laplace_alphas_match_separate_runs(self, tmp_path, scheme):
         # One op evaluates L f once for all of its alphas; each row must be

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergkit.kernels import (Weight, bergman_kernel, defect_kernel,
-                             defect_kernel_matrix, factorization_residual,
-                             gram_matrix, kernel_function, nevanlinna_kernel,
-                             psd_check)
+from bergkit.kernels import (Weight, _shifted_power, bergman_kernel,
+                             defect_kernel, defect_kernel_matrix,
+                             factorization_residual, gram_matrix,
+                             kernel_function, nevanlinna_kernel, psd_check)
+from bergkit.laplace import HalfLineFunction, laplace_eval
 from bergkit.linalg import HERMITIAN_RTOL
+from bergkit.space import default_scheme
 from bergkit.symbols import (DEFAULT_GRID, Affine, Compose, SampleGrid,
                              identity)
 
@@ -64,6 +66,78 @@ class TestBergmanKernel:
         a = bergman_kernel(w, omega, z)
         b = bergman_kernel(w, z, omega)
         assert abs(a - np.conj(b)) <= SYMMETRY_RTOL * max(abs(a), 1e-300)
+
+
+def shifted_power_inputs(shape):
+    """(shift, z) pairs in the three forms bergkit passes: Python scalars,
+    0-d arrays, and a column of shifts against a row of points.  The base
+    has positive real part, as every base in bergkit does."""
+    shift = st.complex_numbers(max_magnitude=10, allow_nan=False,
+                               allow_infinity=False).filter(
+                                   lambda s: s.real >= 0)
+    point = st.builds(complex, st.floats(1e-3, 100), st.floats(-100, 100))
+    if shape == "scalar":
+        return st.tuples(shift, point)
+    if shape == "0-d":
+        return st.tuples(shift, point).map(
+            lambda t: tuple(map(np.asarray, t)))
+    return st.tuples(
+        st.lists(shift, min_size=1, max_size=4),
+        st.lists(point, min_size=1, max_size=4)).map(
+            lambda t: (np.array(t[0])[:, None], np.array(t[1])[None, :]))
+
+
+SHAPES = ["scalar", "0-d", "broadcast"]
+
+
+class TestShiftedPower:
+    """``_shifted_power`` against ``(shift + z) ** p`` in numpy's own
+    arithmetic: ``np.add`` of the inputs, then ``**``."""
+
+    @staticmethod
+    def reference(shift, z, p):
+        return np.asarray(np.add(shift, z) ** p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(SHAPES),
+           st.floats(-12, 12).filter(lambda p: not p.is_integer()))
+    def test_non_integral_power_within_four_ulp(self, data, shape, p):
+        shift, z = data.draw(shifted_power_inputs(shape))
+        got = _shifted_power(shift, z, p)
+        ref = self.reference(shift, z, p)
+        assert got.shape == ref.shape and got.dtype == complex
+        ulp = np.spacing(np.abs(ref))
+        assert np.all(np.abs(got.real - ref.real) <= 4 * ulp)
+        assert np.all(np.abs(got.imag - ref.imag) <= 4 * ulp)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(SHAPES),
+           st.integers(-12, 12).map(float) | st.just(0.5))
+    def test_integral_and_square_root_powers_are_bit_equal(self, data, shape,
+                                                           p):
+        shift, z = data.draw(shifted_power_inputs(shape))
+        got = _shifted_power(shift, z, p)
+        assert got.tobytes() == self.reference(shift, z, p).tobytes()
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 0.5])
+    def test_result_is_a_fresh_array(self, p):
+        shift = np.array([[1.0 + 1j], [2.0]])
+        z = np.array([[1.0, 2.0 - 1j]])
+        kept = shift.copy(), z.copy()
+        result = _shifted_power(shift, z, p)
+        assert not np.shares_memory(result, shift)
+        assert not np.shares_memory(result, z)
+        result[...] = 0
+        assert np.array_equal(shift, kept[0]) and np.array_equal(z, kept[1])
+
+    def test_laplace_eval_leaves_scheme_nodes_alone(self):
+        scheme = default_scheme()
+        before = scheme.z.copy()
+        f = HalfLineFunction.build([(1.0, 0.5, 1.0), (2j, 3.0, 0.5 + 1j)])
+        values = laplace_eval(f, scheme.z)
+        assert not np.shares_memory(values, scheme.z)
+        assert not scheme.z.flags.writeable
+        assert scheme.z.tobytes() == before.tobytes()
 
 
 class TestGramMatrix:

@@ -1,0 +1,200 @@
+"""Write a BENCH_<name>.json snapshot of bergkit's end-to-end speed.
+
+    python3 tools/bench_snapshot.py --name 11
+    python3 tools/bench_snapshot.py --name 10 --root ../parent-checkout
+    python3 tools/bench_snapshot.py --diff BENCH_10.json BENCH_11.json
+
+A snapshot measures the checkout at ``--root`` (by default the one holding
+this file) and records:
+
+- each workload's end-to-end metrics from ``bergbench/run.py``, run
+  unchanged 3 times each at seed 7 for the ``run_seconds`` that
+  ``BENCHMARK.json`` sets: every value, the median and quartiles, and the
+  run's digest and correctness;
+- the median of 5 cold ``import bergkit`` runs, each timed inside a
+  fresh interpreter;
+- the wall time of 3 ``bergkit report --seed 0`` runs, interpreter start
+  included;
+- the git SHA (and whether the tree had uncommitted changes), a digest of
+  the ``src/`` files measured, the Python and numpy versions, the machine,
+  and the median time of bergbench's host probe, so that snapshots from
+  different hosts or host moods can be told apart.
+
+This script uses the standard library only; bergkit and numpy run in child
+processes, with one BLAS thread, as bergbench pins them.  ``--diff``
+prints old -> new for every metric two snapshots share.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+WORKLOADS = ("norm_sweep", "psd_trials", "quadrature")
+SINGLE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+PROBE_SAMPLES = 201
+SEED = 7
+RUNS = 3
+IMPORT_RUNS = 5
+REPORT_RUNS = 3
+
+
+def child_env(root: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.update({var: "1" for var in SINGLE_THREAD})
+    # Stale bytecode that may not be rewritten is compiled again in every
+    # process: that cost 1.3 MB of peak RSS and showed in setup_s.
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def python(root: Path, code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on ``root``."""
+    return subprocess.run([sys.executable, "-c", code], cwd=root,
+                          env=child_env(root), check=True, text=True,
+                          capture_output=True).stdout
+
+
+def summary(values: list) -> dict:
+    """Median and quartiles (inclusive method) of ``values``, with the
+    values themselves."""
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def run_workload(root: Path, workload: str, seconds: float) -> dict:
+    results, digests = [], set()
+    for _ in range(RUNS):
+        done = subprocess.run(
+            [sys.executable, "bergbench/run.py", "--workload", workload,
+             "--seed", str(SEED), "--seconds", str(seconds)],
+            cwd=root, env=child_env(root), check=True, text=True,
+            capture_output=True)
+        lines = done.stdout.strip().splitlines()
+        digests.add(lines[-2].removeprefix("digest "))
+        results.append(json.loads(lines[-1]))
+    metrics = {}
+    for name, entry in results[0]["metrics"].items():
+        metrics[name] = {"unit": entry["unit"], **summary(
+            [result["metrics"][name]["value"] for result in results])}
+    return {"seed": SEED, "seconds": seconds, "runs": RUNS,
+            "correct": all(result["correct"] for result in results),
+            "failed": sum(result["failed"] for result in results),
+            "digest": digests.pop() if len(digests) == 1 else sorted(digests),
+            "metrics": metrics}
+
+
+def import_seconds(root: Path, count: int) -> dict:
+    code = ("import time; start = time.perf_counter(); import bergkit; "
+            "print(time.perf_counter() - start)")
+    return {"unit": "s", **summary(
+        [float(python(root, code)) for _ in range(count)])}
+
+
+def report_seconds(root: Path, count: int) -> dict:
+    values = []
+    with tempfile.TemporaryDirectory() as workdir:
+        command = [sys.executable, "-m", "bergkit.cli", "report", "--seed",
+                   "0", "--out", str(Path(workdir) / "report.json")]
+        for _ in range(count):
+            start = time.perf_counter()
+            subprocess.run(command, cwd=root, env=child_env(root), check=True,
+                           capture_output=True)
+            values.append(time.perf_counter() - start)
+    return {"unit": "s", **summary(values)}
+
+
+def host(root: Path) -> dict:
+    code = ("import statistics, sys; sys.path.insert(0, 'bergbench'); "
+            "import numpy, run; run.host_probe(); "
+            f"times = [run.host_probe() for _ in range({PROBE_SAMPLES})]; "
+            "print(numpy.__version__, statistics.median(times))")
+    numpy_version, probe = python(root, code).split()
+    git = ["git", "-C", str(root)]
+    sha = subprocess.run(git + ["rev-parse", "HEAD"], check=True, text=True,
+                         capture_output=True).stdout.strip()
+    dirty = subprocess.run(git + ["status", "--porcelain"], check=True,
+                           text=True, capture_output=True).stdout.strip()
+    sources = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        sources.update(path.relative_to(root).as_posix().encode() + b"\0")
+        sources.update(path.read_bytes())
+    return {"git_sha": sha, "git_uncommitted_changes": bool(dirty),
+            "src_sha256": sources.hexdigest(),
+            "python": platform.python_version(), "numpy": numpy_version,
+            "machine": platform.machine(), "cpus": os.cpu_count(),
+            "host_probe_ms": float(probe) * 1e3}
+
+
+def snapshot(root: Path, name: str) -> dict:
+    root = root.resolve()
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    data = {"name": name, "host": host(root), "workloads": {}}
+    for workload in WORKLOADS:
+        data["workloads"][workload] = run_workload(root, workload, seconds)
+    data["import_bergkit_s"] = import_seconds(root, IMPORT_RUNS)
+    data["report_seed0_s"] = report_seconds(root, REPORT_RUNS)
+    return data
+
+
+def flatten(data: dict) -> dict:
+    """Metric name -> (median, unit) for the timed entries of a snapshot."""
+    flat = {f"{workload}.{name}": (entry["median"], entry["unit"])
+            for workload, block in data["workloads"].items()
+            for name, entry in block["metrics"].items()}
+    for key in ("import_bergkit_s", "report_seed0_s"):
+        flat[key] = (data[key]["median"], data[key]["unit"])
+    flat["host_probe_ms"] = (data["host"]["host_probe_ms"], "ms")
+    return flat
+
+
+def diff(old: dict, new: dict) -> list:
+    """One line per metric both snapshots hold: old -> new medians."""
+    before, after = flatten(old), flatten(new)
+    lines = [f"{old['name']} -> {new['name']}"]
+    for key in before.keys() & after.keys():
+        (a, unit), (b, _) = before[key], after[key]
+        ratio = f"{b / a:.3f}x" if a else "n/a"
+        lines.append(f"{key}: {a:.4g} -> {b:.4g} {unit} ({ratio})")
+    return [lines[0]] + sorted(lines[1:])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--name", help="snapshot name: writes BENCH_<name>.json")
+    parser.add_argument("--root", type=Path,
+                        default=Path(__file__).resolve().parent.parent,
+                        help="checkout to measure")
+    parser.add_argument("--out", type=Path,
+                        help="output file (default: BENCH_<name>.json in --root)")
+    parser.add_argument("--diff", nargs=2, type=Path, metavar=("OLD", "NEW"))
+    args = parser.parse_args(argv)
+    if args.diff:
+        old, new = (json.loads(path.read_text()) for path in args.diff)
+        print("\n".join(diff(old, new)))
+        return 0
+    if not args.name:
+        parser.error("--name is required to write a snapshot")
+    out = args.out or args.root / f"BENCH_{args.name}.json"
+    text = json.dumps(snapshot(args.root, args.name), indent=2,
+                      sort_keys=True) + "\n"
+    out.write_text(text)
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
