@@ -313,12 +313,12 @@ def _emit(payload: dict, args) -> None:
 
 def _rows_to_csv(rows: list[dict]) -> str:
     """The rows as a table whose columns are their scalar fields in row
-    order.  ``symbol_text`` is written as ``symbol``; dict and list fields,
-    and the per-row ``seed`` the payload already carries, are left out."""
+    order.  ``symbol_text`` is written as ``symbol``; dict and list fields
+    are left out."""
     if not rows:
         return ""
     columns = [key for key, val in rows[0].items()
-               if not isinstance(val, (dict, list)) and key != "seed"]
+               if not isinstance(val, (dict, list))]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["symbol" if key == "symbol_text" else key
@@ -346,6 +346,9 @@ def _validated_symbols(texts, grid: SampleGrid):
 
 
 def _cmd_norm(args) -> int:
+    """One row per (symbol, alpha) cell, each number in it once: the
+    angular and spectral values sit in the row, and ``estimates`` keeps
+    only what the row does not restate (traces, lambda and its source)."""
     alphas = args.alpha or [0.0]
     reports = iter(boundedness_verdict([Weight(alpha) for alpha in alphas],
                                        [sym for _, sym in args.symbols],
@@ -354,39 +357,44 @@ def _cmd_norm(args) -> int:
     for text, sym in args.symbols:
         for alpha in alphas:
             rep = next(reports)
-            row = {
+            bounded = rep.verdict == "BOUNDED"
+            angular = rep.angular.to_dict()
+            lambda_hat = angular.pop("lambda_hat")
+            spectral = rep.spectral_radius.to_dict() if bounded else None
+            rho = spectral.pop("value") if bounded else None
+            gram = rep.gram.value if bounded else None
+            rows.append({
                 "symbol": sym.to_dict(),
                 "symbol_text": text,
                 "alpha": alpha,
-                "seed": args.seed,
                 "verdict": rep.verdict,
-                "lambda_hat": rep.angular.to_dict()["lambda_hat"],
+                "lambda_hat": lambda_hat,
                 "theoretical": rep.theoretical,
-                "kernel_ratio": None,
-                "gram_eig": None,
-                "spectral_radius": None,
+                "kernel_ratio": rep.kernel_ratio,
+                "gram_eig": gram,
+                "spectral_radius": rho,
                 "essential_lower_bound": rep.essential_lower_bound,
-                "rel_gap_kernel": None,
-                "rel_gap_gram": None,
-                "estimates": rep.to_dict(),
-            }
-            if rep.verdict == "BOUNDED":
-                kr = rep.kernel_ratio.value
-                ge = rep.gram.value
-                rho = rep.spectral_radius.value
-                row.update({
-                    "kernel_ratio": kr,
-                    "gram_eig": ge,
-                    # JSON has no inf: null, as in the estimate's own to_dict
-                    "spectral_radius": rho if math.isfinite(rho) else None,
-                    "rel_gap_kernel": abs(kr - rep.theoretical) / rep.theoretical,
-                    "rel_gap_gram": abs(ge - rep.theoretical) / rep.theoretical,
-                })
-            rows.append(row)
+                "rel_gap_kernel": _rel_gap(rep.kernel_ratio, rep.theoretical),
+                "rel_gap_gram": _rel_gap(gram, rep.theoretical),
+                "estimates": {
+                    "angular": angular,
+                    "lambda_used": rep.lambda_used,
+                    "lambda_source": rep.lambda_source,
+                    "gram_eig": {
+                        "points_used": rep.gram.points_used,
+                        "trace": [list(item) for item in rep.gram.trace],
+                    } if bounded else None,
+                    "spectral_radius": spectral,
+                },
+            })
     _emit({"grid": args.grid.to_dict(), "rows": rows}, args)
     if args.require_bounded and any(r["verdict"] != "BOUNDED" for r in rows):
         return EXIT_UNBOUNDED
     return EXIT_OK
+
+
+def _rel_gap(bound, exact):
+    return None if bound is None else abs(bound - exact) / exact
 
 
 def _kernel_builder(args):

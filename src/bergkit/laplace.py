@@ -139,7 +139,9 @@ def weighted_norm_squared(f: HalfLineFunction, alpha: float,
 
     Every cross term reduces to Gamma(b_i + b_j - alpha) /
     (s_i + conj s_j)^(b_i + b_j - alpha); integrability at the origin
-    requires beta > alpha/2 for each mode.
+    requires beta > alpha/2 for each mode.  A sum that leaves the float
+    range raises OverflowError naming the pair of modes, or the weight,
+    at which it did.
     """
     for term in f.terms:
         if not 2.0 * term.beta - alpha > 0.0:
@@ -147,13 +149,20 @@ def weighted_norm_squared(f: HalfLineFunction, alpha: float,
                 f"t^{term.beta:g} mode is not square-integrable against the "
                 f"weight (needs beta > alpha/2 = {alpha / 2:g})")
     total = 0j
-    for i, ti in enumerate(f.terms):
-        for j, tj in enumerate(f.terms):
-            power = ti.beta + tj.beta - alpha
-            sigma = ti.s + np.conj(tj.s)
-            gamma = _gamma(power, lambda: _modes_text(f, i, j))
-            total += ti.c * np.conj(tj.c) * gamma / sigma ** power
-    value = complex(total * density_const / 2.0 ** alpha)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i, ti in enumerate(f.terms):
+            for j, tj in enumerate(f.terms):
+                power = ti.beta + tj.beta - alpha
+                sigma = ti.s + np.conj(tj.s)
+                gamma = _gamma(power, lambda: _modes_text(f, i, j))
+                total += ti.c * np.conj(tj.c) * gamma / sigma ** power
+                if not np.isfinite(total):
+                    raise OverflowError("the norm closed form of "
+                                        f"{_modes_text(f, i, j)} overflows")
+        value = complex(total * density_const / 2.0 ** alpha)
+    if not math.isfinite(value.real):
+        raise OverflowError("the norm closed form of f for the weight "
+                            f"alpha = {alpha:g} overflows")
     return float(value.real)
 
 

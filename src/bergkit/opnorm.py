@@ -52,25 +52,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A certified lower bound (or the exact formula value) for the norm."""
+    """The Gram lower bound for the norm, with its trace on nested prefixes
+    of the point list and the pivots kept on the full list."""
 
-    method: str  # kernel_ratio | gram_eig | theoretical
     value: float
     points_used: int
     trace: tuple
-    lambda_used: Optional[float] = None
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    def to_dict(self) -> dict:
-        return {"method": self.method,
-                "value": None if not self.finite else self.value,
-                "finite": self.finite,
-                "points_used": self.points_used,
-                "trace": [list(item) for item in self.trace],
-                "lambda_used": self.lambda_used}
 
 
 def norm_theoretical(weight: Weight, lam: float) -> float:
@@ -81,18 +68,17 @@ def norm_theoretical(weight: Weight, lam: float) -> float:
 
 
 def kernel_ratio_bound(weight: Weight,
-                       est: AngularDerivativeEstimate) -> NormEstimate:
+                       est: AngularDerivativeEstimate) -> float:
     """Lower bound sup_grid (Re z / Re phi(z))^((2+alpha)/2) for the norm,
     read off the angular estimate ``est`` of phi on its grid.
 
     Each grid point gives the exact value of ||C* k_z|| / ||k_z||, so the
-    supremum is always a certified lower bound; it is flagged infinite when
-    the ratio trace satisfies the divergence rule (unbounded operator).
+    supremum is always a certified lower bound; it is inf when the ratio
+    trace satisfies the divergence rule (unbounded operator).
     """
-    he = weight.half_exponent
-    trace = tuple((r, v ** he) for r, v in est.trace)
-    value = math.inf if est.verdict == "divergent" else est.sup_ratio ** he
-    return NormEstimate("kernel_ratio", value, est.grid.size, trace)
+    if est.verdict == "divergent":
+        return math.inf
+    return est.sup_ratio ** weight.half_exponent
 
 
 def _prefix_sizes(count: int) -> list:
@@ -151,8 +137,7 @@ def _gram_estimates(pts: np.ndarray, weights: Sequence[Weight],
         for row, kept in zip(per_symbol, kept_counts):
             trace = tuple((size, math.sqrt(max(float(m), 0.0)))
                           for size, m in zip(sizes, row))
-            estimates.append(NormEstimate("gram_eig", trace[-1][1], kept,
-                                          trace))
+            estimates.append(NormEstimate(trace[-1][1], kept, trace))
     return estimates
 
 
@@ -206,7 +191,6 @@ class SpectralRadiusEstimate:
 
     def to_dict(self) -> dict:
         return {"value": None if not math.isfinite(self.value) else self.value,
-                "finite": math.isfinite(self.value),
                 "per_iterate": [[n, None if not math.isfinite(v) else v]
                                 for n, v in self.per_iterate]}
 
@@ -271,23 +255,10 @@ class BoundednessReport:
     lambda_used: Optional[float] = None
     lambda_source: Optional[str] = None
     theoretical: Optional[float] = None
-    kernel_ratio: Optional[NormEstimate] = None
+    kernel_ratio: Optional[float] = None
     gram: Optional[NormEstimate] = None
     spectral_radius: Optional[SpectralRadiusEstimate] = None
     essential_lower_bound: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "angular": self.angular.to_dict(),
-            "lambda_used": self.lambda_used,
-            "lambda_source": self.lambda_source,
-            "theoretical": self.theoretical,
-            "kernel_ratio": None if self.kernel_ratio is None else self.kernel_ratio.to_dict(),
-            "gram_eig": None if self.gram is None else self.gram.to_dict(),
-            "spectral_radius": None if self.spectral_radius is None else self.spectral_radius.to_dict(),
-            "essential_lower_bound": self.essential_lower_bound,
-        }
 
 
 def default_gram_points(grid: SampleGrid) -> np.ndarray:

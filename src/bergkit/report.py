@@ -67,7 +67,7 @@ def _criterion_1(seed: int) -> CriterionResult:
         for alpha in ALPHAS:
             w = Weight(alpha)
             theo = norm_theoretical(w, lam)
-            for value in (kernel_ratio_bound(w, est).value,
+            for value in (kernel_ratio_bound(w, est),
                           gram_norm_estimate(w, phi, gram_points).value):
                 lowest = min(lowest, value / theo)
                 overshoot = max(overshoot, value / theo - 1.0)

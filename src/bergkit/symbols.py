@@ -488,7 +488,6 @@ class AngularDerivativeEstimate:
     def to_dict(self) -> dict:
         return {
             "lambda_hat": None if math.isinf(self.lambda_hat) else self.lambda_hat,
-            "finite": not math.isinf(self.lambda_hat),
             "sup_ratio": self.sup_ratio,
             "verdict": self.verdict,
             "trace": [[r, v] for r, v in self.trace],

@@ -16,6 +16,7 @@ from bergkit.kernels import nevanlinna_kernel, psd_check
 from bergkit.laplace import HalfLineFunction
 from bergkit.symbols import (Affine, CayleyMap, Compose, Moebius, PowerMap,
                              SampleGrid, symbol_from_dict)
+from test_opnorm import _SYMBOLS
 
 
 class TestParseSymbol:
@@ -73,6 +74,12 @@ class TestParseHalfline:
     def test_rejects_garbage(self):
         with pytest.raises(CliError):
             parse_halfline("sin(t)")
+
+
+NORM_ROW_KEYS = {"symbol", "symbol_text", "alpha", "verdict", "lambda_hat",
+                 "theoretical", "kernel_ratio", "gram_eig", "spectral_radius",
+                 "essential_lower_bound", "rel_gap_kernel", "rel_gap_gram",
+                 "estimates"}
 
 
 def run_json(tmp_path, args):
@@ -189,17 +196,55 @@ class TestNormCommand:
         assert row["verdict"] == "BOUNDED"
         theoretical = row["theoretical"]
         assert theoretical == pytest.approx(8.0 ** 2.26)
+        assert row["spectral_radius"] is not None
         assert 0.9 * theoretical <= row["spectral_radius"]
         assert row["spectral_radius"] <= theoretical * (1 + 1e-6)
         estimate = row["estimates"]["spectral_radius"]
-        assert estimate["finite"] is True
         assert len(estimate["per_iterate"]) == 6
         for _, value in estimate["per_iterate"]:
             assert value is not None and value <= theoretical * (1 + 1e-6)
 
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_SYMBOLS, min_size=1, max_size=4),
+           st.lists(st.floats(0.0, 6.0), min_size=1, max_size=2))
+    def test_each_number_once(self, tmp_path, phis, alphas):
+        # A row's numbers are not restated under `estimates`, and each one
+        # it leaves out comes back bit for bit from the traces kept there
+        argv = ["norm"]
+        for phi in phis:
+            argv += ["--symbol", "json:" + json.dumps(phi.to_dict())]
+        for alpha in alphas:
+            argv += ["--alpha", repr(alpha)]
+        code, data = run_json(tmp_path, argv)
+        assert code == 0
+        for row in data["rows"]:
+            assert row.keys() == NORM_ROW_KEYS
+            estimates = row["estimates"]
+            assert estimates.keys() == {"angular", "lambda_used",
+                                        "lambda_source", "gram_eig",
+                                        "spectral_radius"}
+            assert estimates["angular"].keys() == {
+                "sup_ratio", "verdict", "trace", "known_lambda",
+                "rel_error_vs_known"}
+            if row["verdict"] != "BOUNDED":
+                assert estimates["gram_eig"] is None
+                assert estimates["spectral_radius"] is None
+                assert row["kernel_ratio"] is None
+                continue
+            he = (2.0 + row["alpha"]) / 2.0
+            ratios = [v for _, v in estimates["angular"]["trace"]]
+            gram = estimates["gram_eig"]
+            per_iterate = estimates["spectral_radius"]["per_iterate"]
+            assert gram.keys() == {"points_used", "trace"}
+            assert estimates["spectral_radius"].keys() == {"per_iterate"}
+            assert row["kernel_ratio"] == max(ratios) ** he
+            assert row["gram_eig"] == gram["trace"][-1][1]
+            assert row["spectral_radius"] == per_iterate[-1][1]
+
     def test_cells_match_one_cell_runs(self, tmp_path):
         # one run over 3 symbols x 2 alphas gives the rows of the six
-        # one-cell runs, in symbol-major order, each with the run's seed
+        # one-cell runs, in symbol-major order
         symbols = ["affine:2,1", "power:0.5", "cayley:2.0,1.0,0,3.0"]
         alphas = ["0.3", "2.7"]
         argv = ["norm", "--seed", "9"]
@@ -365,8 +410,8 @@ class TestOtherCommands:
         (["--f", "t*exp(-t)+t^300*exp(-2*t)"],
          "Gamma(301) of modes 0 (1+0j)*t^1*exp(-(1+0j)*t) and "
          "1 (1+0j)*t^300*exp(-(2+0j)*t) overflows"),
-        (["--f", "t^171*exp(-t)", "--alpha", "170.5"],
-         "Gamma(172) of mode 0 (1+0j)*t^171*exp(-(1+0j)*t) overflows"),
+        (["--f", "1e-150*t^171*exp(-t)", "--alpha", "170.5"],
+         "Gamma(172) of mode 0 (1e-150+0j)*t^171*exp(-(1+0j)*t) overflows"),
         (["--f", "t^172*exp(-t)", "--alpha", "200"],
          "Gamma(201) of the weight alpha = 200 overflows"),
     ], ids=["norm-mode", "norm-pair", "transform-mode", "weight"])
@@ -375,6 +420,22 @@ class TestOtherCommands:
         out = tmp_path / "out.json"
         assert main(["laplace", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        # (2e-8)^100 underflows to 0, so the norm term 1 / 0 is not finite
+        (["--f", "t^50*exp(-1e-8*t)"],
+         "mode 0 (1+0j)*t^50*exp(-(1e-08+0j)*t)"),
+        # ||f||^2 = Gamma(171.5) Gamma(171.5) / 2^342 is past 1.8e308
+        (["--f", "t^171*exp(-t)", "--alpha", "170.5"],
+         "f for the weight alpha = 170.5"),
+    ], ids=["mode", "weight"])
+    def test_laplace_norm_overflow_names_its_source(self, tmp_path, capsys,
+                                                    argv, message):
+        out = tmp_path / "out.json"
+        assert main(["laplace", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the norm closed form of {message} overflows\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["default", "doubled"])
@@ -444,8 +505,7 @@ class TestCsvOutput:
         for row, written in zip(data["rows"], table):
             scalars = {("symbol" if key == "symbol_text" else key): value
                        for key, value in row.items()
-                       if not isinstance(value, (dict, list))
-                       and key != "seed"}
+                       if not isinstance(value, (dict, list))}
             assert set(written) == set(scalars)
             for key, value in scalars.items():
                 assert written[key] == csv_text(value), key

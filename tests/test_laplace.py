@@ -164,13 +164,37 @@ class TestIsometryOverWeights:
         assert results[0].lhs_closed_form is None
         assert isometry_check(weights[:1], f) == results[:1]
 
-    # the closed-form side overflows too (a RuntimeWarning), to inf
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_integrand_raises(self):
-        f = halfline((1e200, 1.0, 1.0))  # |L f|^2 overflows near z = 0
+        # |L f|^2 overflows near z = 0, while ||f||^2 stays finite at both
+        # alphas (2.5e307 and 2.5e303)
+        f = halfline((1e150, 1.0, 1e-4))
         for weight in (Weight(0.0), [Weight(0.0), Weight(1.0)]):
             with pytest.raises(ValueError, match="not finite at a quadrature node"):
                 isometry_check(weight, f)
+
+    @pytest.mark.parametrize("terms,modes", [
+        ([(1e200, 1.0, 1.0)], "mode 0 (1e+200+0j)*t^1*exp(-(1+0j)*t)"),
+        ([(1, 1.0, 1e-60), (1e200, 1.0, 1e-100)],
+         "modes 0 (1+0j)*t^1*exp(-(1e-60+0j)*t) and "
+         "1 (1e+200+0j)*t^1*exp(-(1e-100+0j)*t)"),
+    ], ids=["coefficient", "pair"])
+    def test_closed_form_overflow_names_its_modes(self, terms, modes):
+        # |c|^2 overflows, or the cross term 1e200 / 1e-120 does before
+        # the second mode's own term: the first pair whose term leaves the
+        # float range is named
+        f = halfline(*terms)
+        for weight in (Weight(0.0), [Weight(0.0), Weight(1.0)]):
+            with pytest.raises(OverflowError) as info:
+                isometry_check(weight, f)
+            assert str(info.value) == f"the norm closed form of {modes} overflows"
+
+    def test_closed_form_overflow_names_the_weight(self):
+        # every term is finite; Gamma(11) / 2^10 carries the sum past 1.8e308
+        f = halfline((1e153, 5.5, 1.0))
+        assert math.isfinite(weighted_norm_squared(f, 10.0, 1.0))
+        with pytest.raises(OverflowError, match="^the norm closed form of f "
+                           "for the weight alpha = 10 overflows$"):
+            mu_alpha_norm(Weight(10.0), f)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000),
