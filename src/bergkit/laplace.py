@@ -19,7 +19,10 @@ numerical inverse transform.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -114,20 +117,106 @@ def _gamma(x: float, source: Callable[[], str]) -> float:
         raise OverflowError(f"Gamma({x:g}) of {source()} overflows") from None
 
 
+# A grid is split into row blocks, one per usable CPU, only while every
+# block keeps at least this many entries; smaller arrays start no thread.
+_BLOCK_ENTRIES = 2 ** 14
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sum_modes(modes, z, total) -> None:
+    """Adds ``coeff / (shift + z) ** p`` of every mode ``(coeff, shift, p)``
+    to ``total``, in mode order.
+
+    Entries whose sum is not finite are summed again, mode by mode in the
+    same order, with each power that is not finite taken in log space:
+    the transform may be representable where ``(shift + z) ** p`` is not.
+    """
+    for coeff, shift, p in modes:
+        mode = _shifted_power(shift, z, p)
+        np.divide(coeff, mode, out=mode)
+        total += mode
+    bad = ~np.isfinite(total)
+    if not bad.any():
+        return
+    z = z[bad]
+    redone = np.zeros(z.shape, dtype=complex)
+    for coeff, shift, p in modes:
+        mode = _shifted_power(shift, z, p)
+        huge = ~np.isfinite(mode)
+        np.divide(coeff, mode, out=mode, where=~huge)
+        # a plain 0 is wrong where coeff is near the float limit
+        mode[huge] = 0 if coeff == 0 else np.exp(
+            np.log(coeff) - p * np.log(shift + z[huge]))
+        redone += mode
+    total[bad] = redone
+
+
+def _run_blocks(work: Callable, blocks: list) -> None:
+    """``work(*block)`` for every block: the first on the calling thread,
+    each other on a thread of its own that runs in a copy of the caller's
+    context, so numpy's ``errstate`` holds there too.  Every thread is
+    joined before this returns; an error a block raised is raised here,
+    the lowest block's first."""
+    errors = [None] * len(blocks)
+
+    def guarded(index, *args):
+        try:
+            work(*args)
+        except BaseException as exc:  # raised again on the calling thread
+            errors[index] = exc
+
+    threads = []
+    try:
+        for index, block in enumerate(blocks[1:], start=1):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(guarded, index, *block))
+            thread.start()
+            threads.append(thread)
+        work(*blocks[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def laplace_eval(f: HalfLineFunction, z):
     """Closed-form Laplace transform of f at half-plane points: a complex
     for a scalar ``z``, else a new array of ``z``'s shape.  ``z`` itself
-    is not written to."""
+    is not written to.
+
+    A large ``z`` is split into row blocks, one per usable CPU while each
+    block keeps at least 2**14 entries; numpy releases the GIL in the
+    per-entry ``log``/``exp`` calls.  Every entry goes through the same
+    operations in the same order as on one thread, so the result is the
+    same to the bit.  A power ``(s + z) ** (1 + beta)`` past the float
+    range is taken in log space.
+    """
     z = require_half_plane(z)
-    total = np.zeros(z.shape, dtype=complex)
+    modes = []
     for index, term in enumerate(f.terms):
         if term.beta <= -1.0:
             raise ValueError(
                 f"transform of t^{term.beta:g} diverges at the origin")
         gamma = _gamma(1.0 + term.beta, lambda: _modes_text(f, index))
-        mode = _shifted_power(term.s, z, 1.0 + term.beta)
-        np.divide(term.c * gamma, mode, out=mode)
-        total += mode
+        modes.append((term.c * gamma, term.s, 1.0 + term.beta))
+    total = np.zeros(z.shape, dtype=complex)
+    count = min(_usable_cpus(), z.size // _BLOCK_ENTRIES,
+                len(z) if z.ndim else 1)
+    if count > 1:
+        blocks = [(modes, rows, out) for rows, out in
+                  zip(np.array_split(z, count), np.array_split(total, count))]
+    else:
+        blocks = [(modes, z, total)]
+    _run_blocks(_sum_modes, blocks)
     if total.ndim == 0:
         return complex(total)
     return total

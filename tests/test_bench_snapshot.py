@@ -60,3 +60,16 @@ def test_workloads_run_as_long_as_the_benchmark_sets(monkeypatch):
                         lambda root, workload, s: calls.append((workload, s)))
     bench_snapshot.snapshot(root, "x")
     assert calls == [(name, seconds) for name in bench_snapshot.WORKLOADS]
+
+
+def test_host_outside_a_git_work_tree(monkeypatch, tmp_path):
+    # a git archive export: no SHA to record, but the snapshot goes on
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    monkeypatch.setattr(bench_snapshot, "python",
+                        lambda root, code: "2.4.6 0.002\n")
+    data = bench_snapshot.host(tmp_path)
+    assert data["git_sha"] is None
+    assert data["git_uncommitted_changes"] is None
+    assert data["host_probe_ms"] == 2.0
+    assert 1 <= data["usable_cpus"] <= data["cpus"]

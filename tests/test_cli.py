@@ -404,6 +404,15 @@ class TestOtherCommands:
         row = data["rows"][0]
         assert row["f"] == [] and row["rhs"] == 0.0 and row["gap"] == 0.0
 
+    def test_laplace_transform_past_the_float_range_is_zero(self, tmp_path,
+                                                            capsys):
+        # (1e8 + z)^51 overflows at every node, while L f = 3e64 / that
+        # underflows to 0, as the closed-form norm does
+        code, data = run_json(tmp_path, ["laplace", "--f", "t^50*exp(-1e8*t)"])
+        assert code == 0 and capsys.readouterr().err == ""
+        row = data["rows"][0]
+        assert row["lhs_quadrature"] == row["rhs"] == row["gap"] == 0.0
+
     @pytest.mark.parametrize("argv,message", [
         (["--f", "t^400*exp(-t)"],
          "Gamma(800) of mode 0 (1+0j)*t^400*exp(-(1+0j)*t) overflows"),

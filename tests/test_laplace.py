@@ -2,6 +2,10 @@
 integration (scipy.quad), which is independent of the Gamma formulas."""
 
 import math
+import re
+import threading
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from bergkit.kernels import Weight, bergman_kernel
+from bergkit import laplace
+from bergkit.kernels import Weight, _shifted_power, bergman_kernel
 from bergkit.laplace import (ExpMonomial, HalfLineFunction, isometry_check,
                              kernel_preimage, laplace_eval, mu_alpha_density,
                              mu_alpha_norm, weighted_norm_squared)
-from bergkit.space import _cached_scheme, default_scheme
+from bergkit.space import QuadratureScheme, _cached_scheme, default_scheme
 
 
 def halfline(*terms):
@@ -60,6 +65,133 @@ class TestLaplaceEval:
         whole = laplace_eval(halfline(*terms), z)
         parts = sum(laplace_eval(halfline(term), z) for term in terms)
         assert abs(whole - parts) <= 1e-12 * max(abs(whole), 1e-300)
+
+
+def usable_cpus(count):
+    """Patches the CPU count that sets laplace_eval's number of blocks."""
+    return mock.patch.object(laplace, "_usable_cpus", return_value=count)
+
+
+class TestRowBlocks:
+    """laplace_eval splits a large grid into row blocks, one per usable
+    CPU; every entry must come out bitwise as one thread computes it."""
+
+    FLOOR = laplace._BLOCK_ENTRIES
+    # 0-d and 1-D; just below and above two blocks' worth of entries,
+    # with an odd row count above; three and five rows of one floor each
+    SHAPES = [(), (7,), (2 * FLOOR - 1,), (2 * FLOOR,), (255, 128),
+              (257, 128), (3, FLOOR + 1), (5, FLOOR)]
+
+    @staticmethod
+    def reference(f, z):
+        total = np.zeros(np.shape(z), dtype=complex)
+        for term in f.terms:
+            total += (term.c * math.gamma(1.0 + term.beta)
+                      / _shifted_power(term.s, z, 1.0 + term.beta))
+        return total
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from(SHAPES), st.integers(min_value=1, max_value=4),
+           st.lists(st.tuples(
+               st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                  allow_infinity=False),
+               # integral powers multiply out, and 0.5 takes numpy's sqrt
+               st.one_of(st.sampled_from([-0.5, 0.0, 1.0, 2.0]),
+                         st.floats(-0.9, 4.0)),
+               st.builds(complex, st.floats(0.1, 5.0), st.floats(-5.0, 5.0))),
+               min_size=1, max_size=3))
+    def test_property_blocks_match_one_thread_bitwise(self, seed, shape, cpus,
+                                                      terms):
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(1e-3, 50.0, shape) + 1j * rng.normal(0.0, 20.0, shape)
+        f = halfline(*terms)
+        with usable_cpus(cpus), mock.patch.object(
+                laplace, "_run_blocks", wraps=laplace._run_blocks) as spy:
+            value = laplace_eval(f, z)
+        size, rows = math.prod(shape), (shape or (1,))[0]
+        assert len(spy.call_args.args[1]) == max(
+            1, min(cpus, size // self.FLOOR, rows))
+        assert np.shape(value) == shape
+        assert np.asarray(value).tobytes() == self.reference(f, z).tobytes()
+
+    def test_blocks_run_on_threads_that_end_with_the_call(self):
+        # 63,360 nodes on 4 CPUs: 3 blocks, two of them on other threads
+        f = halfline((1, 1.5, 1.0), (0.5j, 2.25, 2.0))
+        idents, original = [], laplace._sum_modes
+
+        def sum_modes(*args):
+            idents.append(threading.get_ident())
+            return original(*args)
+
+        z = default_scheme().z
+        before = threading.active_count()
+        with usable_cpus(4), mock.patch.object(laplace, "_sum_modes",
+                                               sum_modes):
+            value = laplace_eval(f, z)
+        assert threading.active_count() == before
+        assert len(set(idents)) == 3
+        assert value.tobytes() == self.reference(f, z).tobytes()
+
+    def test_worker_keeps_the_callers_errstate(self):
+        # (1 + z)^83.3 overflows only where |1 + z| > 5.1e3, in the last rows,
+        # which the worker thread takes; isometry_check ignores that
+        # overflow, then refuses the first mode's |L f|^2 overflow near 0.
+        # A worker without the caller's errstate would warn instead.
+        f = halfline((1e150, 1.0, 1e-4), (1e-150, 82.3, 1.0))
+        errors = []
+        for cpus in (1, 2):
+            with usable_cpus(cpus), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    isometry_check(Weight(0.0), f)
+            errors.append(str(info.value))
+        assert errors == ["integrand is not finite at a quadrature node"] * 2
+
+    def test_worker_error_is_raised_in_the_caller(self):
+        # rows 2 and 3 of 4 overflow, and they are the worker's block
+        z = np.repeat([[1.0], [2.0], [1e6], [2e6]], self.FLOOR, axis=1)
+        f = halfline((1, 70.5, 1.0))
+        for cpus in (1, 2):
+            with usable_cpus(cpus), np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    laplace_eval(f, z)
+
+    @pytest.mark.parametrize("terms,error,message", [
+        ([(1, 1.0, 1.0), (1, -1.0, 1.0)], ValueError, "diverges"),
+        ([(1, 1.0, 1.0), (1, 200.0, 1.0)], OverflowError, re.escape(
+            "Gamma(201) of mode 1 (1+0j)*t^200*exp(-(1+0j)*t) overflows")),
+    ], ids=["divergent", "gamma"])
+    def test_mode_errors_come_before_any_thread(self, terms, error, message):
+        start = mock.Mock(side_effect=AssertionError("a thread started"))
+        with usable_cpus(4), mock.patch.object(threading.Thread, "start",
+                                               start):
+            with pytest.raises(error, match=message):
+                laplace_eval(halfline(*terms), default_scheme().z)
+        start.assert_not_called()
+
+
+class TestOverflowingPower:
+    """Where (s + z)^(1 + beta) leaves the float range the transform is
+    taken in log space; entries whose sum is finite keep their bits."""
+
+    def test_overflowing_entry_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        # c Gamma(101.5) = 1e308; 1001^101.5 is finite, 1200^101.5 is not
+        beta, s = 100.5, 1000.0
+        f = halfline((1e308 / math.gamma(1.0 + beta), beta, s))
+        z = np.array([1.0 + 0j, 200.0 + 30j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(_shifted_power(s, z, 1.0 + beta)[1])
+            value = laplace_eval(f, z)
+        assert value[:1].tobytes() == TestRowBlocks.reference(
+            f, z[:1]).tobytes()
+        for point, got in zip(z, value):
+            with mpmath.workdps(40):
+                exact = complex(mpmath.mpf(f.terms[0].c.real)
+                                * mpmath.gamma(1 + beta)
+                                / (s + mpmath.mpc(point)) ** (1 + beta))
+            assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
 class TestMuNorm:

@@ -15,10 +15,13 @@ this file) and records:
   fresh interpreter;
 - the wall time of 3 ``bergkit report --seed 0`` runs, interpreter start
   included;
-- the git SHA (and whether the tree had uncommitted changes), a digest of
-  the ``src/`` files measured, the Python and numpy versions, the machine,
-  and the median time of bergbench's host probe, so that snapshots from
-  different hosts or host moods can be told apart.
+- the git SHA and whether the tree had uncommitted changes (both null
+  when ``--root`` is not a git work tree), a digest of the ``src/`` files
+  measured, the Python and numpy versions, the machine, its CPU count and
+  the CPUs this process may run on (``laplace_eval`` runs one row block
+  per usable CPU, so ``quadrature`` speed depends on it), and the median
+  time of bergbench's host probe, so that snapshots from different hosts
+  or host moods can be told apart.
 
 This script uses the standard library only; bergkit and numpy run in child
 processes, with one BLAS thread, as bergbench pins them.  ``--diff``
@@ -117,26 +120,39 @@ def report_seconds(root: Path, count: int) -> dict:
     return {"unit": "s", **summary(values)}
 
 
+def git_state(root: Path) -> tuple:
+    """(HEAD SHA, whether the tree has uncommitted changes) of the git work
+    tree whose top is ``root``, or (None, None) when ``root`` is not the
+    top of one, as a ``git archive`` export is not."""
+    def git(*args):
+        done = subprocess.run(["git", "-C", str(root), *args], text=True,
+                              capture_output=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != root.resolve():
+        return None, None
+    return git("rev-parse", "HEAD"), bool(git("status", "--porcelain"))
+
+
 def host(root: Path) -> dict:
     code = ("import statistics, sys; sys.path.insert(0, 'bergbench'); "
             "import numpy, run; run.host_probe(); "
             f"times = [run.host_probe() for _ in range({PROBE_SAMPLES})]; "
             "print(numpy.__version__, statistics.median(times))")
     numpy_version, probe = python(root, code).split()
-    git = ["git", "-C", str(root)]
-    sha = subprocess.run(git + ["rev-parse", "HEAD"], check=True, text=True,
-                         capture_output=True).stdout.strip()
-    dirty = subprocess.run(git + ["status", "--porcelain"], check=True,
-                           text=True, capture_output=True).stdout.strip()
+    sha, dirty = git_state(root)
     sources = hashlib.sha256()
     for path in sorted((root / "src").rglob("*.py")):
         sources.update(path.relative_to(root).as_posix().encode() + b"\0")
         sources.update(path.read_bytes())
-    return {"git_sha": sha, "git_uncommitted_changes": bool(dirty),
+    usable = (len(os.sched_getaffinity(0))
+              if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    return {"git_sha": sha, "git_uncommitted_changes": dirty,
             "src_sha256": sources.hexdigest(),
             "python": platform.python_version(), "numpy": numpy_version,
             "machine": platform.machine(), "cpus": os.cpu_count(),
-            "host_probe_ms": float(probe) * 1e3}
+            "usable_cpus": usable, "host_probe_ms": float(probe) * 1e3}
 
 
 def snapshot(root: Path, name: str) -> dict:
