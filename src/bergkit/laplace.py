@@ -137,18 +137,23 @@ def _sum_modes(modes, z, total) -> None:
     Entries whose sum is not finite are summed again, mode by mode in the
     same order, with each power that is not finite taken in log space:
     the transform may be representable where ``(shift + z) ** p`` is not.
+    The first pass and the powers taken again ignore floating-point
+    errors, as their non-finite entries are all redone; a value still
+    not finite after the redo reports under the caller's ``errstate``.
     """
-    for coeff, shift, p in modes:
-        mode = _shifted_power(shift, z, p)
-        np.divide(coeff, mode, out=mode)
-        total += mode
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for coeff, shift, p in modes:
+            mode = _shifted_power(shift, z, p)
+            np.divide(coeff, mode, out=mode)
+            total += mode
     bad = ~np.isfinite(total)
     if not bad.any():
         return
     z = z[bad]
     redone = np.zeros(z.shape, dtype=complex)
     for coeff, shift, p in modes:
-        mode = _shifted_power(shift, z, p)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mode = _shifted_power(shift, z, p)
         huge = ~np.isfinite(mode)
         np.divide(coeff, mode, out=mode, where=~huge)
         # a plain 0 is wrong where coeff is near the float limit

@@ -9,11 +9,13 @@ matrices are small (n <= 64); robustness is preferred over speed.
 keeps cyclic Jacobi rotations for their relative accuracy (Demmel &
 Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and runs them in the
 round-robin order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985):
-a sweep is n - 1 steps of n/2 disjoint (p, q) planes, and one step
-rotates all of its planes in every matrix of the stack with a few array
-operations.  Each matrix keeps its own skip threshold and convergence
-test, so its eigenvalues are the same whether it is solved alone or in
-a stack.
+a sweep is n - 1 steps of n/2 disjoint (p, q) planes.  One step moves
+the stack to the step's layout with one flat ``take``, then rotates all
+of its planes in every matrix at once: the column update and the row
+update each make two products (by the cosines and by the sine pairs) and
+two in-place sums.  Each matrix keeps its own skip threshold and
+convergence test, so its eigenvalues are the same whether it is solved
+alone or in a stack.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def require_hermitian(matrix, message: str) -> None:
 @lru_cache(maxsize=None)
 def _schedule(n: int) -> tuple:
     """Index arrays that carry a stack of order-n matrices through one
-    Brent-Luk sweep: identity -> L_0 -> ... -> L_last -> identity.
+    Brent-Luk sweep: identity -> L_0 -> ... -> L_last -> identity, each
+    move as (index permutation, its permutation of the n * n entries).
 
     Layout L_s lists the planes (p, q), p < q, of round-robin step s at
     positions (2i, 2i + 1); the steps together name every plane once.
@@ -77,24 +80,25 @@ def _schedule(n: int) -> tuple:
     for layout in layouts + [np.arange(n)]:
         position = np.empty(n, dtype=np.intp)
         position[current] = np.arange(n)
-        moves.append(position[layout])
+        move = position[layout]
+        moves.append((move, (move[:, None] * n + move).ravel()))
         current = layout
     return tuple(moves)
 
 
 def _rotate(a: np.ndarray, v, skip: np.ndarray, planes: int) -> None:
     """One Brent-Luk step, in place: annihilate entry (2i, 2i+1) of every
-    matrix in the C-contiguous stack ``a`` for i < ``planes``, one 2x2
-    unitary per plane.  Planes whose entry is at most the matrix's
-    ``skip`` get the identity.  ``v`` accumulates the columns."""
+    matrix k in the C-contiguous stack ``a`` for i < ``planes``, one 2x2
+    unitary per plane.  Planes whose entry is at most ``skip[k, 0]`` get
+    the identity.  ``v`` accumulates the columns."""
     b, n = a.shape[:2]
     flat = a.reshape(b, n * n)
     stride = 2 * n + 2
     end = planes * stride
     apq = flat[:, 1:end:stride]
     r = np.abs(apq)
-    rotate = r > skip[:, None]
-    if not rotate.any():
+    rotate = r > skip
+    if not np.count_nonzero(rotate):
         return
     r = np.where(rotate, r, 1.0)
     tau = (flat[:, n + 1:n + 1 + end:stride].real
@@ -103,22 +107,22 @@ def _rotate(a: np.ndarray, v, skip: np.ndarray, planes: int) -> None:
     t = np.where(rotate, 1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau)),
                  0.0)
     c = 1.0 / np.hypot(1.0, t)
-    sp = t * c * (apq / r)
-    spc = sp.conj()
-    # The unitary on plane i is [[c, sp], [-conj(sp), c]]: columns
-    # transform by u, rows by u*.
-    even, odd = slice(0, 2 * planes, 2), slice(1, 2 * planes, 2)
-    cc, ss, ssc = c[:, None, :], sp[:, None, :], spc[:, None, :]
+    # The unitary on plane i is [[c, s], [-conj(s), c]], with (s, conj(s))
+    # in ``sines``.  Columns transform by u: p' = p c - q conj(s) and
+    # q' = p s + q c; rows by u*: p' = p c - q s and q' = p conj(s) + q c.
+    sines = np.empty((b, planes, 2), dtype=complex)
+    np.multiply(t * c, apq / r, out=sines[..., 0])
+    np.conjugate(sines[..., 0], out=sines[..., 1])
+    cc, ss = c[:, None, :, None], sines[:, None]
     for m in (a, v) if v is not None else (a,):
-        xp, xq = m[:, :, even], m[:, :, odd]
-        new_p = xp * cc - xq * ssc
-        m[:, :, odd] = xp * ss + xq * cc
-        m[:, :, even] = new_p
-    cc, ss, ssc = c[:, :, None], sp[:, :, None], spc[:, :, None]
-    xp, xq = a[:, even, :], a[:, odd, :]
-    new_p = xp * cc - xq * ss
-    a[:, odd, :] = xp * ssc + xq * cc
-    a[:, even, :] = new_p
+        x = m[..., :2 * planes].reshape(b, n, planes, 2)
+        xc, xs = x * cc, x * ss
+        np.subtract(xc[..., 0], xs[..., 1], out=x[..., 0])
+        np.add(xs[..., 0], xc[..., 1], out=x[..., 1])
+    x = a[:, :2 * planes].reshape(b, planes, 2, n)
+    xc, xs = x * c[:, :, None, None], x * sines[:, :, ::-1, None]
+    np.subtract(xc[:, :, 0], xs[:, :, 1], out=x[:, :, 0])
+    np.add(xs[:, :, 0], xc[:, :, 1], out=x[:, :, 1])
     keep = ~rotate
     flat[:, 1:end:stride] *= keep
     flat[:, n:n + end:stride] *= keep
@@ -177,11 +181,11 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
             active, work = active[~done], work[~done]
         if not active.size or sweep == max_sweeps:
             break
-        active_skip = skip[active]
-        for step, move in enumerate(moves):
-            work = work[:, move[:, None], move]
+        k, active_skip = len(active), skip[active][:, None]
+        for step, (move, flat) in enumerate(moves):
+            work = work.reshape(k, n * n).take(flat, axis=1).reshape(k, n, n)
             if vectors is not None:
-                vectors = vectors[:, :, move]
+                vectors = vectors.take(move, axis=2)
             if step < len(moves) - 1:
                 _rotate(work, vectors, active_skip, n // 2)
     if active.size:

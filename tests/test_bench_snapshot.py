@@ -1,6 +1,6 @@
-"""tools/bench_snapshot.py: the summary statistics, the diff of two
-snapshots and the run length each workload gets (the measuring itself runs
-the benchmark and is not run here)."""
+"""tools/bench_snapshot.py: the summary statistics, the scaling of samples
+by a reference, the diff of two snapshots and the run length each workload
+gets (the measuring itself runs the benchmark and is not run here)."""
 
 import importlib.util
 import json
@@ -14,9 +14,10 @@ bench_snapshot = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_snapshot)
 
 
-def snapshot(name, items_per_s, import_s):
+def snapshot(name, items_per_s, import_s, scaled_import_s=None,
+             jacobi_ms=None):
     metric = bench_snapshot.summary
-    return {
+    data = {
         "name": name,
         "host": {"host_probe_ms": 2.0},
         "workloads": {"quadrature": {"metrics": {
@@ -24,6 +25,12 @@ def snapshot(name, items_per_s, import_s):
         "import_bergkit_s": {"unit": "s", **metric(import_s)},
         "report_seed0_s": {"unit": "s", **metric([2.0])},
     }
+    if scaled_import_s is not None:  # snapshots from BENCH_14.json on
+        data["import_bergkit_s"]["scaled"] = metric(scaled_import_s)
+        data["report_seed0_s"]["scaled"] = metric([1.5])
+        data["layers"] = {"linalg.jacobi_eigh.n8": {
+            "unit": "ms", **metric(jacobi_ms), "raw_median": 9.0}}
+    return data
 
 
 def test_summary_median_and_quartiles():
@@ -43,6 +50,54 @@ def test_diff_lists_every_shared_metric():
     assert len(lines) == 1 + 4
 
 
+def test_diff_compares_scaled_and_per_layer_times():
+    old = snapshot("13", [70.0], [0.1])
+    new = snapshot("14", [70.0], [0.2], [0.08], [2.0, 2.5, 3.0])
+    newer = snapshot("15", [70.0], [0.2], [0.1], [2.0, 2.0, 2.0])
+    # an older snapshot has raw times only: those are all the pair shares
+    assert len(bench_snapshot.diff(old, new)) == 1 + 4
+    lines = bench_snapshot.diff(new, newer)
+    assert "import_bergkit_s: 0.2 -> 0.2 s (1.000x)" in lines
+    assert "import_bergkit_s.scaled: 0.08 -> 0.1 s (1.250x)" in lines
+    assert "report_seed0_s.scaled: 1.5 -> 1.5 s (1.000x)" in lines
+    assert "layers.linalg.jacobi_eigh.n8: 2.5 -> 2 ms (0.800x)" in lines
+    assert len(lines) == 1 + 7
+
+
+def test_samples_are_scaled_by_the_reference_on_both_sides(monkeypatch):
+    # the reference takes 0.15 s (nominal), then 0.3 s, then 0.15 s again
+    references = iter([0.15, 0.3, 0.15])
+    monkeypatch.setattr(bench_snapshot, "reference_seconds",
+                        lambda root: next(references))
+    samples = iter([1.0, 2.0])
+    result = bench_snapshot.scaled_samples(PATH.parents[1],
+                                           lambda: next(samples), 2)
+    assert result["values"] == [1.0, 2.0] and result["unit"] == "s"
+    # each sample over the mean of its two references, times 0.15 s
+    assert bench_snapshot.NOMINAL_START_S == 0.15
+    assert result["scaled"]["values"] == pytest.approx([2 / 3, 4 / 3])
+
+
+def test_layer_timings_group_the_child_samples(monkeypatch):
+    lines = ['["jacobi_eigh.n8", 0.002, 0.001]',
+             '["pivoted_cholesky.n8", 0.0001, 0.0002]',
+             '["jacobi_eigh.n8", 0.004, 0.003]']
+    monkeypatch.setattr(bench_snapshot, "python",
+                        lambda root, code: "\n".join(lines) + "\n")
+    layers = bench_snapshot.layer_timings(PATH.parents[1])
+    assert sorted(layers) == ["linalg.jacobi_eigh.n8",
+                              "linalg.pivoted_cholesky.n8"]
+    jacobi = layers["linalg.jacobi_eigh.n8"]
+    assert jacobi["unit"] == "ms"
+    assert jacobi["values"] == [1.0, 3.0] and jacobi["median"] == 2.0
+    assert jacobi["raw_median"] == 3.0
+
+
+def test_layer_code_compiles():
+    # the child code itself needs numpy and runs only when measuring
+    compile(bench_snapshot.LAYER_CODE, "<layer code>", "exec")
+
+
 def test_snapshot_needs_a_name(capsys):
     with pytest.raises(SystemExit):
         bench_snapshot.main([])
@@ -56,6 +111,7 @@ def test_workloads_run_as_long_as_the_benchmark_sets(monkeypatch):
     monkeypatch.setattr(bench_snapshot, "host", lambda root: {})
     monkeypatch.setattr(bench_snapshot, "import_seconds", lambda *args: {})
     monkeypatch.setattr(bench_snapshot, "report_seconds", lambda *args: {})
+    monkeypatch.setattr(bench_snapshot, "layer_timings", lambda root: {})
     monkeypatch.setattr(bench_snapshot, "run_workload",
                         lambda root, workload, s: calls.append((workload, s)))
     bench_snapshot.snapshot(root, "x")

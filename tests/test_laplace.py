@@ -135,23 +135,32 @@ class TestRowBlocks:
 
     def test_worker_keeps_the_callers_errstate(self):
         # (1 + z)^83.3 overflows only where |1 + z| > 5.1e3, in the last rows,
-        # which the worker thread takes; isometry_check ignores that
-        # overflow, then refuses the first mode's |L f|^2 overflow near 0.
-        # A worker without the caller's errstate would warn instead.
+        # which the worker thread takes and redoes in log space; then
+        # isometry_check refuses the first mode's |L f|^2 overflow near 0.
         f = halfline((1e150, 1.0, 1e-4), (1e-150, 82.3, 1.0))
-        errors = []
+        errors, seen, original = [], [], laplace._sum_modes
+
+        def sum_modes(*args):
+            seen.append(np.geterr())
+            return original(*args)
+
         for cpus in (1, 2):
             with usable_cpus(cpus), warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError) as info:
+                with pytest.raises(ValueError) as info, mock.patch.object(
+                        laplace, "_sum_modes", sum_modes):
                     isometry_check(Weight(0.0), f)
             errors.append(str(info.value))
         assert errors == ["integrand is not finite at a quadrature node"] * 2
+        # one block on one CPU, two on two, each under isometry_check's state
+        state = dict(np.geterr(), over="ignore", invalid="ignore")
+        assert seen == [state] * 3
 
     def test_worker_error_is_raised_in_the_caller(self):
-        # rows 2 and 3 of 4 overflow, and they are the worker's block
-        z = np.repeat([[1.0], [2.0], [1e6], [2e6]], self.FLOOR, axis=1)
-        f = halfline((1, 70.5, 1.0))
+        # rows 2 and 3 of 4 are the worker's block, and the transform there
+        # is past the float range: 8.9e9 / (3e-200)^1.5 = 1.7e309
+        z = np.repeat([[1.0], [2.0], [1e-200], [2e-200]], self.FLOOR, axis=1)
+        f = halfline((1e10, 0.5, 1e-200))
         for cpus in (1, 2):
             with usable_cpus(cpus), np.errstate(over="raise"):
                 with pytest.raises(FloatingPointError, match="overflow"):
@@ -192,6 +201,22 @@ class TestOverflowingPower:
                                 * mpmath.gamma(1 + beta)
                                 / (s + mpmath.mpc(point)) ** (1 + beta))
             assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+    def test_overflow_that_log_space_mends_is_silent(self):
+        # (1e8 + z)^51.5 overflows and Gamma(51.5) / it underflows to 0
+        f = halfline((1, 50.5, 1e8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = laplace_eval(f, np.array([1 + 1j, 2]))
+        assert value.tobytes() == np.zeros(2, dtype=complex).tobytes()
+
+    def test_value_still_past_the_float_range_warns(self):
+        # the redo finds (2e-200)^1.5 finite, and 8.9e9 over it overflows
+        f = halfline((1e10, 0.5, 1e-200))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            value = laplace_eval(f, np.array([1.0, 1e-200]))
+        assert np.isfinite(value[0]) and not np.isfinite(value[1])
 
 
 class TestMuNorm:

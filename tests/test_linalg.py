@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergkit.linalg import (HERMITIAN_RTOL, ConvergenceError, jacobi_eigh,
-                            pivoted_cholesky, require_hermitian,
-                            solve_lower_triangular)
+from bergkit.linalg import (HERMITIAN_RTOL, JACOBI_TOL, ConvergenceError,
+                            _schedule, jacobi_eigh, pivoted_cholesky,
+                            require_hermitian, solve_lower_triangular)
 
 RESIDUAL_BUDGET = 1e-10
 
@@ -62,6 +62,123 @@ def test_jacobi_stack_matches_single_solves(batch, n, seed, vectors):
             assert np.array_equal(v[i], v1)
         w_ref = np.linalg.eigvalsh(a)
         assert np.max(np.abs(w[i] - w_ref)) <= 1e-12 * np.abs(w_ref).max()
+
+
+def reference_rotate(a, v, skip, planes):
+    """Reference Brent-Luk step: each plane's two columns and two rows
+    updated through strided even/odd views, one product at a time."""
+    b, n = a.shape[:2]
+    flat = a.reshape(b, n * n)
+    stride = 2 * n + 2
+    end = planes * stride
+    apq = flat[:, 1:end:stride]
+    r = np.abs(apq)
+    rotate = r > skip[:, None]
+    if not rotate.any():
+        return
+    r = np.where(rotate, r, 1.0)
+    tau = (flat[:, n + 1:n + 1 + end:stride].real
+           - flat[:, 0:end:stride].real) / (2.0 * r)
+    t = np.where(rotate, 1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau)),
+                 0.0)
+    c = 1.0 / np.hypot(1.0, t)
+    sp = t * c * (apq / r)
+    spc = sp.conj()
+    even, odd = slice(0, 2 * planes, 2), slice(1, 2 * planes, 2)
+    cc, ss, ssc = c[:, None, :], sp[:, None, :], spc[:, None, :]
+    for m in (a, v) if v is not None else (a,):
+        xp, xq = m[:, :, even], m[:, :, odd]
+        new_p = xp * cc - xq * ssc
+        m[:, :, odd] = xp * ss + xq * cc
+        m[:, :, even] = new_p
+    cc, ss, ssc = c[:, :, None], sp[:, :, None], spc[:, :, None]
+    xp, xq = a[:, even, :], a[:, odd, :]
+    new_p = xp * cc - xq * ss
+    a[:, odd, :] = xp * ssc + xq * cc
+    a[:, even, :] = new_p
+    keep = ~rotate
+    flat[:, 1:end:stride] *= keep
+    flat[:, n:n + end:stride] *= keep
+    flat[:, ::n + 1].imag = 0.0
+
+
+def reference_eigh(stack, compute_vectors):
+    """Reference sweeps of jacobi_eigh, with 2-D fancy indexing for every
+    move, for valid (B, n, n) stacks."""
+    a = np.array(stack, dtype=complex)
+    a = 0.5 * (a + a.conj().swapaxes(1, 2))
+    n = a.shape[1]
+    v = (np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
+         if compute_vectors else None)
+    target = JACOBI_TOL * np.linalg.norm(a, axis=(1, 2))
+    skip = target / (2.0 * max(n, 1))
+    active = np.flatnonzero(target > 0.0) if n > 1 else np.empty(0, np.intp)
+    work = a[active]
+    vectors = v[active] if v is not None else None
+    diag = np.arange(n)
+    moves = [move for move, _ in _schedule(n)] if n > 1 else []
+    for sweep in range(61):
+        off = work.copy()
+        off[:, diag, diag] = 0.0
+        done = np.linalg.norm(off, axis=(1, 2)) <= target[active]
+        if done.any():
+            a[active[done]] = work[done]
+            if v is not None:
+                v[active[done]] = vectors[done]
+                vectors = vectors[~done]
+            active, work = active[~done], work[~done]
+        if not active.size:
+            break
+        active_skip = skip[active]
+        for step, move in enumerate(moves):
+            work = work[:, move[:, None], move]
+            if vectors is not None:
+                vectors = vectors[:, :, move]
+            if step < len(moves) - 1:
+                reference_rotate(work, vectors, active_skip, n // 2)
+    assert not active.size
+    w = a.diagonal(axis1=1, axis2=2).real
+    order = np.argsort(w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    if v is not None:
+        v = np.take_along_axis(v, order[:, None, :], axis=2)
+    return w, v
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=17),
+       st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(["complex", "real", "sparse", "diagonal", "zero"]),
+       st.sampled_from([1.0, 1e-200, 1e200]), st.booleans())
+def test_jacobi_matches_reference_bitwise(batch, n, seed, kind, scale,
+                                          vectors):
+    # The step takes fewer array calls than the reference but puts every
+    # entry through the same products and sums in the same order, so the
+    # bits agree, signed zeros of skipped planes and real inputs included.
+    # Zero and diagonal stacks converge before any step.
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_hermitian(rng, n) for _ in range(batch)])
+    if kind == "real":
+        stack = stack.real.astype(complex)
+        stack.imag = np.copysign(0.0, rng.normal(size=stack.shape))
+    elif kind == "sparse":  # planes skipped while others rotate
+        pairs = np.triu(rng.random(stack.shape) < 0.6, 1)
+        stack = stack * ~(pairs | pairs.swapaxes(1, 2))
+    elif kind == "diagonal":
+        stack = stack * np.eye(n)  # no plane rotates
+    elif kind == "zero":
+        stack = np.zeros_like(stack)
+    stack *= scale
+    # at 1e200 the Frobenius norm overflows in both solvers alike
+    with np.errstate(over="ignore"):
+        w, v = jacobi_eigh(stack, compute_vectors=vectors)
+        w_ref, v_ref = reference_eigh(stack, vectors)
+    assert np.array_equal(w.view(np.uint64), w_ref.view(np.uint64))
+    if vectors:
+        assert np.array_equal(v.view(np.uint64), v_ref.view(np.uint64))
+    else:
+        assert v is None and v_ref is None
 
 
 def test_jacobi_stack_shapes():

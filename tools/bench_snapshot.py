@@ -15,6 +15,15 @@ this file) and records:
   fresh interpreter;
 - the wall time of 3 ``bergkit report --seed 0`` runs, interpreter start
   included;
+- both of those raw and, under ``scaled``, at the host's nominal speed:
+  each sample is scaled by the wall time of a fresh ``import numpy``
+  interpreter taken before and after it, over that reference's nominal
+  time, as ``bergbench/run.py`` scales ``setup_s``;
+- per-layer timings in one child process: ``jacobi_eigh`` (eigenvalues
+  only) on one matrix of order 8, 32 and 64 and on the stacks 12x8x8,
+  4x16x16 and 5x12x12 that the workloads solve, and ``pivoted_cholesky``
+  at order 8, 32 and 64; each sample is scaled by bergbench's host probe
+  taken before and after it;
 - the git SHA and whether the tree had uncommitted changes (both null
   when ``--root`` is not a git work tree), a digest of the ``src/`` files
   measured, the Python and numpy versions, the machine, its CPU count and
@@ -25,7 +34,9 @@ this file) and records:
 
 This script uses the standard library only; bergkit and numpy run in child
 processes, with one BLAS thread, as bergbench pins them.  ``--diff``
-prints old -> new for every metric two snapshots share.
+prints old -> new for every metric two snapshots share; the import,
+report and per-layer times are compared scaled, under ``.scaled`` and
+``layers.`` keys, and the raw import and report times keep their names.
 """
 
 from __future__ import annotations
@@ -50,6 +61,54 @@ SEED = 7
 RUNS = 3
 IMPORT_RUNS = 5
 REPORT_RUNS = 3
+LAYER_SAMPLES = 15
+# The reference timed next to each import and report sample is the one
+# bergbench/run.py times next to its set-up samples (START_REFERENCE), with
+# the same nominal time; it only sets the scale.
+START_REFERENCE = "import numpy"
+NOMINAL_START_S = 0.15
+# Runs in one child on the checkout measured, after a line that sets SEED
+# and SAMPLES: the seeded inputs of every layer case, then SAMPLES samples
+# of each, one per line, each at least 20 ms of calls between two host
+# probes.
+LAYER_CODE = """
+import json, sys, time
+sys.path.insert(0, "bergbench")
+import numpy as np, run
+from bergkit.linalg import jacobi_eigh, pivoted_cholesky
+
+rng = np.random.default_rng(SEED)
+
+def hermitian(*shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return a + a.conj().swapaxes(-1, -2)
+
+def eigenvalues(a):
+    return lambda: jacobi_eigh(a, compute_vectors=False)
+
+cases = {}
+for n in (8, 32, 64):
+    cases[f"jacobi_eigh.n{n}"] = eigenvalues(hermitian(n, n))
+for b, n in ((12, 8), (4, 16), (5, 12)):
+    cases[f"jacobi_eigh.{b}x{n}x{n}"] = eigenvalues(hermitian(b, n, n))
+for n in (8, 32, 64):
+    h = hermitian(n, n)
+    cases[f"pivoted_cholesky.n{n}"] = lambda g=h @ h: pivoted_cholesky(g)
+run.host_probe()
+for name, call in cases.items():
+    start = time.perf_counter()
+    call()
+    calls = max(1, round(0.02 / (time.perf_counter() - start)))
+    for _ in range(SAMPLES):
+        before = run.host_probe()
+        start = time.perf_counter()
+        for _ in range(calls):
+            call()
+        seconds = (time.perf_counter() - start) / calls
+        after = run.host_probe()
+        print(json.dumps([name, seconds,
+                          run.at_nominal_speed(seconds, before, after)]))
+"""
 
 
 def child_env(root: Path) -> dict:
@@ -100,24 +159,60 @@ def run_workload(root: Path, workload: str, seconds: float) -> dict:
             "metrics": metrics}
 
 
+def reference_seconds(root: Path) -> float:
+    """Wall time of a fresh interpreter running ``START_REFERENCE``."""
+    start = time.perf_counter()
+    python(root, START_REFERENCE)
+    return time.perf_counter() - start
+
+
+def scaled_samples(root: Path, sample, count: int) -> dict:
+    """``count`` samples of ``sample()`` seconds, raw and, under
+    ``scaled``, each scaled by the reference timed before and after it."""
+    raw, scaled = [], []
+    before = reference_seconds(root)
+    for _ in range(count):
+        seconds = sample()
+        after = reference_seconds(root)
+        raw.append(seconds)
+        scaled.append(seconds * 2.0 * NOMINAL_START_S / (before + after))
+        before = after
+    return {"unit": "s", **summary(raw), "scaled": summary(scaled)}
+
+
 def import_seconds(root: Path, count: int) -> dict:
     code = ("import time; start = time.perf_counter(); import bergkit; "
             "print(time.perf_counter() - start)")
-    return {"unit": "s", **summary(
-        [float(python(root, code)) for _ in range(count)])}
+    return scaled_samples(root, lambda: float(python(root, code)), count)
 
 
 def report_seconds(root: Path, count: int) -> dict:
-    values = []
     with tempfile.TemporaryDirectory() as workdir:
         command = [sys.executable, "-m", "bergkit.cli", "report", "--seed",
                    "0", "--out", str(Path(workdir) / "report.json")]
-        for _ in range(count):
+
+        def sample():
             start = time.perf_counter()
             subprocess.run(command, cwd=root, env=child_env(root), check=True,
                            capture_output=True)
-            values.append(time.perf_counter() - start)
-    return {"unit": "s", **summary(values)}
+            return time.perf_counter() - start
+
+        return scaled_samples(root, sample, count)
+
+
+def layer_timings(root: Path) -> dict:
+    """Per-call milliseconds of each layer case of ``LAYER_CODE``: the
+    scaled samples with their median and quartiles, and the raw median."""
+    samples = {}
+    code = f"SEED, SAMPLES = {SEED}, {LAYER_SAMPLES}\n{LAYER_CODE}"
+    for line in python(root, code).splitlines():
+        name, seconds, scaled = json.loads(line)
+        raw, values = samples.setdefault(f"linalg.{name}", ([], []))
+        raw.append(seconds * 1e3)
+        values.append(scaled * 1e3)
+    return {name: {"unit": "ms", **summary(values),
+                   "raw_median": statistics.median(raw)}
+            for name, (raw, values) in samples.items()}
 
 
 def git_state(root: Path) -> tuple:
@@ -163,16 +258,23 @@ def snapshot(root: Path, name: str) -> dict:
         data["workloads"][workload] = run_workload(root, workload, seconds)
     data["import_bergkit_s"] = import_seconds(root, IMPORT_RUNS)
     data["report_seed0_s"] = report_seconds(root, REPORT_RUNS)
+    data["layers"] = layer_timings(root)
     return data
 
 
 def flatten(data: dict) -> dict:
-    """Metric name -> (median, unit) for the timed entries of a snapshot."""
+    """Metric name -> (median, unit) for the timed entries of a snapshot;
+    snapshots written before scaled and per-layer times lack those."""
     flat = {f"{workload}.{name}": (entry["median"], entry["unit"])
             for workload, block in data["workloads"].items()
             for name, entry in block["metrics"].items()}
     for key in ("import_bergkit_s", "report_seed0_s"):
         flat[key] = (data[key]["median"], data[key]["unit"])
+        if "scaled" in data[key]:
+            flat[f"{key}.scaled"] = (data[key]["scaled"]["median"],
+                                     data[key]["unit"])
+    for name, entry in data.get("layers", {}).items():
+        flat[f"layers.{name}"] = (entry["median"], entry["unit"])
     flat["host_probe_ms"] = (data["host"]["host_probe_ms"], "ms")
     return flat
 
