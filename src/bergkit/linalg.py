@@ -138,7 +138,8 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     leaves the sweeps once its off-diagonal Frobenius mass is at most
     ``JACOBI_TOL * ||M||_F``, and ``ConvergenceError`` (a ``ValueError``)
     is raised when ``max_sweeps`` sweeps leave any matrix above that.
-    A matrix with an inf or NaN entry is refused with ``ValueError``.
+    A matrix with an inf or NaN entry is refused with ``ValueError``;
+    one whose ``||M||_F`` leaves the float range is solved all the same.
     Eigenvalues are returned in ascending order, shape (n,) or (B, n);
     the matching unitary eigenvector matrices (columns) are returned when
     ``compute_vectors`` is set, otherwise ``None``.
@@ -156,6 +157,12 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     require_hermitian(a, "matrix is not Hermitian")
+    # Each matrix is scaled by the power of two that brings its largest
+    # entry into [0.5, 1), so ||M||_F stays in range.  Both this and the
+    # scaling back of the eigenvalues are exact, but for parts below
+    # 2**-1022 of the largest entry.
+    scale = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))[1]
+    a = np.ldexp(a.view(float), -scale[:, None, None]).view(complex)
     a = 0.5 * (a + a.conj().swapaxes(1, 2))
     v = (np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
          if compute_vectors else None)
@@ -194,7 +201,7 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
 
     w = a.diagonal(axis1=1, axis2=2).real
     order = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
+    w = np.ldexp(np.take_along_axis(w, order, axis=1), scale[:, None])
     if v is not None:
         v = np.take_along_axis(v, order[:, None, :], axis=2)
     if single:

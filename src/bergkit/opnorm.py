@@ -242,7 +242,7 @@ def essential_norm_lower_bound(weight: Weight,
     if est.verdict == "divergent":
         raise ValueError("essential norm applies to bounded operators only")
     cutoff = est.grid.far_field_radius
-    far = [v for r, v in est.trace if r >= cutoff]
+    far = [v for r, v in zip(est.grid.radii(), est.trace) if r >= cutoff]
     return max(far) ** weight.half_exponent
 
 

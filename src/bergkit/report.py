@@ -101,9 +101,9 @@ def _criterion_3(seed: int) -> CriterionResult:
     reaching ratio 1e3 by r = 1e6; constant maps rejected by validation."""
     start = time.perf_counter()
     report = boundedness_verdict(Weight(0.0), PowerMap(0.5))
-    ratios = [v for _, v in report.angular.trace]
+    ratios = report.angular.trace
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
-    reached = report.angular.trace[-1][1] >= 1e3
+    reached = ratios[-1] >= 1e3
     try:
         validate_self_map(Affine(0.0, 1.0))
         constant_rejected = False
@@ -115,7 +115,7 @@ def _criterion_3(seed: int) -> CriterionResult:
     return CriterionResult(3, "unbounded_symbol_detection", passed, {
         "verdict": report.verdict,
         "trace_monotone": monotone,
-        "final_ratio": report.angular.trace[-1][1],
+        "final_ratio": ratios[-1],
         "constant_map_rejected": constant_rejected,
         "within_time_budget": within_budget,
     })

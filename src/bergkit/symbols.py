@@ -68,10 +68,19 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _unpair(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(value[0], value[1])
-    return complex(value)
+def _real(value) -> float:
+    """A descriptor's real value: a JSON number (not a bool)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"need a JSON number, not {value!r}")
+
+
+def _complex(value) -> complex:
+    """A descriptor's complex value: [re, im] or a bare real number."""
+    pair = value if isinstance(value, (list, tuple)) else (value, 0.0)
+    if len(pair) != 2:
+        raise ValueError(f"need [re, im] or a number, not {value!r}")
+    return complex(_real(pair[0]), _real(pair[1]))
 
 
 class Symbol:
@@ -324,10 +333,6 @@ class SampleGrid:
         if self.angular_count < 1:
             raise ValueError("need at least one angle")
 
-    @property
-    def size(self) -> int:
-        return self.radial_count * self.angular_count
-
     def radii(self) -> np.ndarray:
         """Shell radii, geometric from r_min to r_max; read-only."""
         return self._arrays[0]
@@ -470,10 +475,12 @@ _PLATEAU_GROWTH = 1.05
 class AngularDerivativeEstimate:
     """Result of the sup-ratio estimator for the angular derivative.
 
-    ``verdict`` is ``finite`` when the per-shell trace has plateaued,
-    ``divergent`` when it keeps growing geometrically (then ``lambda_hat``
-    is +inf), and ``inconclusive`` otherwise.  ``phi`` and ``grid`` are
-    the symbol and the grid it was computed on.
+    ``trace`` holds the maximum of Re z / Re phi(z) on each shell, one
+    float per ``grid.radii()`` entry: shell i has radius
+    ``grid.radii()[i]``.  ``verdict`` is ``finite`` when the trace has
+    plateaued, ``divergent`` when it keeps growing geometrically (then
+    ``lambda_hat`` is +inf), and ``inconclusive`` otherwise.  ``phi`` and
+    ``grid`` are the symbol and the grid it was computed on.
     """
 
     lambda_hat: float
@@ -490,7 +497,7 @@ class AngularDerivativeEstimate:
             "lambda_hat": None if math.isinf(self.lambda_hat) else self.lambda_hat,
             "sup_ratio": self.sup_ratio,
             "verdict": self.verdict,
-            "trace": [[r, v] for r, v in self.trace],
+            "trace": list(self.trace),
             "known_lambda": self.known_lambda,
             "rel_error_vs_known": self.rel_error_vs_known,
         }
@@ -518,8 +525,6 @@ def angular_derivative_estimate(phi: Symbol,
 
     ratios = pts.real / image.real
     shell_max = ratios.max(axis=1)
-    radii = grid.radii()
-    trace = tuple((float(r), float(v)) for r, v in zip(radii, shell_max))
     sup_ratio = float(shell_max.max())
 
     w = _DIVERGENCE_WINDOW
@@ -542,7 +547,8 @@ def angular_derivative_estimate(phi: Symbol,
     rel_error = None
     if known is not None and not math.isinf(lambda_hat):
         rel_error = abs(lambda_hat - known) / known
-    return AngularDerivativeEstimate(lambda_hat, sup_ratio, trace, verdict,
+    return AngularDerivativeEstimate(lambda_hat, sup_ratio,
+                                     tuple(shell_max.tolist()), verdict,
                                      known, rel_error, phi, grid)
 
 
@@ -551,17 +557,41 @@ def angular_derivative_estimate(phi: Symbol,
 
 
 def symbol_from_dict(data: dict) -> Symbol:
-    """Rebuild a symbol from its JSON descriptor; Cayley descriptors must
-    define a disc self-map (see :func:`cayley_conjugate`)."""
+    """Rebuild a symbol from its JSON descriptor, as ``to_dict`` writes it.
+
+    The descriptor is an object whose keys are ``kind`` and exactly the
+    keys of its family; a real value is a JSON number and a complex value
+    is [re, im] or a bare number.  Anything else raises ValueError naming
+    the kind and the key.  Cayley descriptors must define a disc self-map
+    (see :func:`cayley_conjugate`).
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a symbol descriptor is a JSON object, not {data!r}")
     kind = data.get("kind")
-    if kind == "affine":
-        return Affine(float(data["a"]), _unpair(data["b"]))
-    if kind in ("moebius", "cayley"):
-        build = Moebius if kind == "moebius" else cayley_conjugate
-        return build(*(_unpair(data[key]) for key in "abcd"))
-    if kind == "power":
-        return PowerMap(float(data["p"]))
-    if kind == "compose":
-        return Compose(symbol_from_dict(data["left"]),
-                       symbol_from_dict(data["right"]))
-    raise ValueError(f"unknown symbol kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in _DESCRIPTORS:
+        raise ValueError(f"unknown symbol kind: {kind!r}")
+    build, readers = _DESCRIPTORS[kind]
+    unknown = data.keys() - {"kind", *readers}
+    if unknown:
+        raise ValueError(f"{kind} descriptor has unknown keys: "
+                         f"{sorted(unknown)}")
+    values = []
+    for key, read in readers.items():
+        if key not in data:
+            raise ValueError(f"{kind} descriptor has no {key!r} key")
+        try:
+            values.append(read(data[key]))
+        except ValueError as exc:
+            raise ValueError(f"{kind} descriptor key {key!r}: {exc}") from None
+    return build(*values)
+
+
+# kind -> (builder, reader of each descriptor key in argument order)
+_DESCRIPTORS = {
+    "affine": (Affine, {"a": _real, "b": _complex}),
+    "moebius": (Moebius, dict.fromkeys("abcd", _complex)),
+    "cayley": (cayley_conjugate, dict.fromkeys("abcd", _complex)),
+    "power": (PowerMap, {"p": _real}),
+    "compose": (Compose, {"left": symbol_from_dict,
+                          "right": symbol_from_dict}),
+}

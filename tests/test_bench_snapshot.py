@@ -79,14 +79,21 @@ def test_samples_are_scaled_by_the_reference_on_both_sides(monkeypatch):
 
 
 def test_layer_timings_group_the_child_samples(monkeypatch):
-    lines = ['["jacobi_eigh.n8", 0.002, 0.001]',
-             '["pivoted_cholesky.n8", 0.0001, 0.0002]',
-             '["jacobi_eigh.n8", 0.004, 0.003]']
+    # the child names each case by its full layer name, which is kept
+    lines = ['["linalg.jacobi_eigh.n8", 0.002, 0.001]',
+             '["linalg.pivoted_cholesky.n8", 0.0001, 0.0002]',
+             '["symbols.angular_derivative_estimate.affine", 0.0005, 0.0004]',
+             '["linalg.jacobi_eigh.n8", 0.004, 0.003]',
+             '["opnorm.boundedness_verdict.norm_sweep_families", 0.01, 0.02]']
     monkeypatch.setattr(bench_snapshot, "python",
                         lambda root, code: "\n".join(lines) + "\n")
     layers = bench_snapshot.layer_timings(PATH.parents[1])
     assert sorted(layers) == ["linalg.jacobi_eigh.n8",
-                              "linalg.pivoted_cholesky.n8"]
+                              "linalg.pivoted_cholesky.n8",
+                              "opnorm.boundedness_verdict.norm_sweep_families",
+                              "symbols.angular_derivative_estimate.affine"]
+    assert layers["opnorm.boundedness_verdict.norm_sweep_families"][
+        "values"] == [20.0]
     jacobi = layers["linalg.jacobi_eigh.n8"]
     assert jacobi["unit"] == "ms"
     assert jacobi["values"] == [1.0, 3.0] and jacobi["median"] == 2.0

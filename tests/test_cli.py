@@ -233,7 +233,7 @@ class TestNormCommand:
                 assert row["kernel_ratio"] is None
                 continue
             he = (2.0 + row["alpha"]) / 2.0
-            ratios = [v for _, v in estimates["angular"]["trace"]]
+            ratios = estimates["angular"]["trace"]
             gram = estimates["gram_eig"]
             per_iterate = estimates["spectral_radius"]["per_iterate"]
             assert gram.keys() == {"points_used", "trace"}
@@ -272,6 +272,124 @@ class TestNormCommand:
         a.pop("generated_at")
         b.pop("generated_at")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# a grid and every symbol family of test_opnorm, short grids included
+_GRIDS = st.builds(lambda r_max, shells, angles: SampleGrid(
+                       r_max=r_max, radial_count=shells, angular_count=angles),
+                   st.floats(1e3, 1e8), st.integers(2, 60), st.integers(1, 9))
+
+
+class TestAngularTrace:
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_SYMBOLS, min_size=1, max_size=3), _GRIDS,
+           st.sampled_from(["angular", "norm"]))
+    def test_one_shell_maximum_per_radius(self, tmp_path, phis, grid,
+                                          command):
+        # Shell i of the trace has radius radii()[i] of the payload's grid
+        # and holds the maximum of Re z / Re phi(z) over that shell's points
+        argv = [command, "--grid", ",".join(map(repr, (
+            grid.r_min, grid.r_max, grid.radial_count, grid.angular_count,
+            grid.aperture)))]
+        for phi in phis:
+            argv += ["--symbol", "json:" + json.dumps(phi.to_dict())]
+        code, data = run_json(tmp_path, argv)
+        assert code == 0
+        assert SampleGrid.from_dict(data["grid"]) == grid
+        points = grid.points()
+        for row, phi in zip(data["rows"], phis):
+            angular = row["estimates"]["angular"] if command == "norm" else row
+            trace = angular["trace"]
+            assert len(trace) == data["grid"]["radial"]
+            for value, shell in zip(trace, points):
+                assert value == max(shell.real / phi(shell).real)
+
+
+def _without_timestamp(text: str) -> list:
+    return [line for line in text.splitlines() if '"generated_at"' not in line]
+
+
+class TestGridFlag:
+    @pytest.mark.parametrize("command", ["angular", "norm"])
+    def test_default_grid_spelled_out(self, tmp_path, command):
+        argv = [command, "--symbol", "affine:2,1", "--symbol", "power:0.5"]
+        texts = []
+        for grid in ([], ["--grid", "1,1000000,40,9,1.0471975511965976"]):
+            out = tmp_path / "out.json"
+            assert main(argv + grid + ["--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert _without_timestamp(texts[0]) == _without_timestamp(texts[1])
+
+    def test_grid_syntax_error(self, capsys):
+        assert main(["angular", "--symbol", "affine:2,1",
+                     "--grid", "1,2,3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: grid syntax is ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("symbol, verdict", [("affine:2,0", "finite"),
+                                                 ("affine:2,1", "inconclusive")])
+    def test_short_grid_reads_the_spread(self, tmp_path, symbol, verdict):
+        # fewer shells than the divergence window: the verdict comes from
+        # the spread of the whole trace
+        code, data = run_json(tmp_path, ["angular", "--symbol", symbol,
+                                         "--grid", "1,1e6,4,9,0.5"])
+        assert code == 0
+        row = data["rows"][0]
+        assert len(row["trace"]) == 4
+        assert row["verdict"] == verdict
+
+
+MALFORMED_DESCRIPTORS = [
+    ({"kind": "affine"}, "affine descriptor has no 'a' key"),
+    ({"kind": "compose", "left": {"kind": "power", "p": 0.5}},
+     "compose descriptor has no 'right' key"),
+    ([1], "a symbol descriptor is a JSON object, not [1]"),
+    ("affine", "a symbol descriptor is a JSON object, not 'affine'"),
+    ({"kind": ["affine"], "a": 2.0, "b": 0},
+     "unknown symbol kind: ['affine']"),
+    ({"kind": "power", "p": None},
+     "power descriptor key 'p': need a JSON number, not None"),
+    ({"kind": "power", "p": 0.5, "q": 3},
+     "power descriptor has unknown keys: ['q']"),
+    ({"kind": "affine", "a": 2.0, "b": [1, 0, 5]},
+     "affine descriptor key 'b': need [re, im] or a number, not [1, 0, 5]"),
+    ({"kind": "moebius", "a": [1, True], "b": 0, "c": 0, "d": 1},
+     "moebius descriptor key 'a': need a JSON number, not True"),
+    ({"kind": "compose", "left": {"kind": "affine", "a": "2", "b": 0},
+      "right": {"kind": "power", "p": 0.5}},
+     "compose descriptor key 'left': affine descriptor key 'a': need a JSON "
+     "number, not '2'"),
+]
+_DESCRIPTOR_IDS = ["no-a", "no-right", "list", "string", "list-kind", "null",
+                   "unknown-key", "three-entry-pair", "bool", "nested-string"]
+
+
+class TestMalformedDescriptors:
+    # each used to end in a traceback (KeyError, AttributeError,
+    # TypeError) or to be accepted with a key ignored
+    @pytest.mark.parametrize("descriptor, message", MALFORMED_DESCRIPTORS,
+                             ids=_DESCRIPTOR_IDS)
+    def test_symbol_flag(self, tmp_path, capsys, descriptor, message):
+        out = tmp_path / "out.json"
+        assert main(["angular", "--symbol", "json:" + json.dumps(descriptor),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("descriptor, message", MALFORMED_DESCRIPTORS,
+                             ids=_DESCRIPTOR_IDS)
+    def test_run_config(self, tmp_path, capsys, descriptor, message):
+        # a string entry of a run-config list is mini-syntax, not JSON
+        if isinstance(descriptor, str):
+            message = f"unrecognized symbol {descriptor!r}"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"symbols": [descriptor]}))
+        out = tmp_path / "out.json"
+        assert main(["norm", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestParserReuse:
@@ -342,8 +460,10 @@ class TestOtherCommands:
         (["--kernel", "K:0", "--symbol", "affine:2,1", "--trials", "0"],
          "K:<n> kernels need an integer n >= 1"),
         (["--kernel", "K:2", "--trials", "0"], "K:<n> kernels need --symbol"),
+        (["--kernel", "K:2", "--symbol", "power:0.5"],
+         "symbol has no finite angular derivative"),
     ], ids=["negative-trials", "zero-trials", "zero-points", "bogus-kernel",
-            "K0", "K2-without-symbol"])
+            "K0", "K2-without-symbol", "K2-unbounded-symbol"])
     def test_psd_input_checks(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.json"
         assert main(["psd", *argv, "--out", str(out)]) == 1

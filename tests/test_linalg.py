@@ -1,5 +1,7 @@
 """The hand-rolled solvers are cross-checked against LAPACK (numpy)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,15 +172,38 @@ def test_jacobi_matches_reference_bitwise(batch, n, seed, kind, scale,
     elif kind == "zero":
         stack = np.zeros_like(stack)
     stack *= scale
-    # at 1e200 the Frobenius norm overflows in both solvers alike
-    with np.errstate(over="ignore"):
-        w, v = jacobi_eigh(stack, compute_vectors=vectors)
+    w, v = jacobi_eigh(stack, compute_vectors=vectors)
+    if scale == 1.0:
         w_ref, v_ref = reference_eigh(stack, vectors)
+    else:
+        # The reference's Frobenius norm leaves the float range at 1e200
+        # and 1e-200, so it is taken on each matrix brought to the scale
+        # jacobi_eigh works at: the largest entry in [0.5, 1).
+        e = np.frexp(np.abs(stack).max(axis=(1, 2), initial=0.0))[1]
+        w_ref, v_ref = reference_eigh(stack * np.ldexp(1.0, -e)[:, None, None],
+                                      vectors)
+        w_ref = np.ldexp(w_ref, e[:, None])
     assert np.array_equal(w.view(np.uint64), w_ref.view(np.uint64))
     if vectors:
         assert np.array_equal(v.view(np.uint64), v_ref.view(np.uint64))
     else:
         assert v is None and v_ref is None
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300])
+def test_jacobi_outside_the_frobenius_range(scale):
+    # ||M||_F of these matrices overflows or underflows; each matrix is
+    # solved at the power-of-two scale of its largest entry instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = jacobi_eigh(scale * np.ones((2, 2)))
+        stack = scale * np.array([np.ones((2, 2)), np.diag([1.0, -1.0])])
+        w_stack, _ = jacobi_eigh(stack, compute_vectors=False)
+    # not the diagonal [1, 1], which the unscaled sweeps returned
+    np.testing.assert_allclose(w / scale, [0.0, 2.0], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(np.abs(v), np.sqrt(0.5), rtol=1e-15)
+    np.testing.assert_allclose(w_stack / scale, [[0.0, 2.0], [-1.0, 1.0]],
+                               rtol=1e-15, atol=0.0)
 
 
 def test_jacobi_stack_shapes():

@@ -333,7 +333,7 @@ class TestBoundednessVerdict:
         report = boundedness_verdict(Weight(0.0), PowerMap(0.5))
         assert report.verdict == "UNBOUNDED"
         assert report.theoretical is None
-        ratios = [v for _, v in report.angular.trace]
+        ratios = report.angular.trace
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] >= 1e3
 

@@ -244,7 +244,7 @@ class TestAngularDerivative:
         est = angular_derivative_estimate(PowerMap(0.5))
         assert est.verdict == "divergent"
         assert math.isinf(est.lambda_hat)
-        assert est.trace[-1][1] == pytest.approx(1000.0)
+        assert est.trace[-1] == pytest.approx(1000.0)
 
     def test_moebius_with_finite_limit_point_divergent(self):
         # phi -> 2 at infinity, so Re z / Re phi grows linearly.

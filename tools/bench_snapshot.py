@@ -19,11 +19,15 @@ this file) and records:
   each sample is scaled by the wall time of a fresh ``import numpy``
   interpreter taken before and after it, over that reference's nominal
   time, as ``bergbench/run.py`` scales ``setup_s``;
-- per-layer timings in one child process: ``jacobi_eigh`` (eigenvalues
-  only) on one matrix of order 8, 32 and 64 and on the stacks 12x8x8,
-  4x16x16 and 5x12x12 that the workloads solve, and ``pivoted_cholesky``
-  at order 8, 32 and 64; each sample is scaled by bergbench's host probe
-  taken before and after it;
+- per-layer timings in one child process, each under its layer's full
+  name: ``jacobi_eigh`` (eigenvalues only) on one matrix of order 8, 32
+  and 64 and on the stacks 12x8x8, 4x16x16 and 5x12x12 that the
+  workloads solve, ``pivoted_cholesky`` at order 8, 32 and 64, one
+  ``angular_derivative_estimate`` on the default grid for an affine map
+  and for a composition of two Moebius maps, and one
+  ``boundedness_verdict`` over the seven ``norm_sweep`` families at one
+  alpha; each sample is scaled by bergbench's host probe taken before
+  and after it;
 - the git SHA and whether the tree had uncommitted changes (both null
   when ``--root`` is not a git work tree), a digest of the ``src/`` files
   measured, the Python and numpy versions, the machine, its CPU count and
@@ -74,8 +78,13 @@ NOMINAL_START_S = 0.15
 LAYER_CODE = """
 import json, sys, time
 sys.path.insert(0, "bergbench")
-import numpy as np, run
+import numpy as np, run, workloads
+from bergkit.cli import parse_symbol
+from bergkit.kernels import Weight
 from bergkit.linalg import jacobi_eigh, pivoted_cholesky
+from bergkit.opnorm import boundedness_verdict
+from bergkit.symbols import (DEFAULT_GRID, Affine, Compose, Moebius,
+                             angular_derivative_estimate)
 
 rng = np.random.default_rng(SEED)
 
@@ -86,14 +95,27 @@ def hermitian(*shape):
 def eigenvalues(a):
     return lambda: jacobi_eigh(a, compute_vectors=False)
 
+def angular(phi):
+    return lambda: angular_derivative_estimate(phi, DEFAULT_GRID)
+
 cases = {}
 for n in (8, 32, 64):
-    cases[f"jacobi_eigh.n{n}"] = eigenvalues(hermitian(n, n))
+    cases[f"linalg.jacobi_eigh.n{n}"] = eigenvalues(hermitian(n, n))
 for b, n in ((12, 8), (4, 16), (5, 12)):
-    cases[f"jacobi_eigh.{b}x{n}x{n}"] = eigenvalues(hermitian(b, n, n))
+    cases[f"linalg.jacobi_eigh.{b}x{n}x{n}"] = eigenvalues(hermitian(b, n, n))
 for n in (8, 32, 64):
     h = hermitian(n, n)
-    cases[f"pivoted_cholesky.n{n}"] = lambda g=h @ h: pivoted_cholesky(g)
+    cases[f"linalg.pivoted_cholesky.n{n}"] = lambda g=h @ h: pivoted_cholesky(g)
+cases["symbols.angular_derivative_estimate.affine"] = angular(
+    Affine(2.0, 1.0 + 0.5j))
+cases["symbols.angular_derivative_estimate.moebius_compose"] = angular(
+    Compose(Moebius(2.0, 1.0 + 0.5j, 0, 1.5), Moebius(1.5, 0.5 - 1j, 0, 2.0)))
+# the first op of a norm_sweep round: one cell of each of its seven families
+op = workloads.generate("norm_sweep", SEED, None)[0]
+weight = Weight(op.spec["cells"][0][1])
+symbols = [parse_symbol(sym.text) for sym, _ in op.spec["cells"]]
+cases["opnorm.boundedness_verdict.norm_sweep_families"] = (
+    lambda: boundedness_verdict(weight, symbols, DEFAULT_GRID))
 run.host_probe()
 for name, call in cases.items():
     start = time.perf_counter()
@@ -207,7 +229,7 @@ def layer_timings(root: Path) -> dict:
     code = f"SEED, SAMPLES = {SEED}, {LAYER_SAMPLES}\n{LAYER_CODE}"
     for line in python(root, code).splitlines():
         name, seconds, scaled = json.loads(line)
-        raw, values = samples.setdefault(f"linalg.{name}", ([], []))
+        raw, values = samples.setdefault(name, ([], []))
         raw.append(seconds * 1e3)
         values.append(scaled * 1e3)
     return {name: {"unit": "ms", **summary(values),
