@@ -27,10 +27,11 @@ from .kernels import (Weight, defect_kernel_matrix, gram_matrix,
 from .laplace import HalfLineFunction, isometry_check
 from .opnorm import boundedness_verdict, spectral_radius_estimate
 from .space import DEFAULT_NX, DEFAULT_NY, DEFAULT_YMAX, _cached_scheme
-from .symbols import (DEFAULT_GRID, Affine, Compose, HalfPlaneError, Moebius,
-                      PowerMap, SampleGrid, Symbol,
-                      angular_derivative_estimate, cayley_conjugate, identity,
-                      symbol_from_dict, validate_self_map)
+from .symbols import (DEFAULT_GRID, INTEGER, REAL, STRING, Affine, Block,
+                      Compose, HalfPlaneError, Moebius, PowerMap, SampleGrid,
+                      Symbol, angular_derivative_estimate, cayley_conjugate,
+                      identity, read_json, symbol_from_dict,
+                      validate_self_map)
 
 __all__ = ["main", "parse_symbol", "parse_halfline"]
 
@@ -56,6 +57,18 @@ def _complex_token(token: str) -> complex:
         raise CliError(f"cannot parse complex number from {token!r}") from exc
 
 
+def _split_top(text: str, sep: str) -> list[str]:
+    """``text`` split at each ``sep`` outside parentheses that does not
+    open a chunk."""
+    chunks, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == sep and depth == 0 and i > start:
+            chunks.append(text[start:i])
+            start = i + 1
+    return chunks + [text[start:]]
+
+
 def parse_symbol(text: str) -> Symbol:
     """Parse the command-line symbol syntax.
 
@@ -70,23 +83,11 @@ def parse_symbol(text: str) -> Symbol:
         return symbol_from_dict(json.loads(text[len("json:"):]))
     if text.startswith("compose:"):
         body = text[len("compose:"):].strip()
-        if not (body.startswith("(") and body.endswith(")")):
+        parts = _split_top(body[1:-1], ";")
+        if not (body.startswith("(") and body.endswith(")")
+                and len(parts) == 2):
             raise CliError("compose syntax is compose:(s1;s2)")
-        inner = body[1:-1]
-        depth = 0
-        split_at = -1
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == ";" and depth == 0:
-                split_at = i
-                break
-        if split_at < 0:
-            raise CliError("compose syntax is compose:(s1;s2)")
-        return Compose(parse_symbol(inner[:split_at]),
-                       parse_symbol(inner[split_at + 1:]))
+        return Compose(parse_symbol(parts[0]), parse_symbol(parts[1]))
     if ":" not in text:
         raise CliError(f"unrecognized symbol {text!r}")
     kind, _, args = text.partition(":")
@@ -120,21 +121,8 @@ def parse_halfline(text: str) -> HalfLineFunction:
     Terms are joined by top-level '+'; negative coefficients belong to the
     coefficient token.  The JSON descriptor remains the full-fidelity input.
     """
-    stripped = text.replace(" ", "")
     terms = []
-    depth = 0
-    start = 0
-    chunks = []
-    for i, ch in enumerate(stripped):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0 and i > start:
-            chunks.append(stripped[start:i])
-            start = i + 1
-    chunks.append(stripped[start:])
-    for chunk in chunks:
+    for chunk in _split_top(text.replace(" ", ""), "+"):
         match = _TERM_RE.match(chunk)
         if not match:
             raise CliError(f"cannot parse half-line term {chunk!r}")
@@ -149,143 +137,84 @@ def parse_halfline(text: str) -> HalfLineFunction:
     return HalfLineFunction.build(terms)
 
 
-def _parse_halfline_json(text: str) -> HalfLineFunction:
-    """Parse the ``--f-json`` descriptor: the list that
-    ``HalfLineFunction.to_dict`` writes, one ``{"c": [re, im], "beta": b,
-    "s": [re, im]}`` object per mode, with finite numbers.  ``[]`` is the
-    zero function; anything else is a CliError naming the first bad mode.
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"--f-json is not JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise CliError("--f-json must be a JSON list of modes, not "
-                       f"{json.dumps(data)}")
-    for index, mode in enumerate(data):
-        if not (isinstance(mode, dict) and mode.keys() == {"c", "beta", "s"}
-                and _finite_number(mode["beta"])
-                and all(isinstance(mode[key], list) and len(mode[key]) == 2
-                        and all(map(_finite_number, mode[key]))
-                        for key in ("c", "s"))):
-            raise CliError(f"--f-json mode {index} must be "
-                           '{"c": [re, im], "beta": b, "s": [re, im]}, not '
-                           f"{json.dumps(mode)}")
-    return HalfLineFunction.from_dict(data)
-
-
-def _finite_number(value) -> bool:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
-
-
 def _parse_grid(text: str) -> SampleGrid:
     parts = text.split(",")
     if len(parts) != 5:
         raise CliError("grid syntax is r_min,r_max,shells,angles,aperture")
-    return SampleGrid(r_min=float(parts[0]), r_max=float(parts[1]),
-                      radial_count=int(parts[2]), angular_count=int(parts[3]),
-                      aperture=float(parts[4]))
+    values, kinds = [], {int: "an integer", float: "a number"}
+    for name, part in zip(("r_min", "r_max", "shells", "angles", "aperture"),
+                          parts):
+        convert = int if name in ("shells", "angles") else float
+        try:
+            values.append(convert(part))
+        except ValueError:
+            raise CliError(f"--grid {name}: need {kinds[convert]}, not "
+                           f"{part!r}") from None
+    r_min, r_max, shells, angles, aperture = values
+    try:
+        return SampleGrid(aperture, r_min, r_max, shells, angles)
+    except ValueError as exc:
+        raise CliError(f"--grid: {exc}") from None
+
+
+def _symbol_text(item) -> str:
+    """A run-config ``symbols`` item as ``--symbol`` text: a string is
+    mini-syntax, anything else a descriptor that ``parse_symbol`` reads."""
+    try:
+        return read_json(item, STRING)
+    except ValueError:
+        return "json:" + json.dumps(item, sort_keys=True)
+
+
+_RUN_CONFIG = Block("run-config", {
+    "symbols": [_symbol_text], "alphas": [REAL], "grid": SampleGrid.from_dict,
+    "quadrature": Block("quadrature",
+                        {"n_x": INTEGER, "n_y": INTEGER, "y_max": REAL}),
+    "seed": INTEGER, "format": FORMATS, "out": STRING})
 
 
 def _apply_config(args) -> None:
-    """Fold a JSON run-config file into the parsed arguments, then parse
-    the grid and validate the symbols, once for every subcommand.
+    """Fold a JSON run-config file, read as ``_RUN_CONFIG``, into the
+    parsed arguments, then parse the grid and validate the symbols, once
+    for every subcommand.
 
-    The file may provide symbols (descriptors or mini-syntax strings),
-    alphas, grid, quadrature, seed, format and out; explicit command-line
-    flags win over file values.  ``--seed`` and ``--format`` default to
-    None so that an explicit ``--seed 0`` or ``--format json`` is seen;
-    their defaults (0 and json) are filled in here, and csv is refused
-    for ``psd`` and ``report``, which have no rows.  Unknown keys are
-    refused at the top level and in the grid and quadrature blocks.
-    Afterwards ``args.grid`` is a :class:`SampleGrid` and, for subcommands
-    that take ``--symbol``, ``args.symbols`` holds (text, symbol) pairs,
-    at least one except for ``psd``.
+    Explicit command-line flags win over file values.  ``--seed`` and
+    ``--format`` default to None so that an explicit ``--seed 0`` or
+    ``--format json`` is seen; their defaults (0 and json) are filled in
+    here, and csv is refused for ``psd`` and ``report``, which have no
+    rows.  Afterwards ``args.grid`` is a :class:`SampleGrid` and, for
+    subcommands that take ``--symbol``, ``args.symbols`` holds (text,
+    symbol) pairs, at least one except for ``psd``.
     """
     config = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:
-            config = json.load(handle)
-        if not isinstance(config, dict):
-            raise CliError("a run-config file must hold a JSON object")
-    _refuse_unknown(config, ("symbols", "alphas", "grid", "quadrature",
-                             "seed", "format", "out"), "run-config")
+            config = read_json(json.load(handle), _RUN_CONFIG)
     if hasattr(args, "symbol") and not args.symbol:
-        args.symbol = _coerce(
-            lambda syms: [sym if isinstance(sym, str)
-                          else _descriptor_to_text(sym) for sym in syms],
-            config, "symbols", [])
-    if args.alpha is None and "alphas" in config:
-        args.alpha = _coerce(lambda alphas: [float(a) for a in alphas],
-                             config, "alphas")
-    if args.grid:
-        args.grid = _parse_grid(args.grid)
-    elif "grid" in config:
-        args.grid = _coerce(SampleGrid.from_dict, config, "grid")
-    else:
-        args.grid = DEFAULT_GRID
+        args.symbol = config.get("symbols", [])
+    if args.alpha is None:
+        args.alpha = config.get("alphas")
+    args.grid = (_parse_grid(args.grid) if args.grid
+                 else config.get("grid", DEFAULT_GRID))
     if args.seed is None:
-        args.seed = _coerce(int, config, "seed", 0)
+        args.seed = config.get("seed", 0)
     if args.format is None:
-        args.format = _coerce(str, config, "format", "json", FORMATS)
+        args.format = config.get("format", "json")
     if args.format == "csv" and args.command in ("psd", "report"):
         raise CliError(f"{args.command} writes JSON only: it has no rows "
                        "for --format csv")
-    if "out" in config and not args.out:
-        args.out = _coerce(_string, config, "out")
-    if config.get("quadrature"):
-        def params(quad):
-            _refuse_unknown(quad, ("n_x", "n_y", "y_max"), "quadrature")
-            return (int(quad.get("n_x", DEFAULT_NX)),
-                    int(quad.get("n_y", DEFAULT_NY)),
-                    float(quad.get("y_max", DEFAULT_YMAX)))
-        args.scheme = _cached_scheme(*_coerce(params, config, "quadrature"))
+    if not args.out:
+        args.out = config.get("out")
+    if "quadrature" in config:
+        quad = config["quadrature"]
+        args.scheme = _cached_scheme(quad.get("n_x", DEFAULT_NX),
+                                     quad.get("n_y", DEFAULT_NY),
+                                     quad.get("y_max", DEFAULT_YMAX))
     if hasattr(args, "symbol"):
         args.symbols = _validated_symbols(args.symbol, args.grid)
         if not args.symbols and args.command != "psd":
             raise CliError(f"{args.command} needs --symbol or a run-config "
                            "'symbols' list")
-
-
-def _refuse_unknown(block, known, name: str) -> None:
-    unknown = block.keys() - set(known)
-    if unknown:
-        raise CliError(f"unknown {name} keys: {sorted(unknown)}")
-
-
-def _coerce(convert, config: dict, key: str, default=None, choices=None):
-    """``convert`` applied to the run-config value under ``key``.  A JSON
-    value of the wrong type (null, a number for a list or a block) makes
-    ``convert`` raise TypeError or AttributeError; that becomes a
-    CliError, and so does a value outside ``choices`` when given."""
-    value = config.get(key, default)
-    try:
-        converted = convert(value)
-    except (TypeError, AttributeError) as exc:
-        raise CliError(f"run-config {key!r} has a value of the wrong "
-                       f"type: {exc}") from exc
-    if choices is not None and converted not in choices:
-        raise CliError(f"run-config {key!r} must be one of "
-                       f"{', '.join(choices)}, not {value!r}")
-    return converted
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"need a string, not {type(value).__name__}")
-    return value
-
-
-def _descriptor_to_text(descriptor: dict) -> str:
-    # Round-trip through the library descriptor so config files may carry
-    # the same JSON shape the reports emit.
-    symbol_from_dict(descriptor)
-    return "json:" + json.dumps(descriptor, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +398,10 @@ def _cmd_angular(args) -> int:
 
 def _cmd_laplace(args) -> int:
     if args.f_json:
-        func = _parse_halfline_json(args.f_json)
+        try:
+            func = HalfLineFunction.from_dict(json.loads(args.f_json))
+        except ValueError as exc:  # not JSON, or not a list of modes
+            raise CliError(f"--f-json: {exc}") from None
     elif args.f:
         func = parse_halfline(args.f)
     else:

@@ -31,7 +31,7 @@ import numpy as np
 from .kernels import Weight, _shifted_power
 from .space import (KernelCombination, QuadratureScheme, default_scheme,
                     weighted_integral)
-from .symbols import require_half_plane
+from .symbols import COMPLEX, REAL, Block, read_json, require_half_plane
 
 __all__ = [
     "ExpMonomial",
@@ -74,14 +74,8 @@ class HalfLineFunction:
 
     @classmethod
     def build(cls, terms: Sequence) -> "HalfLineFunction":
-        packed = []
-        for term in terms:
-            if isinstance(term, ExpMonomial):
-                packed.append(term)
-            else:
-                c, beta, s = term
-                packed.append(ExpMonomial(c, beta, s))
-        return cls(tuple(packed))
+        """The sum of the modes (c, beta, s) in ``terms``."""
+        return cls(tuple(ExpMonomial(c, beta, s) for c, beta, s in terms))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -95,10 +89,14 @@ class HalfLineFunction:
 
     @classmethod
     def from_dict(cls, data) -> "HalfLineFunction":
-        return cls.build([(complex(item["c"][0], item["c"][1]),
-                           float(item["beta"]),
-                           complex(item["s"][0], item["s"][1]))
-                          for item in data])
+        """Inverse of ``to_dict``, read by :func:`read_json` as a list of
+        ``{"c", "beta", "s"}`` modes; ``[]`` is the zero function."""
+        return cls.build([(mode["c"], mode["beta"], mode["s"])
+                          for mode in read_json(data, [_MODE])])
+
+
+_MODE = Block("mode", {"c": COMPLEX, "beta": REAL, "s": COMPLEX},
+              required=True)
 
 
 def _modes_text(f: HalfLineFunction, *indices: int) -> str:

@@ -18,10 +18,12 @@ numpy arrays of half-plane points.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "validate_self_map",
     "angular_derivative_estimate",
     "symbol_from_dict",
+    "read_json",
 ]
 
 _COEFF_LIMIT = 1e300
@@ -68,19 +71,93 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _real(value) -> float:
-    """A descriptor's real value: a JSON number (not a bool)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"need a JSON number, not {value!r}")
+# ---------------------------------------------------------------------------
+# JSON input
+
+# The kinds of JSON value that read_json reads, each named by what it needs.
+REAL = "a JSON number"           # finite, not a bool; read as a float
+INTEGER = "a JSON integer"       # an integer literal: not a bool, not 7.0
+COMPLEX = "[re, im] or a number"  # of REALs; read as a complex
+STRING = "a JSON string"
 
 
-def _complex(value) -> complex:
-    """A descriptor's complex value: [re, im] or a bare real number."""
-    pair = value if isinstance(value, (list, tuple)) else (value, 0.0)
-    if len(pair) != 2:
-        raise ValueError(f"need [re, im] or a number, not {value!r}")
-    return complex(_real(pair[0]), _real(pair[1]))
+@dataclass(frozen=True)
+class Block:
+    """A JSON object: ``keys`` maps each key to its kind, or is a function
+    that reads the object.  With ``required`` no key may be missing."""
+
+    name: str
+    keys: dict | Callable[[dict], object]
+    required: bool = False
+
+
+def read_json(value, kind):
+    """``value``, as ``json`` parsed it, read as ``kind``: REAL, INTEGER,
+    COMPLEX, STRING, a tuple of allowed strings, ``[kind]`` for a list, a
+    :class:`Block` (read as a dict of the keys present) or a function.
+    Null is never a value.  A refusal is a ValueError naming the block,
+    the key and the list item: ``<block> has unknown keys: [...]``,
+    ``<block> has no 'k' key``, ``<block> key 'k': need <kind>, not <v>``.
+    """
+    if isinstance(kind, Block):
+        if not isinstance(value, dict):
+            raise ValueError(f"a {kind.name} is a JSON object, not {value!r}")
+        if callable(kind.keys):
+            return kind.keys(value)
+        unknown = value.keys() - kind.keys.keys()
+        if unknown:
+            raise ValueError(f"{kind.name} has unknown keys: "
+                             f"{sorted(unknown)}")
+        missing = [key for key in kind.keys if key not in value]
+        if kind.required and missing:
+            raise ValueError(f"{kind.name} has no {missing[0]!r} key")
+        return {key: _read_at(f"{kind.name} key {key!r}", value[key], item)
+                for key, item in kind.keys.items() if key in value}
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValueError(f"need a JSON list, not {value!r}")
+        return [_read_at(f"item {index}", item, kind[0])
+                for index, item in enumerate(value)]
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        raise ValueError(f"need one of {', '.join(map(repr, kind))}, "
+                         f"not {value!r}")
+    if callable(kind):
+        return kind(value)
+    if kind == COMPLEX:
+        pair = value if isinstance(value, list) else [value, 0.0]
+        if len(pair) != 2:
+            raise ValueError(f"need {COMPLEX}, not {value!r}")
+        return complex(read_json(pair[0], REAL), read_json(pair[1], REAL))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if (kind == STRING and isinstance(value, str)
+            or kind == INTEGER and number and isinstance(value, int)):
+        return value
+    if kind == REAL and number:
+        if abs(value) <= sys.float_info.max:  # not NaN, inf or a huge int
+            return float(value)
+        kind = "a finite JSON number"
+    raise ValueError(f"need {kind}, not {value!r}")
+
+
+def _read_at(where: str, value, kind):
+    """read_json, with a refusal prefixed by ``where`` the value sits."""
+    try:
+        return read_json(value, kind)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _set_finite(symbol, convert, *names) -> None:
+    """Store each coefficient ``names`` of ``symbol`` as ``convert`` makes
+    it, and refuse one that is not finite."""
+    for name in names:
+        value = convert(getattr(symbol, name))
+        if not cmath.isfinite(value):
+            raise ValueError(f"{symbol.kind} coefficient {name!r} is not "
+                             f"finite: {value}")
+        object.__setattr__(symbol, name, value)
 
 
 class Symbol:
@@ -137,8 +214,8 @@ class Affine(_LinearFractional):
     kind = "affine"
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", complex(self.b))
+        _set_finite(self, float, "a")
+        _set_finite(self, complex, "b")
 
     @property
     def matrix(self) -> tuple:
@@ -151,7 +228,8 @@ class Affine(_LinearFractional):
 @dataclass(frozen=True)
 class _Coefficients(_LinearFractional):
     """The four complex coefficients (a z + b)/(c z + d) that define a
-    Moebius or Cayley symbol; a constant map (ad - bc = 0) is refused."""
+    Moebius or Cayley symbol; a coefficient that is not finite, and a
+    constant map (ad - bc = 0), are refused."""
 
     a: complex
     b: complex
@@ -159,8 +237,7 @@ class _Coefficients(_LinearFractional):
     d: complex
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        _set_finite(self, complex, "a", "b", "c", "d")
         if self.a * self.d - self.b * self.c == 0:
             raise ValueError(f"{self.kind} map is degenerate (ad - bc = 0)")
 
@@ -213,7 +290,7 @@ class PowerMap(Symbol):
     kind = "power"
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
+        _set_finite(self, float, "p")
 
     def __call__(self, z):
         return z ** self.p
@@ -282,22 +359,22 @@ def cayley_conjugate(a, b, c, d) -> CayleyMap:
     """Build the half-plane conjugate of the disc Moebius map
     psi(zeta) = (a zeta + b) / (c zeta + d).
 
-    The descriptor is rejected (with a witness) unless psi maps a fixed
-    sample of the open disc strictly into the open disc, and rejected as
-    degenerate when psi is constant (ad - bc = 0).
+    The descriptor is rejected as for :class:`CayleyMap` (a coefficient
+    that is not finite, or a constant psi), and then unless psi maps a
+    fixed sample of the open disc strictly into the open disc.
     """
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    phi = CayleyMap(a, b, c, d)
     radii = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.9999])
     angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     zeta = radii[:, None] * np.exp(1j * angles)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        image = (a * zeta + b) / (c * zeta + d)
+        image = (phi.a * zeta + phi.b) / (phi.c * zeta + phi.d)
     bad = ~np.isfinite(image) | (np.abs(image) >= 1.0)
     if np.any(bad):
         witness = zeta[bad][0]
         raise ValueError(
             f"descriptor is not a disc self-map: |psi({witness:g})| >= 1")
-    return CayleyMap(a, b, c, d)
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +403,8 @@ class SampleGrid:
     def __post_init__(self):
         if not 0.0 < self.aperture < math.pi / 2:
             raise ValueError("aperture must lie in (0, pi/2)")
-        if not 0.0 < self.r_min < self.r_max:
-            raise ValueError("need 0 < r_min < r_max")
+        if not 0.0 < self.r_min < self.r_max < math.inf:
+            raise ValueError("need 0 < r_min < r_max < inf")
         if self.radial_count < 2:
             raise ValueError("need at least two radial shells")
         if self.angular_count < 1:
@@ -379,16 +456,15 @@ class SampleGrid:
         return {key: getattr(self, name) for key, name in self._KEYS.items()}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SampleGrid":
-        """Inverse of ``to_dict``: a missing key keeps the field default,
-        an unknown key is refused."""
-        unknown = data.keys() - cls._KEYS.keys()
-        if unknown:
-            raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-        return cls(**{name: type(getattr(cls, name))(data[key])
-                      for key, name in cls._KEYS.items() if key in data})
+    def from_dict(cls, data) -> "SampleGrid":
+        """Inverse of ``to_dict``, through :func:`read_json`: a missing key
+        keeps the field default."""
+        values = read_json(data, _GRID)
+        return cls(**{cls._KEYS[key]: value for key, value in values.items()})
 
 
+_GRID = Block("grid", {"aperture": REAL, "r_min": REAL, "r_max": REAL,
+                       "radial": INTEGER, "angular": INTEGER})
 DEFAULT_GRID = SampleGrid()
 
 
@@ -556,42 +632,35 @@ def angular_derivative_estimate(phi: Symbol,
 # JSON descriptors
 
 
-def symbol_from_dict(data: dict) -> Symbol:
+def symbol_from_dict(data) -> Symbol:
     """Rebuild a symbol from its JSON descriptor, as ``to_dict`` writes it.
 
     The descriptor is an object whose keys are ``kind`` and exactly the
-    keys of its family; a real value is a JSON number and a complex value
-    is [re, im] or a bare number.  Anything else raises ValueError naming
-    the kind and the key.  Cayley descriptors must define a disc self-map
-    (see :func:`cayley_conjugate`).
+    keys of its family, read by :func:`read_json`: a real value is a
+    finite JSON number and a complex value is [re, im] or a bare number.
+    Anything else raises ValueError naming the kind and the key.  Cayley
+    descriptors must define a disc self-map (see :func:`cayley_conjugate`).
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"a symbol descriptor is a JSON object, not {data!r}")
+    return read_json(data, _SYMBOL)
+
+
+def _read_descriptor(data: dict) -> Symbol:
     kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _DESCRIPTORS:
+    if kind not in tuple(_DESCRIPTORS):  # a list kind is no dict key
         raise ValueError(f"unknown symbol kind: {kind!r}")
-    build, readers = _DESCRIPTORS[kind]
-    unknown = data.keys() - {"kind", *readers}
-    if unknown:
-        raise ValueError(f"{kind} descriptor has unknown keys: "
-                         f"{sorted(unknown)}")
-    values = []
-    for key, read in readers.items():
-        if key not in data:
-            raise ValueError(f"{kind} descriptor has no {key!r} key")
-        try:
-            values.append(read(data[key]))
-        except ValueError as exc:
-            raise ValueError(f"{kind} descriptor key {key!r}: {exc}") from None
-    return build(*values)
+    build, keys = _DESCRIPTORS[kind]
+    values = read_json({key: value for key, value in data.items()
+                        if key != "kind"},
+                       Block(f"{kind} descriptor", keys, required=True))
+    return build(**values)
 
 
-# kind -> (builder, reader of each descriptor key in argument order)
+_SYMBOL = Block("symbol descriptor", _read_descriptor)
+# kind -> (builder, kind of each descriptor key)
 _DESCRIPTORS = {
-    "affine": (Affine, {"a": _real, "b": _complex}),
-    "moebius": (Moebius, dict.fromkeys("abcd", _complex)),
-    "cayley": (cayley_conjugate, dict.fromkeys("abcd", _complex)),
-    "power": (PowerMap, {"p": _real}),
-    "compose": (Compose, {"left": symbol_from_dict,
-                          "right": symbol_from_dict}),
+    "affine": (Affine, {"a": REAL, "b": COMPLEX}),
+    "moebius": (Moebius, dict.fromkeys("abcd", COMPLEX)),
+    "cayley": (cayley_conjugate, dict.fromkeys("abcd", COMPLEX)),
+    "power": (PowerMap, {"p": REAL}),
+    "compose": (Compose, {"left": _SYMBOL, "right": _SYMBOL}),
 }

@@ -100,6 +100,18 @@ def test_layer_timings_group_the_child_samples(monkeypatch):
     assert jacobi["raw_median"] == 3.0
 
 
+def test_diff_compares_criterion_times():
+    # each acceptance criterion is a layer of its own
+    old = snapshot("15", [70.0], [0.1], [0.1], [2.0])
+    new = snapshot("16", [70.0], [0.1], [0.1], [2.0])
+    for data, ms in ((old, [300.0]), (new, [250.0])):
+        data["layers"]["report.criterion_7"] = {
+            "unit": "ms", **bench_snapshot.summary(ms), "raw_median": ms[0]}
+    assert ("layers.report.criterion_7: 300 -> 250 ms (0.833x)"
+            in bench_snapshot.diff(old, new))
+    assert "report.criterion_{k}" in bench_snapshot.LAYER_CODE
+
+
 def test_layer_code_compiles():
     # the child code itself needs numpy and runs only when measuring
     compile(bench_snapshot.LAYER_CODE, "<layer code>", "exec")

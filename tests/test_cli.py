@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,38 @@ class TestGridFlag:
             texts.append(out.read_text())
         assert _without_timestamp(texts[0]) == _without_timestamp(texts[1])
 
+    @pytest.mark.parametrize("grid,message", [
+        # two numpy RuntimeWarnings, then "leaves the half-plane at inf-infj"
+        ("1,inf,40,9,1", "--grid: need 0 < r_min < r_max < inf"),
+        # "invalid literal for int() with base 10: '40.5'"
+        ("1,1e6,40.5,9,1", "--grid shells: need an integer, not '40.5'"),
+        ("1,1e6,40,9,wide", "--grid aperture: need a number, not 'wide'"),
+        ("1,1e6,40,9,2", "--grid: aperture must lie in (0, pi/2)"),
+    ], ids=["inf-r_max", "fractional-shells", "word-aperture", "aperture"])
+    def test_grid_errors_name_the_flag(self, capsys, grid, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["angular", "--symbol", "affine:2,1",
+                         "--grid", grid]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("symbol,message", [
+        # "rejected: translation leaves the half-plane (Re b < 0)"
+        ("affine:2,nan", "affine coefficient 'b' is not finite: (nan+0j)"),
+        # "symbol leaves the half-plane at z = 0.5-0.866025j"
+        ("affine:inf,0", "affine coefficient 'a' is not finite: inf"),
+        # after a numpy RuntimeWarning
+        ("power:nan", "power coefficient 'p' is not finite: nan"),
+        ("cayley:1,0,0,inf", "cayley coefficient 'd' is not finite: "
+                             "(inf+0j)"),
+    ], ids=["affine-nan-b", "affine-inf-a", "power-nan", "cayley-inf-d"])
+    def test_non_finite_coefficients_are_refused(self, capsys, symbol,
+                                                 message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["angular", "--symbol", symbol]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_grid_syntax_error(self, capsys):
         assert main(["angular", "--symbol", "affine:2,1",
                      "--grid", "1,2,3"]) == 1
@@ -496,26 +529,43 @@ class TestOtherCommands:
         assert data["rows"][0]["rhs"] == pytest.approx(0.125)
 
     @pytest.mark.parametrize("descr,message", [
-        ('[{"c": [1, 0]}]', "mode 0 must be"),
-        ("[[1, 2, 3]]", "mode 0 must be"),
-        ('[{"c": 1, "beta": 1, "s": [1, 0]}]', "mode 0 must be"),
+        ('[{"c": [1, 0]}]', "item 0: mode has no 'beta' key"),
+        ("[[1, 2, 3]]", "item 0: a mode is a JSON object, not [1, 2, 3]"),
+        ('[{"c": true, "beta": 1, "s": [1, 0]}]',
+         "item 0: mode key 'c': need a JSON number, not True"),
         ('[{"c": [1, 0], "beta": 1, "s": [1, 0]}, '
-         '{"c": [1, 0], "beta": "1", "s": [1, 0]}]', "mode 1 must be"),
-        ('[{"c": [1, 0], "beta": NaN, "s": [1, 0]}]', "mode 0 must be"),
-        ('[{"c": [1, 0], "beta": 1, "s": [1, 0], "x": 0}]', "mode 0 must be"),
+         '{"c": [1, 0], "beta": "1", "s": [1, 0]}]',
+         "item 1: mode key 'beta': need a JSON number, not '1'"),
+        ('[{"c": [1, 0], "beta": NaN, "s": [1, 0]}]',
+         "item 0: mode key 'beta': need a finite JSON number, not nan"),
+        ('[{"c": [1, 0], "beta": 1, "s": [1, 0], "x": 0}]',
+         "item 0: mode has unknown keys: ['x']"),
         ('[{"c": [1, 0], "beta": 1' + "0" * 400 + ', "s": [1, 0]}]',
-         "mode 0 must be"),
-        ("{}", "must be a JSON list of modes"),
-        ("[{", "--f-json is not JSON"),
-    ], ids=["missing-keys", "list-mode", "scalar-c", "string-beta", "nan-beta",
+         "item 0: mode key 'beta': need a finite JSON number, not 1000"),
+        ("{}", "need a JSON list, not {}"),
+        ("[{", "Expecting property name"),
+    ], ids=["missing-keys", "list-mode", "bool-c", "string-beta", "nan-beta",
             "huge-int-beta", "extra-key", "object", "not-json"])
     def test_laplace_malformed_json_descriptor(self, tmp_path, capsys, descr,
                                                message):
         out = tmp_path / "out.json"
         assert main(["laplace", "--f-json", descr, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --f-json ") and message in err
+        assert err.startswith("error: --f-json: " + message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("c,s", [(1, [1, 0]), (2, 1.5)],
+                             ids=["bare-c", "bare-c-and-s"])
+    def test_laplace_json_bare_number_is_a_complex(self, tmp_path, c, s):
+        # a complex value is [re, im] or a bare number, in every JSON input
+        # ({"c": 1} used to be refused here alone)
+        def rows(mode):
+            return run_json(tmp_path, ["laplace", "--f-json",
+                                       json.dumps([mode])])[1]["rows"]
+        pair = rows({"c": [c, 0], "beta": 1, "s": s if isinstance(s, list)
+                     else [s, 0]})
+        assert rows({"c": c, "beta": 1, "s": s}) == pair
+        assert pair[0]["f"][0]["c"] == [float(c), 0.0]
 
     def test_laplace_empty_json_descriptor_is_the_zero_function(self,
                                                                 tmp_path):
@@ -757,7 +807,8 @@ class TestRunConfig:
         config = self.write_config(tmp_path, {"format": fmt})
         assert main(["interp", "--alpha", "1", "--config", config]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: run-config 'format'")
+        assert captured.err.startswith("error: run-config key 'format': "
+                                       "need one of 'json', 'csv', not ")
         assert captured.out == ""
 
     @settings(max_examples=60, deadline=None,
@@ -800,14 +851,15 @@ class TestRunConfig:
         config = self.write_config(tmp_path, payload)
         assert main(["angular", "--symbol", "affine:2,1",
                      "--config", config]) == 1
-        assert capsys.readouterr().err == ("error: a run-config file must "
-                                           "hold a JSON object\n")
+        assert capsys.readouterr().err == ("error: a run-config is a JSON "
+                                           f"object, not {payload!r}\n")
 
     @pytest.mark.parametrize("command,payload,message", [
         (["angular", "--symbol", "affine:2,1"], {"grid": {"rmax": 1e3}},
-         "unknown grid keys: ['rmax']"),
+         "run-config key 'grid': grid has unknown keys: ['rmax']"),
         (["laplace", "--f", "t*exp(-t)"], {"quadrature": {"nx": 320}},
-         "unknown quadrature keys: ['nx']"),
+         "run-config key 'quadrature': quadrature has unknown keys: "
+         "['nx']"),
     ], ids=["grid", "quadrature"])
     def test_unknown_block_keys_rejected(self, tmp_path, capsys, command,
                                          payload, message):
@@ -833,7 +885,8 @@ class TestRunConfig:
             capture_output=True, text=True, env=env, cwd=tmp_path,
             timeout=60)
         assert result.returncode == 1
-        assert result.stderr.startswith("error: run-config 'out'")
+        assert result.stderr.startswith("error: run-config key 'out': need a "
+                                        "JSON string, not ")
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,33 @@ class TestComposition:
     def test_overflow_guard(self):
         with pytest.raises(CoefficientOverflow):
             compose(Affine(1e200, 0), Affine(1e200, 0))
+
+
+class TestFiniteCoefficients:
+    # each used to be built, and then refused for a false reason (Re b < 0
+    # for affine:2,nan) or after a numpy RuntimeWarning (power:nan)
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Affine(2, complex(math.nan, 0)),
+         "affine coefficient 'b' is not finite: (nan+0j)"),
+        (lambda: Affine(math.inf, 0),
+         "affine coefficient 'a' is not finite: inf"),
+        (lambda: Moebius(1, 0, complex(0, -math.inf), 1),
+         "moebius coefficient 'c' is not finite: -infj"),
+        (lambda: CayleyMap(1, 0, 0, math.nan),
+         "cayley coefficient 'd' is not finite: (nan+0j)"),
+        (lambda: cayley_conjugate(math.nan, 0, 0, 1),
+         "cayley coefficient 'a' is not finite: (nan+0j)"),
+        (lambda: PowerMap(math.nan), "power coefficient 'p' is not finite: nan"),
+        (lambda: compose(PowerMap(1e200), PowerMap(1e200)),
+         "power coefficient 'p' is not finite: inf"),
+    ], ids=["affine-b", "affine-a", "moebius", "cayley", "cayley-conjugate",
+            "power", "power-product"])
+    def test_refused_at_construction(self, build, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                build()
+        assert str(info.value) == message
 
 
 def _points_of_h():
@@ -338,6 +366,14 @@ class TestCayley:
     def test_validates_on_half_plane(self):
         phi = cayley_conjugate(1, 0, -1, 2)
         assert validate_self_map(phi) is None
+
+
+class TestGridRange:
+    @pytest.mark.parametrize("r_min,r_max", [(1.0, math.inf), (math.nan, 2.0),
+                                             (1.0, math.nan), (2.0, 1.0)])
+    def test_radii_must_be_finite_and_ordered(self, r_min, r_max):
+        with pytest.raises(ValueError, match=r"need 0 < r_min < r_max < inf"):
+            SampleGrid(r_min=r_min, r_max=r_max)
 
 
 class TestSerialization:

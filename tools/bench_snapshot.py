@@ -24,10 +24,12 @@ this file) and records:
   and 64 and on the stacks 12x8x8, 4x16x16 and 5x12x12 that the
   workloads solve, ``pivoted_cholesky`` at order 8, 32 and 64, one
   ``angular_derivative_estimate`` on the default grid for an affine map
-  and for a composition of two Moebius maps, and one
-  ``boundedness_verdict`` over the seven ``norm_sweep`` families at one
-  alpha; each sample is scaled by bergbench's host probe taken before
-  and after it;
+  and for a composition of two Moebius maps, one ``boundedness_verdict``
+  over the seven ``norm_sweep`` families at one alpha, and each
+  acceptance criterion 1 to 10 of ``bergkit report`` at seed 0
+  (``report.criterion_<k>``, one ``report.run_criterion(k, 0)`` call);
+  each sample is scaled by bergbench's host probe taken before and
+  after it;
 - the git SHA and whether the tree had uncommitted changes (both null
   when ``--root`` is not a git work tree), a digest of the ``src/`` files
   measured, the Python and numpy versions, the machine, its CPU count and
@@ -79,6 +81,7 @@ LAYER_CODE = """
 import json, sys, time
 sys.path.insert(0, "bergbench")
 import numpy as np, run, workloads
+from bergkit import report
 from bergkit.cli import parse_symbol
 from bergkit.kernels import Weight
 from bergkit.linalg import jacobi_eigh, pivoted_cholesky
@@ -116,6 +119,8 @@ weight = Weight(op.spec["cells"][0][1])
 symbols = [parse_symbol(sym.text) for sym, _ in op.spec["cells"]]
 cases["opnorm.boundedness_verdict.norm_sweep_families"] = (
     lambda: boundedness_verdict(weight, symbols, DEFAULT_GRID))
+for k in range(1, 11):
+    cases[f"report.criterion_{k}"] = lambda k=k: report.run_criterion(k, 0)
 run.host_probe()
 for name, call in cases.items():
     start = time.perf_counter()
