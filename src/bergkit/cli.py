@@ -58,12 +58,13 @@ def _complex_token(token: str) -> complex:
 
 
 def _split_top(text: str, sep: str) -> list[str]:
-    """``text`` split at each ``sep`` outside parentheses that does not
-    open a chunk."""
+    """``text`` split at each ``sep`` outside parentheses that neither
+    opens a chunk nor signs the exponent of a number (``1e+1``)."""
     chunks, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         depth += (ch == "(") - (ch == ")")
-        if ch == sep and depth == 0 and i > start:
+        if (ch == sep and depth == 0 and i > start
+                and not re.search(r"[\d.][eE]$", text[start:i])):
             chunks.append(text[start:i])
             start = i + 1
     return chunks + [text[start:]]
@@ -166,55 +167,67 @@ def _symbol_text(item) -> str:
         return "json:" + json.dumps(item, sort_keys=True)
 
 
-_RUN_CONFIG = Block("run-config", {
-    "symbols": [_symbol_text], "alphas": [REAL], "grid": SampleGrid.from_dict,
-    "quadrature": Block("quadrature",
-                        {"n_x": INTEGER, "n_y": INTEGER, "y_max": REAL}),
-    "seed": INTEGER, "format": FORMATS, "out": STRING})
+def _scheme(block):
+    """The run-config ``quadrature`` block as the cached scheme it names."""
+    quad = read_json(block, Block("quadrature", {
+        "n_x": INTEGER, "n_y": INTEGER, "y_max": REAL}))
+    return _cached_scheme(quad.get("n_x", DEFAULT_NX),
+                          quad.get("n_y", DEFAULT_NY),
+                          quad.get("y_max", DEFAULT_YMAX))
+
+
+def _seed(text: str) -> int:
+    """``--seed``, read as a run-config ``seed`` is."""
+    try:
+        return read_json(int(text), INTEGER)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"need an integer in [0, 2**63), not {text!r}") from None
+
+
+# The inputs subcommands share, by run-config key, in the order they are
+# settled (the grid before the symbols checked on it): the flag, if any,
+# and its argparse options, the read_json kind of the key, the default.
+_INPUTS = {
+    "alphas": ("--alpha", dict(type=float, action="append", metavar="ALPHA",
+               help="weight parameter alpha > -1 (repeatable)"),
+               [REAL], [0.0]),
+    "grid": ("--grid", dict(help="r_min,r_max,shells,angles,aperture"),
+             SampleGrid.from_dict, DEFAULT_GRID),
+    "symbols": ("--symbol", dict(
+        action="append", metavar="SYMBOL",
+        help="affine:a,b | moebius:a,b,c,d | power:p | cayley:a,b,c,d | "
+             "compose:(s1;s2) | identity"), [_symbol_text], []),
+    "quadrature": (None, {}, _scheme, None),
+    "format": ("--format", dict(choices=FORMATS), FORMATS, "json"),
+    "seed": ("--seed", dict(type=_seed), INTEGER, 0),
+    "out": ("--out", dict(help="output path (default stdout)"), STRING, None),
+}
 
 
 def _apply_config(args) -> None:
-    """Fold a JSON run-config file, read as ``_RUN_CONFIG``, into the
-    parsed arguments, then parse the grid and validate the symbols, once
-    for every subcommand.
-
-    Explicit command-line flags win over file values.  ``--seed`` and
-    ``--format`` default to None so that an explicit ``--seed 0`` or
-    ``--format json`` is seen; their defaults (0 and json) are filled in
-    here, and csv is refused for ``psd`` and ``report``, which have no
-    rows.  Afterwards ``args.grid`` is a :class:`SampleGrid` and, for
-    subcommands that take ``--symbol``, ``args.symbols`` holds (text,
-    symbol) pairs, at least one except for ``psd``.
-    """
+    """Settle each input the subcommand reads: its flag wins, then its
+    value in the run-config file (read as the command's own block), then
+    its default; an empty value counts as none.  ``args.grid`` becomes a
+    :class:`SampleGrid` and ``args.symbols`` (text, symbol) pairs valid on
+    it, at least one except for ``psd``."""
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as handle:
-            config = read_json(json.load(handle), _RUN_CONFIG)
-    if hasattr(args, "symbol") and not args.symbol:
-        args.symbol = config.get("symbols", [])
-    if args.alpha is None:
-        args.alpha = config.get("alphas")
-    args.grid = (_parse_grid(args.grid) if args.grid
-                 else config.get("grid", DEFAULT_GRID))
-    if args.seed is None:
-        args.seed = config.get("seed", 0)
-    if args.format is None:
-        args.format = config.get("format", "json")
-    if args.format == "csv" and args.command in ("psd", "report"):
-        raise CliError(f"{args.command} writes JSON only: it has no rows "
-                       "for --format csv")
-    if not args.out:
-        args.out = config.get("out")
-    if "quadrature" in config:
-        quad = config["quadrature"]
-        args.scheme = _cached_scheme(quad.get("n_x", DEFAULT_NX),
-                                     quad.get("n_y", DEFAULT_NY),
-                                     quad.get("y_max", DEFAULT_YMAX))
-    if hasattr(args, "symbol"):
-        args.symbols = _validated_symbols(args.symbol, args.grid)
-        if not args.symbols and args.command != "psd":
-            raise CliError(f"{args.command} needs --symbol or a run-config "
-                           "'symbols' list")
+            config = read_json(json.load(handle), args.run_config)
+    for key, default in args.inputs.items():
+        value = getattr(args, key, None)  # None: no flag gave it
+        if value is None:
+            value = config.get(key) or default
+        elif key == "grid":
+            value = _parse_grid(value)
+        if key == "symbols":
+            value = [(text, _validated_symbol(text, args.grid))
+                     for text in value]
+            if not value and args.command != "psd":
+                raise CliError(f"{args.command} needs --symbol or a "
+                               "run-config 'symbols' list")
+        setattr(args, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +238,12 @@ def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args, fmt: str = "json") -> None:
     payload = dict(payload, command=args.command, seed=args.seed)
     payload["generated_at"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat()
-    if args.format == "csv":
-        text = _rows_to_csv(payload["rows"])
-    else:
-        text = _canonical_json(payload) + "\n"
+    text = (_rows_to_csv(payload["rows"]) if fmt == "csv"
+            else _canonical_json(payload) + "\n")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
@@ -260,31 +271,28 @@ def _rows_to_csv(rows: list[dict]) -> str:
 # subcommands
 
 
-def _validated_symbols(texts, grid: SampleGrid):
-    symbols = []
-    for text in texts:
-        sym = parse_symbol(text)
-        try:
-            validate_self_map(sym, grid)
-        except HalfPlaneError as exc:
-            raise CliError(f"symbol {text!r} rejected: {exc}"
-                           + (f" (witness {exc.witness:g})"
-                              if exc.witness is not None else "")) from exc
-        symbols.append((text, sym))
-    return symbols
+def _validated_symbol(text: str, grid: SampleGrid) -> Symbol:
+    """The symbol ``text`` names, once it is seen to map ``grid`` into H."""
+    sym = parse_symbol(text)
+    try:
+        validate_self_map(sym, grid)
+    except HalfPlaneError as exc:
+        raise CliError(f"symbol {text!r} rejected: {exc}"
+                       + (f" (witness {exc.witness:g})"
+                          if exc.witness is not None else "")) from exc
+    return sym
 
 
 def _cmd_norm(args) -> int:
     """One row per (symbol, alpha) cell, each number in it once: the
     angular and spectral values sit in the row, and ``estimates`` keeps
     only what the row does not restate (traces, lambda and its source)."""
-    alphas = args.alpha or [0.0]
-    reports = iter(boundedness_verdict([Weight(alpha) for alpha in alphas],
-                                       [sym for _, sym in args.symbols],
-                                       args.grid))
+    reports = iter(boundedness_verdict(
+        [Weight(alpha) for alpha in args.alphas],
+        [sym for _, sym in args.symbols], args.grid))
     rows = []
     for text, sym in args.symbols:
-        for alpha in alphas:
+        for alpha in args.alphas:
             rep = next(reports)
             bounded = rep.verdict == "BOUNDED"
             angular = rep.angular.to_dict()
@@ -316,7 +324,7 @@ def _cmd_norm(args) -> int:
                     "spectral_radius": spectral,
                 },
             })
-    _emit({"grid": args.grid.to_dict(), "rows": rows}, args)
+    _emit({"grid": args.grid.to_dict(), "rows": rows}, args, args.format)
     if args.require_bounded and any(r["verdict"] != "BOUNDED" for r in rows):
         return EXIT_UNBOUNDED
     return EXIT_OK
@@ -364,24 +372,18 @@ def _cmd_psd(args) -> int:
     grid = args.grid
     rng = np.random.default_rng(args.seed)
     cells = []
-    for alpha in (args.alpha or [0.0]):
+    for alpha in args.alphas:
         for trial in range(args.trials):
             pts = grid.sample_points(args.points, rng)
             cells.append((alpha, trial, pts, build(alpha, pts)))
-    verdicts = []
-    failures = 0
     checked = psd_check([matrix for *_, matrix in cells])
-    for (alpha, trial, pts, _), verdict in zip(cells, checked):
-        if not verdict.is_psd:
-            failures += 1
-        verdicts.append({
-            "alpha": alpha,
-            "trial": trial,
-            "points": [[p.real, p.imag] for p in pts],
-            **verdict.to_dict(),
-        })
+    verdicts = [{"alpha": alpha, "trial": trial,
+                 "points": [[p.real, p.imag] for p in pts],
+                 **verdict.to_dict()}
+                for (alpha, trial, pts, _), verdict in zip(cells, checked)]
     _emit({"kernel": args.kernel, "grid": grid.to_dict(),
-           "trials": args.trials, "failures": failures,
+           "trials": args.trials,
+           "failures": sum(not verdict.is_psd for verdict in checked),
            "verdicts": verdicts}, args)
     return EXIT_OK
 
@@ -392,7 +394,7 @@ def _cmd_angular(args) -> int:
         est = angular_derivative_estimate(sym, args.grid)
         rows.append({"symbol": sym.to_dict(), "symbol_text": text,
                      **est.to_dict()})
-    _emit({"grid": args.grid.to_dict(), "rows": rows}, args)
+    _emit({"grid": args.grid.to_dict(), "rows": rows}, args, args.format)
     return EXIT_OK
 
 
@@ -406,18 +408,17 @@ def _cmd_laplace(args) -> int:
         func = parse_halfline(args.f)
     else:
         raise CliError("laplace needs --f or --f-json")
-    alphas = args.alpha or [0.0]
-    results = isometry_check([Weight(alpha) for alpha in alphas], func,
-                             args.scheme)
+    results = isometry_check([Weight(alpha) for alpha in args.alphas], func,
+                             args.quadrature)
     rows = [{"alpha": alpha, "f": func.to_dict(), **res.to_dict()}
-            for alpha, res in zip(alphas, results)]
-    _emit({"rows": rows}, args)
+            for alpha, res in zip(args.alphas, results)]
+    _emit({"rows": rows}, args, args.format)
     return EXIT_OK
 
 
 def _cmd_interp(args) -> int:
-    rows = [interp_params(alpha).to_dict() for alpha in (args.alpha or [1.0])]
-    _emit({"rows": rows}, args)
+    rows = [interp_params(alpha).to_dict() for alpha in args.alphas]
+    _emit({"rows": rows}, args, args.format)
     return EXIT_OK
 
 
@@ -425,11 +426,11 @@ def _cmd_spectral(args) -> int:
     rows = []
     for text, sym in args.symbols:
         est = angular_derivative_estimate(sym, args.grid)
-        for alpha in (args.alpha or [0.0]):
+        for alpha in args.alphas:
             rho = spectral_radius_estimate(Weight(alpha), est, args.iterations)
             rows.append({"symbol": sym.to_dict(), "symbol_text": text,
                          "alpha": alpha, **rho.to_dict()})
-    _emit({"grid": args.grid.to_dict(), "rows": rows}, args)
+    _emit({"grid": args.grid.to_dict(), "rows": rows}, args, args.format)
     return EXIT_OK
 
 
@@ -466,6 +467,22 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _subcommand(sub, name: str, func, help: str, reads: tuple, **defaults):
+    """Subcommand ``name``, with the flags and run-config keys of the inputs
+    ``reads``, seed and out; ``defaults`` overrides an input's default."""
+    parser = sub.add_parser(name, help=help)
+    inputs, kinds = {}, {}
+    for key, (flag, options, kind, default) in _INPUTS.items():
+        if key in reads + ("seed", "out"):
+            if flag:
+                parser.add_argument(flag, dest=key, **options)
+            inputs[key], kinds[key] = defaults.get(key, default), kind
+    parser.add_argument("--config", help="JSON run-config file; flags win")
+    parser.set_defaults(func=func, inputs=inputs,
+                        run_config=Block("run-config", kinds))
+    return parser
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bergkit",
@@ -473,64 +490,41 @@ def _build_parser() -> _Parser:
                                  "Bergman spaces of the half-plane")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, symbols=False):
-        p.add_argument("--alpha", type=float, action="append",
-                       help="weight parameter alpha > -1 (repeatable)")
-        p.add_argument("--grid", help="r_min,r_max,shells,angles,aperture")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=FORMATS)
-        p.add_argument("--config", help="JSON run-config file; flags win")
-        p.set_defaults(scheme=None)
-        if symbols:
-            p.add_argument("--symbol", action="append", default=[],
-                           help="affine:a,b | moebius:a,b,c,d | power:p | "
-                                "cayley:a,b,c,d | compose:(s1;s2) | identity")
+    p = _subcommand(sub, "norm", _cmd_norm, "norm estimates and verdicts",
+                    ("symbols", "alphas", "grid", "format"))
+    p.add_argument("--require-bounded", action="store_true",
+                   help="exit 2 if any symbol is UNBOUNDED")
 
-    p_norm = sub.add_parser("norm", help="norm estimates and verdicts")
-    common(p_norm, symbols=True)
-    p_norm.add_argument("--require-bounded", action="store_true",
-                        help="exit 2 if any symbol is UNBOUNDED")
-    p_norm.set_defaults(func=_cmd_norm)
+    p = _subcommand(sub, "psd", _cmd_psd, "positivity certificates",
+                    ("symbols", "alphas", "grid"))
+    p.add_argument("--kernel", default="gram",
+                   help="gram | K:<n> | nevanlinna")
+    p.add_argument("--points", type=int, default=8)
+    p.add_argument("--trials", type=int, default=100)
 
-    p_psd = sub.add_parser("psd", help="positivity certificates")
-    common(p_psd, symbols=True)
-    p_psd.add_argument("--kernel", default="gram",
-                       help="gram | K:<n> | nevanlinna")
-    p_psd.add_argument("--points", type=int, default=8)
-    p_psd.add_argument("--trials", type=int, default=100)
-    p_psd.set_defaults(func=_cmd_psd)
+    _subcommand(sub, "angular", _cmd_angular, "angular derivative estimates",
+                ("symbols", "grid", "format"))
 
-    p_ang = sub.add_parser("angular", help="angular derivative estimates")
-    common(p_ang, symbols=True)
-    p_ang.set_defaults(func=_cmd_angular)
+    p = _subcommand(sub, "laplace", _cmd_laplace, "Laplace isometry checks",
+                    ("alphas", "quadrature", "format"))
+    p.add_argument("--f", help='e.g. "t*exp(-t)+2*t^2*exp(-3*t)"')
+    p.add_argument("--f-json", help="JSON list of {c, beta, s} terms")
 
-    p_lap = sub.add_parser("laplace", help="Laplace isometry checks")
-    common(p_lap)
-    p_lap.add_argument("--f", help='e.g. "t*exp(-t)+2*t^2*exp(-3*t)"')
-    p_lap.add_argument("--f-json", help="JSON list of {c, beta, s} terms")
-    p_lap.set_defaults(func=_cmd_laplace)
+    _subcommand(sub, "interp", _cmd_interp, "dyadic interpolation data",
+                ("alphas", "format"), alphas=[1.0])
 
-    p_int = sub.add_parser("interp", help="dyadic interpolation data")
-    common(p_int)
-    p_int.set_defaults(func=_cmd_interp)
+    p = _subcommand(sub, "spectral", _cmd_spectral,
+                    "spectral radius estimates",
+                    ("symbols", "alphas", "grid", "format"))
+    p.add_argument("--iterations", type=int, default=8)
 
-    p_spec = sub.add_parser("spectral", help="spectral radius estimates")
-    common(p_spec, symbols=True)
-    p_spec.add_argument("--iterations", type=int, default=8)
-    p_spec.set_defaults(func=_cmd_spectral)
-
-    p_rep = sub.add_parser("report", help="run the acceptance suite")
-    common(p_rep)
-    p_rep.set_defaults(func=_cmd_report)
-
+    _subcommand(sub, "report", _cmd_report, "run the acceptance suite", ())
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         _apply_config(args)
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:  # CliError is a ValueError

@@ -31,7 +31,8 @@ import numpy as np
 from .kernels import Weight, _shifted_power
 from .space import (KernelCombination, QuadratureScheme, default_scheme,
                     weighted_integral)
-from .symbols import COMPLEX, REAL, Block, read_json, require_half_plane
+from .symbols import (COMPLEX, REAL, Block, _set_finite, read_json,
+                      require_half_plane)
 
 __all__ = [
     "ExpMonomial",
@@ -53,11 +54,11 @@ class ExpMonomial:
     c: complex
     beta: float
     s: complex
+    kind = "mode"  # names it in a refusal; not a field
 
     def __post_init__(self):
-        object.__setattr__(self, "c", complex(self.c))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "s", complex(self.s))
+        _set_finite(self, complex, "c", "s")
+        _set_finite(self, float, "beta")
         if self.s.real <= 0:
             raise ValueError("decay rate must satisfy Re s > 0")
 

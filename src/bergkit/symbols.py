@@ -76,7 +76,7 @@ def _pair(z: complex) -> list[float]:
 
 # The kinds of JSON value that read_json reads, each named by what it needs.
 REAL = "a JSON number"           # finite, not a bool; read as a float
-INTEGER = "a JSON integer"       # an integer literal: not a bool, not 7.0
+INTEGER = "a JSON integer"       # a literal in [0, 2**63): not a bool or 7.0
 COMPLEX = "[re, im] or a number"  # of REALs; read as a complex
 STRING = "a JSON string"
 
@@ -131,10 +131,13 @@ def read_json(value, kind):
             raise ValueError(f"need {COMPLEX}, not {value!r}")
         return complex(read_json(pair[0], REAL), read_json(pair[1], REAL))
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if (kind == STRING and isinstance(value, str)
-            or kind == INTEGER and number and isinstance(value, int)):
+    if kind == STRING and isinstance(value, str):
         return value
-    if kind == REAL and number:
+    if kind == INTEGER and number and isinstance(value, int):
+        if 0 <= value < 2**63:  # a count, size or seed numpy can take
+            return value
+        kind = "a JSON integer in [0, 2**63)"
+    elif kind == REAL and number:
         if abs(value) <= sys.float_info.max:  # not NaN, inf or a huge int
             return float(value)
         kind = "a finite JSON number"
@@ -149,15 +152,15 @@ def _read_at(where: str, value, kind):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _set_finite(symbol, convert, *names) -> None:
-    """Store each coefficient ``names`` of ``symbol`` as ``convert`` makes
-    it, and refuse one that is not finite."""
+def _set_finite(obj, convert, *names) -> None:
+    """Store each coefficient ``names`` of ``obj`` (a symbol or a mode) as
+    ``convert`` makes it, and refuse one that is not finite."""
     for name in names:
-        value = convert(getattr(symbol, name))
+        value = convert(getattr(obj, name))
         if not cmath.isfinite(value):
-            raise ValueError(f"{symbol.kind} coefficient {name!r} is not "
+            raise ValueError(f"{obj.kind} coefficient {name!r} is not "
                              f"finite: {value}")
-        object.__setattr__(symbol, name, value)
+        object.__setattr__(obj, name, value)
 
 
 class Symbol:

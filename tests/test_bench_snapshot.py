@@ -4,6 +4,7 @@ gets (the measuring itself runs the benchmark and is not run here)."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,58 @@ def test_diff_compares_criterion_times():
     assert "report.criterion_{k}" in bench_snapshot.LAYER_CODE
 
 
+def test_diff_compares_tier1_times():
+    old = snapshot("16", [70.0], [0.1], [0.1], [2.0])
+    new = snapshot("17", [70.0], [0.1], [0.1], [2.0])
+    # a snapshot from before BENCH_17.json has no tier-1 time to compare
+    assert not any(line.startswith("tier1_pytest_s")
+                   for line in bench_snapshot.diff(old, new))
+    for data, seconds in ((old, 30.0), (new, 24.0)):
+        data["tier1_pytest_s"] = {"unit": "s",
+                                  **bench_snapshot.summary([seconds]),
+                                  "scaled": bench_snapshot.summary([seconds])}
+    lines = bench_snapshot.diff(old, new)
+    assert "tier1_pytest_s: 30 -> 24 s (0.800x)" in lines
+    assert "tier1_pytest_s.scaled: 30 -> 24 s (0.800x)" in lines
+
+
+def test_tier1_runs_the_tests_of_the_checkout(monkeypatch):
+    # each sample is one run of the tier-1 command in the measured root,
+    # timed whether or not every test passes
+    root = PATH.parents[1]
+    runs = []
+
+    def fake_run(command, cwd, env, capture_output):
+        runs.append((command, cwd, env["PYTHONPATH"]))
+        return None
+
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_snapshot, "reference_seconds", lambda r: 0.15)
+    result = bench_snapshot.tier1_seconds(root, 2)
+    assert len(result["values"]) == 2 and result["unit"] == "s"
+    assert runs == [([bench_snapshot.sys.executable, "-m", "pytest", "-q",
+                      "--continue-on-collection-errors"], root,
+                     str(root / "src"))] * 2
+
+
+def test_layer_code_times_inner_product_on_both_schemes(monkeypatch):
+    # build the child's cases (without timing them) and call the two
+    # inner_product ones: <L f, L f> is real and positive on each scheme
+    root = PATH.parents[1]
+    monkeypatch.chdir(root)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    setup = bench_snapshot.LAYER_CODE.split("run.host_probe()\n")[0]
+    names = {}
+    exec(f"SEED, SAMPLES = 7, 1\n{setup}", names)
+    for name, module in list(sys.modules.items()):  # bergbench's run, ...
+        if Path(getattr(module, "__file__", None) or "/").parent == (
+                root / "bergbench"):
+            del sys.modules[name]
+    for scheme in ("default", "doubled"):
+        value = names["cases"][f"space.inner_product.{scheme}"]()
+        assert value.real > 0 and abs(value.imag) < 1e-12 * value.real
+
+
 def test_layer_code_compiles():
     # the child code itself needs numpy and runs only when measuring
     compile(bench_snapshot.LAYER_CODE, "<layer code>", "exec")
@@ -130,6 +183,7 @@ def test_workloads_run_as_long_as_the_benchmark_sets(monkeypatch):
     monkeypatch.setattr(bench_snapshot, "host", lambda root: {})
     monkeypatch.setattr(bench_snapshot, "import_seconds", lambda *args: {})
     monkeypatch.setattr(bench_snapshot, "report_seconds", lambda *args: {})
+    monkeypatch.setattr(bench_snapshot, "tier1_seconds", lambda *args: {})
     monkeypatch.setattr(bench_snapshot, "layer_timings", lambda root: {})
     monkeypatch.setattr(bench_snapshot, "run_workload",
                         lambda root, workload, s: calls.append((workload, s)))

@@ -15,6 +15,7 @@ from bergkit.cli import (CliError, _apply_config, _build_parser, main,
                         parse_halfline, parse_symbol)
 from bergkit.kernels import nevanlinna_kernel, psd_check
 from bergkit.laplace import HalfLineFunction
+from bergkit.space import _cached_scheme
 from bergkit.symbols import (Affine, CayleyMap, Compose, Moebius, PowerMap,
                              SampleGrid, symbol_from_dict)
 from test_opnorm import _SYMBOLS
@@ -76,6 +77,18 @@ class TestParseHalfline:
         with pytest.raises(CliError):
             parse_halfline("sin(t)")
 
+    @pytest.mark.parametrize("text,same_as", [
+        ("1e+1*t*exp(-t)", "10*t*exp(-t)"),
+        ("1E+1*t*exp(-t)", "10*t*exp(-t)"),
+        ("2.5e+0*t^2*exp(-t)+1.e+1*exp(-2*t)",
+         "2.5*t^2*exp(-t)+10*exp(-2*t)"),
+        ("t^1e+1*exp(-t)", "t^10*exp(-t)"),
+        ("t^2.5E+0*exp(-t)+t*exp(-t)", "t^2.5*exp(-t)+t*exp(-t)"),
+    ], ids=["e+", "E+", "sum", "beta-e+", "beta-E+-sum"])
+    def test_exponent_sign_is_not_a_term_break(self, text, same_as):
+        # "1e+1*t*exp(-t)" used to split into '1e' and '1*t*exp(-t)'
+        assert parse_halfline(text) == parse_halfline(same_as)
+
 
 NORM_ROW_KEYS = {"symbol", "symbol_text", "alpha", "verdict", "lambda_hat",
                  "theoretical", "kernel_ratio", "gram_eig", "spectral_radius",
@@ -133,7 +146,7 @@ class TestNormCommand:
     def test_no_symbol_exit_code(self, tmp_path, capsys, command):
         # a run that checks nothing says so instead of writing "rows": []
         out = tmp_path / "o.json"
-        assert main([command, "--alpha", "0", "--out", str(out)]) == 1
+        assert main([command, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {command} needs")
         assert not out.exists()
 
@@ -635,6 +648,20 @@ class TestOtherCommands:
                     for a in alphas]
         assert json.dumps(together["rows"]) == json.dumps(separate)
 
+    @pytest.mark.parametrize("f,message", [
+        ("nan*t*exp(-t)", "mode coefficient 'c' is not finite: (nan+0j)"),
+        ("t*exp(-inf*t)", "mode coefficient 's' is not finite: (inf+0j)"),
+    ], ids=["nan-c", "inf-s"])
+    def test_laplace_non_finite_mode_is_refused(self, tmp_path, capsys, f,
+                                                message):
+        # each used to end in "the norm closed form of mode 0 ... overflows"
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["laplace", "--f", f, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["-1e-5", "-2.5E-1", "-.5e0", "-3e-1"])
     def test_negative_alpha_in_exponent_form(self, tmp_path, alpha):
         code, data = run_json(tmp_path, ["interp", "--alpha", alpha])
@@ -693,16 +720,19 @@ class TestCsvOutput:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_json_only_commands_refuse_csv(self, tmp_path, capsys, command,
                                            source):
+        # they have no rows, so they take no --format and no format key
         out = tmp_path / "out.csv"
         if source == "flag":
             extra = ["--format", "csv"]
+            message = "unrecognized arguments: --format csv"
         else:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({"format": "csv"}))
             extra = ["--config", str(config)]
+            message = "run-config has unknown keys: ['format']"
         assert main([command, *extra, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {command} writes JSON only")
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -769,7 +799,7 @@ class TestRunConfig:
             args = _build_parser().parse_args(
                 ["laplace", "--f", "t*exp(-t)", "--config", config])
             _apply_config(args)
-            schemes.append(args.scheme)
+            schemes.append(args.quadrature)
         assert schemes[0] is schemes[1]
         assert (schemes[0].n_x, schemes[0].n_y) == (40, 100)
 
@@ -791,7 +821,7 @@ class TestRunConfig:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("command,payload", [
-        (["angular", "--symbol", "affine:2,1"], {"alphas": [None]}),
+        (["laplace", "--f", "t*exp(-t)"], {"alphas": [None]}),
         (["angular", "--symbol", "affine:2,1"], {"grid": {"aperture": None}}),
         (["laplace", "--f", "t*exp(-t)"], {"quadrature": {"n_x": None}}),
     ], ids=["alphas", "grid", "quadrature"])
@@ -799,7 +829,9 @@ class TestRunConfig:
                                         payload):
         config = self.write_config(tmp_path, payload)
         assert main(command + ["--config", config]) == 1
-        assert capsys.readouterr().err.startswith("error: run-config")
+        key = next(iter(payload))
+        assert capsys.readouterr().err.startswith(
+            f"error: run-config key {key!r}: ")
 
     @pytest.mark.parametrize("fmt", ["xml", None, ["csv"]],
                              ids=["xml", "null", "list"])
@@ -837,8 +869,8 @@ class TestRunConfig:
                              else config.get("seed", 0))
         assert args.format == (fmt if fmt is not None
                                else config.get("format", "json"))
-        assert args.alpha == (alphas if alphas is not None
-                              else config.get("alphas"))
+        assert args.alphas == (alphas if alphas is not None
+                               else config.get("alphas", [1.0]))
 
     def test_unknown_keys_rejected(self, tmp_path):
         config = self.write_config(tmp_path, {"mystery": 1})
@@ -905,3 +937,112 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and out in err
         assert "Traceback" not in err
+
+
+# subcommand -> the shared inputs it reads, besides seed and out, which
+# every one reads
+READS = {
+    "norm": {"symbols", "alphas", "grid", "format"},
+    "psd": {"symbols", "alphas", "grid"},
+    "angular": {"symbols", "grid", "format"},
+    "laplace": {"alphas", "quadrature", "format"},
+    "interp": {"alphas", "format"},
+    "spectral": {"symbols", "alphas", "grid", "format"},
+    "report": set(),
+}
+# shared input -> (its flag with a value, or None, its run-config value,
+# the value either gives)
+INPUTS = {
+    "symbols": (["--symbol", "affine:3,1"], ["affine:3,1"],
+                [("affine:3,1", Affine(3.0, 1.0))]),
+    "alphas": (["--alpha", "2.5"], [2.5], [2.5]),
+    "grid": (["--grid", "1,1e5,20,5,0.5"],
+             {"aperture": 0.5, "r_max": 1e5, "radial": 20, "angular": 5},
+             SampleGrid(0.5, 1.0, 1e5, 20, 5)),
+    "quadrature": (None, {"n_x": 40, "n_y": 100, "y_max": 100.0},
+                   _cached_scheme(40, 100, 100.0)),
+    "format": (["--format", "csv"], "csv", "csv"),
+    "seed": (["--seed", "3"], 3, 3),
+    "out": (["--out", "x.json"], "x.json", "x.json"),
+}
+# flags that are a command's own, not shared inputs
+OWN_FLAGS = {"norm": {"--require-bounded"},
+             "psd": {"--kernel", "--points", "--trials"},
+             "laplace": {"--f", "--f-json"}, "spectral": {"--iterations"}}
+# the least each command needs besides the input under test
+BASE = {"psd": ["--trials", "1", "--points", "2"],
+        "laplace": ["--f", "t*exp(-t)"], "spectral": ["--iterations", "1"]}
+
+
+def _base(command, key):
+    argv = [command, *BASE.get(command, [])]
+    if "symbols" in READS[command] and key != "symbols":
+        argv += ["--symbol", "affine:2,1"]
+    return argv
+
+
+class TestInputsByCommand:
+    """Each subcommand takes the flag and the run-config key of every
+    shared input it reads, and refuses those of the inputs it does not."""
+
+    CASES = [(command, key, source) for command in READS for key in INPUTS
+             for source in ("flag", "config")
+             if source == "config" or INPUTS[key][0]]  # quadrature: no flag
+
+    def test_flag_and_key_counts(self):
+        # seven flags that did nothing went: 53 -> 46 settable flags, and
+        # 49 -> 33 (command, run-config key) pairs
+        sub = _build_parser()._subparsers._group_actions[0]
+        flags = {name: {flag for action in parser._actions
+                        for flag in action.option_strings} - {"-h", "--help"}
+                 for name, parser in sub.choices.items()}
+        for command, reads in READS.items():
+            shared = {INPUTS[key][0][0] for key in reads | {"seed", "out"}
+                      if INPUTS[key][0]}
+            assert flags[command] == (shared | {"--config"}
+                                      | OWN_FLAGS.get(command, set()))
+        assert sum(map(len, flags.values())) == 46
+        assert sum(len(reads) + 2 for reads in READS.values()) == 33
+
+    @pytest.mark.parametrize("command,key,source", CASES,
+                             ids=lambda case: case)
+    def test_input_is_read_or_refused(self, tmp_path, capsys, command, key,
+                                      source):
+        flag, config_value, value = INPUTS[key]
+        reads = key in READS[command] | {"seed", "out"}
+        argv = _base(command, key)
+        if source == "flag":
+            argv += flag
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: config_value}))
+            argv += ["--config", str(config)]
+        if reads:
+            args = _build_parser().parse_args(argv)
+            _apply_config(args)
+            assert getattr(args, key) == value
+            return
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        message = (f"unrecognized arguments: {' '.join(flag)}"
+                   if source == "flag"
+                   else f"run-config has unknown keys: [{key!r}]")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["angular", "--symbol", "affine:2,1", "--alpha", "3"],
+        ["laplace", "--f", "t*exp(-t)", "--grid", "1,1e5,20,5,0.5"],
+        ["interp", "--grid", "1,1e5,20,5,0.5"],
+        ["report", "--alpha", "1"],
+        ["report", "--grid", "1,1e5,20,5,0.5"],
+        ["psd", "--format", "json"],
+        ["report", "--format", "json"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+    def test_former_no_op_flags_are_refused(self, tmp_path, capsys, argv):
+        # each used to be parsed and then ignored, with exit 0
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+        assert not out.exists()

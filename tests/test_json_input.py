@@ -134,6 +134,8 @@ _WRONG = {  # category -> values of it
     "integral float": st.integers(-10, 10).map(float),
     "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
     "past the float range": st.just(10**400),  # an integer literal
+    "out of range": st.one_of(st.integers(max_value=-1),
+                              st.integers(min_value=2**63)),
     "pair-length": st.lists(st.integers(0, 9), max_size=4).filter(
         lambda pair: len(pair) != 2),
 }
@@ -142,7 +144,8 @@ _NOT = {  # kind of a key -> the categories that are wrong for it
     "real": ("bool", "null", "string", "list", "object", "non-finite",
              "past the float range"),
     "integer": ("bool", "null", "string", "list", "object", "fraction",
-                "integral float", "non-finite"),
+                "integral float", "non-finite", "past the float range",
+                "out of range"),
     "complex": ("bool", "null", "string", "object", "non-finite",
                 "past the float range", "pair-length"),
     "string": ("bool", "null", "list", "object") + _NUMBERS,
@@ -183,8 +186,15 @@ def _argv(block, key, value, tmp_path):
     config = {"grid": {"grid": {key: value}},
               "quadrature": {"quadrature": {key: value}},
               "run-config": {key: value}}[block]
-    return ["laplace", "--f", "t*exp(-t)", "--config",
-            config_file(tmp_path, json.dumps(config))]
+    return _reader(next(iter(config))) + [
+        "--config", config_file(tmp_path, json.dumps(config))]
+
+
+def _reader(key):
+    """A command line whose command reads the run-config ``key``."""
+    if key in ("symbols", "grid"):
+        return ["angular", "--symbol", "affine:2,1"]
+    return ["laplace", "--f", "t*exp(-t)"]
 
 
 _BLOCKS = {**{kind: keys for kind, (_, keys) in _DESCRIPTORS.items()},
@@ -258,8 +268,53 @@ def test_config_values_once_converted_are_refused(tmp_path, config, message):
     # each of these used to run with a silently converted value, except
     # the descriptors, which ran with a non-finite coefficient
     path = config_file(tmp_path, json.dumps(config))
-    code, err, _ = run(["norm", "--config", path], tmp_path)
+    command = (_reader("quadrature") if "quadrature" in config
+               else ["norm"])
+    code, err, _ = run(command + ["--config", path], tmp_path)
     assert (code, err) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    # "expected non-negative integer", from numpy
+    (["psd"], {"seed": -1}, "run-config key 'seed': need a JSON integer in "
+                            "[0, 2**63), not -1"),
+    (["psd"], {"seed": 2**63}, "run-config key 'seed': need a JSON integer "
+                               "in [0, 2**63), not 9223372036854775808"),
+    # "Maximum allowed size exceeded", from numpy
+    (["angular", "--symbol", "affine:2,1"], {"grid": {"angular": 10**29}},
+     "run-config key 'grid': grid key 'angular': need a JSON integer in "
+     "[0, 2**63), not 100000000000000000000000000000"),
+    (["angular", "--symbol", "affine:2,1"], {"grid": {"radial": -3}},
+     "run-config key 'grid': grid key 'radial': need a JSON integer in "
+     "[0, 2**63), not -3"),
+    # "cannot fit 'int' into an index-sized integer", from numpy
+    (["laplace", "--f", "t*exp(-t)"], {"quadrature": {"n_x": 10**29}},
+     "run-config key 'quadrature': quadrature key 'n_x': need a JSON "
+     "integer in [0, 2**63), not 100000000000000000000000000000"),
+], ids=["seed-negative", "seed-2**63", "grid-angular-huge",
+        "grid-radial-negative", "quadrature-n_x-huge"])
+def test_integer_out_of_range_is_refused(tmp_path, argv, config, message):
+    path = config_file(tmp_path, json.dumps(config))
+    code, err, payload = run(argv + ["--config", path], tmp_path)
+    assert (code, err, payload) == (1, f"error: {message}\n", None)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**63), "7.5"])
+def test_seed_flag_out_of_range_is_refused(tmp_path, seed):
+    code, err, payload = run(["psd", "--trials", "1", "--seed", seed],
+                             tmp_path)
+    assert (code, err, payload) == (
+        1, f"error: argument --seed: need an integer in [0, 2**63), not "
+           f"{seed!r}\n", None)
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    seed = 2**63 - 1
+    path = config_file(tmp_path, json.dumps({"seed": seed}))
+    for argv in (["--seed", str(seed)], ["--config", path]):
+        code, _, payload = run(["psd", "--trials", "1", "--points", "2"]
+                               + argv, tmp_path)
+        assert (code, payload["seed"]) == (0, seed)
 
 
 def test_symbol_items_are_read_as_given(tmp_path):
@@ -281,7 +336,7 @@ def test_doubled_scheme_config_reaches_the_cached_scheme(tmp_path):
     args = cli._build_parser().parse_args(
         ["laplace", "--f", "t*exp(-t)", "--config", path])
     cli._apply_config(args)
-    assert args.scheme is _cached_scheme(320, 800, 400.0)
+    assert args.quadrature is _cached_scheme(320, 800, 400.0)
 
 
 @pytest.mark.parametrize("value,expected", [

@@ -385,6 +385,22 @@ class TestMonomialValidation:
         with pytest.raises(ValueError, match="Re s > 0"):
             ExpMonomial(1.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize("c,beta,s,message", [
+        (math.nan, 1.0, 1.0, "mode coefficient 'c' is not finite: (nan+0j)"),
+        (1.0, math.inf, 1.0, "mode coefficient 'beta' is not finite: inf"),
+        (1.0, 1.0, complex(1, math.nan),
+         "mode coefficient 's' is not finite: (1+nanj)"),
+        (1.0, 1.0, math.inf, "mode coefficient 's' is not finite: (inf+0j)"),
+    ], ids=["nan-c", "inf-beta", "nan-s", "inf-s"])
+    def test_non_finite_parameters_are_refused(self, c, beta, s, message):
+        # a NaN rate used to pass the Re s > 0 test, and an infinite one
+        # reached the closed forms, which reported a false overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                ExpMonomial(c, beta, s)
+        assert str(info.value) == message
+
     def test_weighted_norm_requires_pairwise_integrability(self):
         f = halfline((1, 0.3, 1.0))
         with pytest.raises(ValueError):

@@ -15,7 +15,10 @@ this file) and records:
   fresh interpreter;
 - the wall time of 3 ``bergkit report --seed 0`` runs, interpreter start
   included;
-- both of those raw and, under ``scaled``, at the host's nominal speed:
+- the wall time of 3 runs of the tier-1 tests (``python -m pytest -q
+  --continue-on-collection-errors`` in the checkout, whatever their
+  outcome);
+- each of those raw and, under ``scaled``, at the host's nominal speed:
   each sample is scaled by the wall time of a fresh ``import numpy``
   interpreter taken before and after it, over that reference's nominal
   time, as ``bergbench/run.py`` scales ``setup_s``;
@@ -25,9 +28,12 @@ this file) and records:
   workloads solve, ``pivoted_cholesky`` at order 8, 32 and 64, one
   ``angular_derivative_estimate`` on the default grid for an affine map
   and for a composition of two Moebius maps, one ``boundedness_verdict``
-  over the seven ``norm_sweep`` families at one alpha, and each
-  acceptance criterion 1 to 10 of ``bergkit report`` at seed 0
-  (``report.criterion_<k>``, one ``report.run_criterion(k, 0)`` call);
+  over the seven ``norm_sweep`` families at one alpha, one
+  ``inner_product`` of a two-mode Laplace transform with itself on the
+  default and on the doubled quadrature scheme of the ``quadrature``
+  workload, and each acceptance criterion 1 to 10 of ``bergkit report``
+  at seed 0 (``report.criterion_<k>``, one ``report.run_criterion(k, 0)``
+  call);
   each sample is scaled by bergbench's host probe taken before and
   after it;
 - the git SHA and whether the tree had uncommitted changes (both null
@@ -41,8 +47,8 @@ this file) and records:
 This script uses the standard library only; bergkit and numpy run in child
 processes, with one BLAS thread, as bergbench pins them.  ``--diff``
 prints old -> new for every metric two snapshots share; the import,
-report and per-layer times are compared scaled, under ``.scaled`` and
-``layers.`` keys, and the raw import and report times keep their names.
+report, tier-1 and per-layer times are compared scaled, under ``.scaled``
+and ``layers.`` keys, and the raw times keep their names.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ SEED = 7
 RUNS = 3
 IMPORT_RUNS = 5
 REPORT_RUNS = 3
+TIER1_RUNS = 3
 LAYER_SAMPLES = 15
 # The reference timed next to each import and report sample is the one
 # bergbench/run.py times next to its set-up samples (START_REFERENCE), with
@@ -84,8 +91,10 @@ import numpy as np, run, workloads
 from bergkit import report
 from bergkit.cli import parse_symbol
 from bergkit.kernels import Weight
+from bergkit.laplace import HalfLineFunction, laplace_eval
 from bergkit.linalg import jacobi_eigh, pivoted_cholesky
 from bergkit.opnorm import boundedness_verdict
+from bergkit.space import QuadratureScheme, default_scheme, inner_product
 from bergkit.symbols import (DEFAULT_GRID, Affine, Compose, Moebius,
                              angular_derivative_estimate)
 
@@ -119,6 +128,14 @@ weight = Weight(op.spec["cells"][0][1])
 symbols = [parse_symbol(sym.text) for sym, _ in op.spec["cells"]]
 cases["opnorm.boundedness_verdict.norm_sweep_families"] = (
     lambda: boundedness_verdict(weight, symbols, DEFAULT_GRID))
+f = HalfLineFunction.build([(1.0, 1.0, 1.0), (0.5 + 1j, 2.5, 1.5 - 0.5j)])
+transform = lambda z: laplace_eval(f, z)
+for name, scheme in (
+        ("default", default_scheme()),
+        ("doubled", QuadratureScheme.build(**workloads.DOUBLED_SCHEME))):
+    cases[f"space.inner_product.{name}"] = (
+        lambda scheme=scheme: inner_product(Weight(1.0), transform, transform,
+                                            scheme))
 for k in range(1, 11):
     cases[f"report.criterion_{k}"] = lambda k=k: report.run_criterion(k, 0)
 run.host_probe()
@@ -227,6 +244,19 @@ def report_seconds(root: Path, count: int) -> dict:
         return scaled_samples(root, sample, count)
 
 
+def tier1_seconds(root: Path, count: int) -> dict:
+    command = [sys.executable, "-m", "pytest", "-q",
+               "--continue-on-collection-errors"]
+
+    def sample():
+        start = time.perf_counter()
+        subprocess.run(command, cwd=root, env=child_env(root),
+                       capture_output=True)
+        return time.perf_counter() - start
+
+    return scaled_samples(root, sample, count)
+
+
 def layer_timings(root: Path) -> dict:
     """Per-call milliseconds of each layer case of ``LAYER_CODE``: the
     scaled samples with their median and quartiles, and the raw median."""
@@ -285,17 +315,21 @@ def snapshot(root: Path, name: str) -> dict:
         data["workloads"][workload] = run_workload(root, workload, seconds)
     data["import_bergkit_s"] = import_seconds(root, IMPORT_RUNS)
     data["report_seed0_s"] = report_seconds(root, REPORT_RUNS)
+    data["tier1_pytest_s"] = tier1_seconds(root, TIER1_RUNS)
     data["layers"] = layer_timings(root)
     return data
 
 
 def flatten(data: dict) -> dict:
     """Metric name -> (median, unit) for the timed entries of a snapshot;
-    snapshots written before scaled and per-layer times lack those."""
+    snapshots written before scaled, per-layer and tier-1 times lack
+    those."""
     flat = {f"{workload}.{name}": (entry["median"], entry["unit"])
             for workload, block in data["workloads"].items()
             for name, entry in block["metrics"].items()}
-    for key in ("import_bergkit_s", "report_seed0_s"):
+    for key in ("import_bergkit_s", "report_seed0_s", "tier1_pytest_s"):
+        if key not in data:
+            continue
         flat[key] = (data[key]["median"], data[key]["unit"])
         if "scaled" in data[key]:
             flat[f"{key}.scaled"] = (data[key]["scaled"]["median"],
