@@ -151,6 +151,12 @@ def _parse_grid(text: str) -> SampleGrid:
         except ValueError:
             raise CliError(f"--grid {name}: need {kinds[convert]}, not "
                            f"{part!r}") from None
+        if convert is int:
+            try:  # a count, as a run-config grid reads it
+                read_json(values[-1], INTEGER)
+            except ValueError:
+                raise CliError(f"--grid {name}: need an integer in "
+                               f"[0, 2**63), not {part!r}") from None
     r_min, r_max, shells, angles, aperture = values
     try:
         return SampleGrid(aperture, r_min, r_max, shells, angles)
@@ -176,6 +182,15 @@ def _scheme(block):
                           quad.get("y_max", DEFAULT_YMAX))
 
 
+def _alpha(text: str) -> float:
+    """``--alpha``, read as a run-config ``alphas`` item is."""
+    try:
+        return read_json(float(text), REAL)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"need a finite number, not {text!r}") from None
+
+
 def _seed(text: str) -> int:
     """``--seed``, read as a run-config ``seed`` is."""
     try:
@@ -189,7 +204,7 @@ def _seed(text: str) -> int:
 # settled (the grid before the symbols checked on it): the flag, if any,
 # and its argparse options, the read_json kind of the key, the default.
 _INPUTS = {
-    "alphas": ("--alpha", dict(type=float, action="append", metavar="ALPHA",
+    "alphas": ("--alpha", dict(type=_alpha, action="append", metavar="ALPHA",
                help="weight parameter alpha > -1 (repeatable)"),
                [REAL], [0.0]),
     "grid": ("--grid", dict(help="r_min,r_max,shells,angles,aperture"),
@@ -423,13 +438,14 @@ def _cmd_interp(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    weights = [Weight(alpha) for alpha in args.alphas]
     rows = []
     for text, sym in args.symbols:
         est = angular_derivative_estimate(sym, args.grid)
-        for alpha in args.alphas:
-            rho = spectral_radius_estimate(Weight(alpha), est, args.iterations)
-            rows.append({"symbol": sym.to_dict(), "symbol_text": text,
-                         "alpha": alpha, **rho.to_dict()})
+        rhos = spectral_radius_estimate(weights, est, args.iterations)
+        rows += [{"symbol": sym.to_dict(), "symbol_text": text,
+                  "alpha": alpha, **rho.to_dict()}
+                 for alpha, rho in zip(args.alphas, rhos)]
     _emit({"grid": args.grid.to_dict(), "rows": rows}, args, args.format)
     return EXIT_OK
 

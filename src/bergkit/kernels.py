@@ -20,6 +20,7 @@ decided by a self-contained Hermitian eigensolver (see ``linalg``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -53,6 +54,9 @@ class Weight:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"weight parameter alpha is not finite: "
+                             f"{self.alpha}")
         if not self.alpha > -1.0:
             raise ValueError("weight parameter must satisfy alpha > -1")
 

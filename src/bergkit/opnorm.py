@@ -33,8 +33,8 @@ import numpy as np
 from .kernels import Weight, PsdVerdict, bergman_kernel, psd_check
 from .linalg import jacobi_eigh, pivoted_cholesky, solve_lower_triangular
 from .symbols import (DEFAULT_GRID, AngularDerivativeEstimate, SampleGrid,
-                      Symbol, angular_derivative_estimate, compose,
-                      require_half_plane)
+                      Symbol, angular_derivative_estimate, angular_trace,
+                      iterate_images, require_half_plane)
 
 __all__ = [
     "NormEstimate",
@@ -195,37 +195,55 @@ class SpectralRadiusEstimate:
                                 for n, v in self.per_iterate]}
 
 
-def spectral_radius_estimate(weight: Weight, est: AngularDerivativeEstimate,
-                             max_iter: int = 8) -> SpectralRadiusEstimate:
+def spectral_radius_estimate(weight, est: AngularDerivativeEstimate,
+                             max_iter: int = 8):
     """Estimate the spectral radius through powers C^n = C_{phi o ... o phi}.
 
     Each iterate applies the kernel-ratio bound to the n-fold composition
     and takes the n-th root.  The angular estimate ``est`` of phi serves
-    for n = 1; later iterates are estimated on its grid.  Composition
-    stays inside the closed symbol families, with an overflow guard on
-    the composed coefficients.  Once phi reads finite no iterate is
-    classified again: Julia's lemma gives Re z / Re phi^n(z) <= lam^n, so
-    a trace that still rises on the fixed grid is a finite lower bound.
-    Else a divergent iterate gives inf.
+    for n = 1; later iterates are estimated on its grid, their images built
+    in one pass (see :func:`iterate_images`) and their traces read in one
+    reduction.  Composition stays inside the closed symbol families, with
+    an overflow guard on the composed coefficients.  Once phi reads finite
+    no iterate is classified again: Julia's lemma gives
+    Re z / Re phi^n(z) <= lam^n, so a trace that still rises on the fixed
+    grid is a finite lower bound.  Else a divergent iterate gives inf and
+    is the last; an iterate after it is never built.
+
+    ``weight`` is one :class:`Weight` or a sequence, and the estimates
+    come as one or a list; the iterates are shared by every weight.
     """
     if max_iter < 1:
         raise ValueError("need at least one iterate")
-    he = weight.half_exponent
-    bounded = est.verdict == "finite"
-    per_iterate = []
-    phi = current = est.phi
-    value = math.inf
-    for n in range(1, max_iter + 1):
-        if n > 1:
-            current = compose(phi, current)
-            est = angular_derivative_estimate(current, est.grid)
-        if est.verdict == "divergent" and not bounded:
-            value = math.inf
-            per_iterate.append((n, math.inf))
-            break
-        value = est.sup_ratio ** (he / n)
-        per_iterate.append((n, value))
-    return SpectralRadiusEstimate(value, tuple(per_iterate))
+    sups = _iterate_sup_ratios(est, max_iter)
+    estimates = []
+    for w in [weight] if isinstance(weight, Weight) else weight:
+        per_iterate = tuple((n, sup ** (w.half_exponent / n))
+                            for n, sup in enumerate(sups, 1))
+        estimates.append(SpectralRadiusEstimate(per_iterate[-1][1],
+                                                per_iterate))
+    return estimates[0] if isinstance(weight, Weight) else estimates
+
+
+def _iterate_sup_ratios(est: AngularDerivativeEstimate,
+                        max_iter: int) -> list:
+    """sup_grid Re z / Re phi^n(z) for n = 1, 2, ..., max_iter, ended by
+    inf at the first divergent iterate unless phi reads finite.  An
+    iterate refused by :func:`iterate_images` raises once it is reached.
+    """
+    if est.verdict == "divergent":
+        return [math.inf]
+    pts = est.grid.points()
+    images, error = iterate_images(est.phi, pts, max_iter)
+    shell_max, verdicts = angular_trace(pts, images)
+    sups = [est.sup_ratio]
+    for sup, verdict in zip(shell_max.max(axis=-1).tolist(), verdicts):
+        if verdict == "divergent" and est.verdict != "finite":
+            return sups + [math.inf]
+        sups.append(sup)
+    if error is not None:
+        raise error
+    return sups
 
 
 def essential_norm_lower_bound(weight: Weight,
@@ -274,8 +292,9 @@ def boundedness_verdict(weight, phi, grid: SampleGrid = DEFAULT_GRID):
     ``weight`` is one :class:`Weight` or a sequence, and ``phi`` one
     :class:`Symbol` or a sequence; with a sequence the reports come as a
     flat list, symbol-major (every weight of the first symbol, then the
-    next symbol).  The angular estimate is made once per symbol and the
-    Gram factor once per weight (see ``_gram_estimates``).
+    next symbol).  The angular estimate and the spectral iterates are made
+    once per symbol, and the Gram factor once per weight (see
+    ``_gram_estimates``).
 
     The operator is bounded exactly when the angular-derivative trace
     converges; a divergent trace is returned with its witness radii.  The
@@ -304,6 +323,7 @@ def boundedness_verdict(weight, phi, grid: SampleGrid = DEFAULT_GRID):
             lam, source = sym.known_lambda, "analytic"
         else:
             lam, source = est.lambda_hat, "estimated"
+        spectral = spectral_radius_estimate(weights, est, 6)
         reports += [BoundednessReport(
             "BOUNDED", est,
             lambda_used=lam,
@@ -311,7 +331,7 @@ def boundedness_verdict(weight, phi, grid: SampleGrid = DEFAULT_GRID):
             theoretical=norm_theoretical(w, lam),
             kernel_ratio=kernel_ratio_bound(w, est),
             gram=next(grams),
-            spectral_radius=spectral_radius_estimate(w, est, 6),
+            spectral_radius=rho,
             essential_lower_bound=essential_norm_lower_bound(w, est),
-        ) for w in weights]
+        ) for w, rho in zip(weights, spectral)]
     return reports[0] if single else reports

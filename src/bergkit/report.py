@@ -281,15 +281,15 @@ def _criterion_9(seed: int) -> CriterionResult:
     n = 8; the coefficient overflow guard stays quiet."""
     worst = 0.0
     overflowed = False
+    weights = [Weight(alpha) for alpha in ALPHAS]
     for phi, lam in AFFINE_CASES:
         est = angular_derivative_estimate(phi)
-        for alpha in ALPHAS:
-            w = Weight(alpha)
-            try:
-                rho = spectral_radius_estimate(w, est, max_iter=8)
-            except CoefficientOverflow:
-                overflowed = True
-                continue
+        try:
+            rhos = spectral_radius_estimate(weights, est, max_iter=8)
+        except CoefficientOverflow:
+            overflowed = True
+            continue
+        for w, rho in zip(weights, rhos):
             theo = norm_theoretical(w, lam)
             worst = max(worst, abs(rho.value - theo) / theo)
     passed = worst <= 0.02 and not overflowed

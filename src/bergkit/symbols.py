@@ -41,10 +41,12 @@ __all__ = [
     "CoefficientOverflow",
     "identity",
     "compose",
+    "iterate_images",
     "cayley_conjugate",
     "require_half_plane",
     "validate_self_map",
     "angular_derivative_estimate",
+    "angular_trace",
     "symbol_from_dict",
     "read_json",
 ]
@@ -358,6 +360,53 @@ def compose(outer: Symbol, inner: Symbol) -> Symbol:
     return Moebius(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
+def iterate_images(phi: Symbol, points: np.ndarray, count: int) -> tuple:
+    """The images of ``points`` under phi^2, ..., phi^count, stacked along a
+    new first axis, and None; or the images of the iterates before the
+    first one that is refused, and the error that refuses it.
+
+    phi^n is ``compose(phi, phi^(n-1))``, and each iterate's images have
+    the bits of its own evaluation.  Linear-fractional iterates are the
+    matrices of compose's chain, evaluated in one broadcast; power maps
+    evaluate z**p^n one by one; any other phi is applied to the images of
+    phi^(n-1), as a Compose evaluates them.  An iterate is refused when
+    compose raises for it, or with a :class:`HalfPlaneError` naming the
+    first point whose image leaves H, as ``require_half_plane`` words it.
+    An overflow makes an image inf, nan or 0, so it warns of nothing that
+    error does not say; iterates past the one a caller stops at are built
+    too, and stay silent.
+    """
+    iterates, error = [], None
+    try:
+        for _ in range(count - 1):
+            iterates.append(compose(phi, iterates[-1] if iterates else phi))
+    except (ValueError, OverflowError) as exc:  # CoefficientOverflow included
+        error = exc
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if isinstance(phi, _LinearFractional):
+            m = np.array([sym.matrix for sym in iterates], dtype=complex)
+            a, b, c, d = m.reshape(len(m), 4, *(1,) * points.ndim
+                                   ).swapaxes(0, 1)
+            images = (a * points + b) / (c * points + d)
+        elif isinstance(phi, PowerMap):
+            images = [sym(points) for sym in iterates]
+        else:
+            image, images = phi(points), []
+            for _ in iterates:
+                image = phi(image)
+                images.append(image)
+    images = np.asarray(images, dtype=complex).reshape(len(iterates),
+                                                       *points.shape)
+    outside = _outside(images).reshape(len(images), points.size).any(axis=1)
+    if outside.any():
+        k = int(outside.argmax())
+        try:
+            require_half_plane(images[k], points)
+        except HalfPlaneError as exc:
+            return images[:k], exc
+    return images, error
+
+
 def cayley_conjugate(a, b, c, d) -> CayleyMap:
     """Build the half-plane conjugate of the disc Moebius map
     psi(zeta) = (a zeta + b) / (c zeta + d).
@@ -475,6 +524,11 @@ DEFAULT_GRID = SampleGrid()
 # Validation
 
 
+def _outside(values: np.ndarray) -> np.ndarray:
+    """Where the complex array ``values`` holds no finite point of H."""
+    return ~np.isfinite(values) | (values.real <= 0.0)
+
+
 def require_half_plane(values, points=None) -> np.ndarray:
     """``values`` as a complex array, once every entry is checked to be
     finite with positive real part.
@@ -485,7 +539,7 @@ def require_half_plane(values, points=None) -> np.ndarray:
     Raises :class:`HalfPlaneError` carrying that witness.
     """
     values = np.asarray(values, dtype=complex)
-    bad = ~np.isfinite(values) | (values.real <= 0.0)
+    bad = _outside(values)
     if not np.any(bad):
         return values
     if points is None:
@@ -601,26 +655,8 @@ def angular_derivative_estimate(phi: Symbol,
     pts = grid.points()
     with np.errstate(divide="ignore", invalid="ignore"):
         image = require_half_plane(phi(pts), pts)
-
-    ratios = pts.real / image.real
-    shell_max = ratios.max(axis=1)
+    shell_max, verdict = angular_trace(pts, image)
     sup_ratio = float(shell_max.max())
-
-    w = _DIVERGENCE_WINDOW
-    if len(shell_max) >= w + 1:
-        window = shell_max[-(w + 1):]
-        growth = float(window[-1] / window[0])
-        increasing = bool(np.all(np.diff(window) > 0.0))
-        if increasing and growth >= _DIVERGENCE_GROWTH:
-            verdict = "divergent"
-        elif growth <= _PLATEAU_GROWTH:
-            verdict = "finite"
-        else:
-            verdict = "inconclusive"
-    else:
-        spread = float(shell_max.max() / shell_max.min())
-        verdict = "finite" if spread <= _PLATEAU_GROWTH else "inconclusive"
-
     lambda_hat = math.inf if verdict == "divergent" else sup_ratio
     known = phi.known_lambda
     rel_error = None
@@ -629,6 +665,32 @@ def angular_derivative_estimate(phi: Symbol,
     return AngularDerivativeEstimate(lambda_hat, sup_ratio,
                                      tuple(shell_max.tolist()), verdict,
                                      known, rel_error, phi, grid)
+
+
+def angular_trace(points: np.ndarray, images: np.ndarray) -> tuple:
+    """The angular trace of ``images`` of the grid ``points``, and its
+    verdict, as :func:`angular_derivative_estimate` reads them.
+
+    ``images`` is one image of the (shells, angles) points, or a stack of
+    them along leading axes; each must lie in H.  The trace is the maximum
+    of Re z / Re phi(z) on each shell, and its verdict ``divergent``,
+    ``finite`` or ``inconclusive`` by the rule of
+    :func:`angular_derivative_estimate`: one str, or a list per stack.
+    """
+    shell_max = (points.real / images.real).max(axis=-1)
+    w = _DIVERGENCE_WINDOW
+    if shell_max.shape[-1] >= w + 1:
+        window = shell_max[..., -(w + 1):]
+        growth = window[..., -1] / window[..., 0]
+        divergent = (np.all(np.diff(window) > 0.0, axis=-1)
+                     & (growth >= _DIVERGENCE_GROWTH))
+        finite = growth <= _PLATEAU_GROWTH
+    else:
+        spread = shell_max.max(axis=-1) / shell_max.min(axis=-1)
+        divergent, finite = False, spread <= _PLATEAU_GROWTH
+    verdict = np.where(divergent, "divergent",
+                       np.where(finite, "finite", "inconclusive"))
+    return shell_max, verdict.tolist()
 
 
 # ---------------------------------------------------------------------------

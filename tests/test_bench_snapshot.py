@@ -147,9 +147,8 @@ def test_tier1_runs_the_tests_of_the_checkout(monkeypatch):
                      str(root / "src"))] * 2
 
 
-def test_layer_code_times_inner_product_on_both_schemes(monkeypatch):
-    # build the child's cases (without timing them) and call the two
-    # inner_product ones: <L f, L f> is real and positive on each scheme
+def layer_cases(monkeypatch) -> dict:
+    """The child's layer cases, built without timing them."""
     root = PATH.parents[1]
     monkeypatch.chdir(root)
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -160,9 +159,24 @@ def test_layer_code_times_inner_product_on_both_schemes(monkeypatch):
         if Path(getattr(module, "__file__", None) or "/").parent == (
                 root / "bergbench"):
             del sys.modules[name]
+    return names["cases"]
+
+
+def test_layer_code_times_inner_product_on_both_schemes(monkeypatch):
+    # <L f, L f> is real and positive on each scheme
+    cases = layer_cases(monkeypatch)
     for scheme in ("default", "doubled"):
-        value = names["cases"][f"space.inner_product.{scheme}"]()
+        value = cases[f"space.inner_product.{scheme}"]()
         assert value.real > 0 and abs(value.imag) < 1e-12 * value.real
+
+
+def test_layer_code_times_six_spectral_iterates(monkeypatch):
+    # both symbols read finite, so each estimate runs all six iterates
+    cases = layer_cases(monkeypatch)
+    for family in ("affine", "compose"):
+        rho = cases[f"opnorm.spectral_radius_estimate.{family}"]()
+        assert [n for n, _ in rho.per_iterate] == [1, 2, 3, 4, 5, 6]
+        assert 0 < rho.value < float("inf")
 
 
 def test_layer_code_compiles():

@@ -342,12 +342,51 @@ class TestGridFlag:
         ("1,1e6,40.5,9,1", "--grid shells: need an integer, not '40.5'"),
         ("1,1e6,40,9,wide", "--grid aperture: need a number, not 'wide'"),
         ("1,1e6,40,9,2", "--grid: aperture must lie in (0, pi/2)"),
-    ], ids=["inf-r_max", "fractional-shells", "word-aperture", "aperture"])
+        # "Maximum allowed size exceeded", from numpy
+        ("1,1e6,40,100000000000000000000000000000,1",
+         "--grid angles: need an integer in [0, 2**63), not "
+         "'100000000000000000000000000000'"),
+        ("1,1e6,9223372036854775808,9,1",
+         "--grid shells: need an integer in [0, 2**63), not "
+         "'9223372036854775808'"),
+        # "need at least two radial shells", from SampleGrid
+        ("1,1e6,-3,9,1",
+         "--grid shells: need an integer in [0, 2**63), not '-3'"),
+    ], ids=["inf-r_max", "fractional-shells", "word-aperture", "aperture",
+            "huge-angles", "2**63-shells", "negative-shells"])
     def test_grid_errors_name_the_flag(self, capsys, grid, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["angular", "--symbol", "affine:2,1",
                          "--grid", grid]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", [
+        ["norm", "--symbol", "affine:2,1"], ["psd"], ["interp"],
+        ["spectral", "--symbol", "affine:2,1"],
+        ["laplace", "--f", "t*exp(-t)"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf", "1e999"])
+    def test_non_finite_alpha_names_the_flag(self, capsys, command, alpha):
+        # inf used to fail in the estimators (norm and psd: "matrix has
+        # non-finite entries", interp: "cannot convert float infinity to
+        # integer", spectral: a JSON error) and nan as "alpha must exceed -1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command + [f"--alpha={alpha}"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: argument --alpha: need a finite number, "
+                f"not {alpha!r}\n")
+
+    @pytest.mark.parametrize("command,message", [
+        (["norm", "--symbol", "affine:2,1"],
+         "weight parameter must satisfy alpha > -1"),
+        (["spectral", "--symbol", "affine:2,1"],
+         "weight parameter must satisfy alpha > -1"),
+        (["interp"], "alpha must exceed -1"),
+    ], ids=["norm", "spectral", "interp"])
+    def test_finite_alpha_at_most_minus_one(self, capsys, command, message):
+        assert main(command + ["--alpha", "-1"]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("symbol,message", [

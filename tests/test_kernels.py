@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,14 @@ class TestWeight:
             Weight(-1.0)
         with pytest.raises(ValueError):
             Weight(-2.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_alpha(self, alpha):
+        # nan and -inf used to fail as "alpha > -1", and inf not at all
+        with pytest.raises(ValueError,
+                           match=f"weight parameter alpha is not finite: "
+                                 f"{alpha}"):
+            Weight(alpha)
 
     def test_norm_const_positive(self):
         for alpha in (-0.99, -0.5, 0.0, 3.7, 12.0):

@@ -1,6 +1,9 @@
+import cmath
 import functools
 import json
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +12,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bergkit import opnorm
+from bergkit import opnorm, symbols
 from bergkit.cli import main
 from bergkit.kernels import Weight
 from bergkit.linalg import ConvergenceError, jacobi_eigh
@@ -17,10 +20,12 @@ from bergkit.opnorm import (boundedness_verdict, default_gram_points,
                             essential_norm_lower_bound, gram_norm_estimate,
                             kernel_ratio_bound, norm_theoretical,
                             psd_boundedness_certificate,
-                            spectral_radius_estimate)
-from bergkit.symbols import (DEFAULT_GRID, Affine, Moebius, PowerMap,
+                            spectral_radius_estimate, SpectralRadiusEstimate)
+from bergkit.symbols import (DEFAULT_GRID, Affine, CoefficientOverflow,
+                             Compose, HalfPlaneError, Moebius, PowerMap,
                              SampleGrid, angular_derivative_estimate,
-                             cayley_conjugate, compose, identity)
+                             cayley_conjugate, compose, identity,
+                             iterate_images)
 
 AFFINE_CASES = [(2.0, 1.0), (3.0, 0.0), (0.5, 2.0), (1.0, 5.0)]
 ALPHAS = [0.0, 0.5, 1.0, 2.0, 2.7, 6.0]
@@ -382,11 +387,11 @@ class TestBoundednessVerdict:
             report = boundedness_verdict(w, phi, grid)
         assume(report.verdict == "BOUNDED")
         calls = [call.args[0] for call in counting.call_args_list]
-        # once for the verdict, once per iterate n = 2..6; the first
-        # estimate serves iterate 1 and the essential-norm bound.  The
-        # iterates of the identity equal phi, so count phi by identity.
-        assert len(calls) == 6
-        assert sum(sym is phi for sym in calls) == 1
+        # once, for the verdict: the estimate serves iterate 1 and the
+        # essential-norm bound, and the iterates n = 2..6 are read off
+        # their images in one pass, without an estimate of their own
+        assert len(calls) == 1
+        assert calls[0] is phi
         est = angular_derivative_estimate(phi, grid)
         fresh = (kernel_ratio_bound(w, est),
                  spectral_radius_estimate(w, est, 6),
@@ -491,3 +496,164 @@ class TestBatchedVerdict:
                                match=r"\d+ of \d+ matrices did not converge"):
                 boundedness_verdict([Weight(0.0), Weight(2.0)],
                                     [identity(), Affine(2, 1)])
+
+
+def reference_spectral(weight, est, max_iter=8):
+    """The iterate loop of spectral_radius_estimate before the iterates were
+    built in one pass: compose phi^n and estimate it on the grid, in turn.
+    It calls compose through its module, so a patch of it is seen."""
+    if max_iter < 1:
+        raise ValueError("need at least one iterate")
+    he = weight.half_exponent
+    bounded = est.verdict == "finite"
+    per_iterate = []
+    phi = current = est.phi
+    value = math.inf
+    for n in range(1, max_iter + 1):
+        if n > 1:
+            current = symbols.compose(phi, current)
+            est = angular_derivative_estimate(current, est.grid)
+        if est.verdict == "divergent" and not bounded:
+            value = math.inf
+            per_iterate.append((n, math.inf))
+            break
+        value = est.sup_ratio ** (he / n)
+        per_iterate.append((n, value))
+    return SpectralRadiusEstimate(value, tuple(per_iterate))
+
+
+def _outcome(call, overflow_at):
+    """repr of ``call()``, or the type and message of what it raises, with
+    the ``overflow_at``-th compose call (if any) forced to overflow."""
+    calls = []
+    compose_ = symbols.compose
+
+    def forced(outer, inner):
+        calls.append(None)
+        if len(calls) == overflow_at:
+            raise CoefficientOverflow(f"forced at compose call {overflow_at}")
+        return compose_(outer, inner)
+
+    try:
+        with mock.patch.object(symbols, "compose", forced), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # overflow in far iterates
+            return repr(call())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_ITERATED = st.one_of(
+    _SYMBOLS,
+    # inconclusive, and z^0.729 = phi^3 divergent
+    st.just(PowerMap(0.9)), st.builds(PowerMap, st.floats(0.75, 1.0)),
+    st.builds(cayley_conjugate, st.floats(1.0, 4.0), st.floats(-0.5, 0.5),
+              st.just(0), st.floats(4.5, 6.0)),
+    st.builds(Compose, st.builds(PowerMap, st.floats(0.5, 1.0)), _AFFINE),
+    # complex coefficients, so the iterates divide by complex numbers; a
+    # c far below the grid's scale reads finite, inconclusive or divergent
+    st.builds(lambda c, t: Moebius(*(cmath.exp(1j * t) * x
+                                     for x in (1.0, 0.5, c, 1.5))),
+              st.floats(0.0, 1e-6), st.floats(-3.0, 3.0)),
+    # CoefficientOverflow at n = 4
+    st.just(Affine(1e100, 1.0)),
+    # 1e500 z leaves H at n = 5, after the divergent n = 3
+    st.just(Compose(PowerMap(0.9), Affine(1e100, 0.0))),
+    # a finite verdict, and 1.25e400 z leaves H at n = 4
+    st.just(Compose(Affine(0.5, 1.0), Affine(1e100, 0.0))),
+    # leaves H at n = 2 on the 1e300 grid
+    st.just(Affine(1e5, 1.0)))
+_ITERATE_GRIDS = st.sampled_from([
+    DEFAULT_GRID, SampleGrid(r_max=1e300),
+    # fewer shells than the divergence window: the spread rule
+    SampleGrid(r_max=1e4, radial_count=5, angular_count=3)])
+
+
+class TestSpectralIterates:
+    @settings(max_examples=150, deadline=None)
+    @given(_ITERATED, _ITERATE_GRIDS, st.integers(1, 8),
+           st.lists(st.floats(-0.9, 6.0), min_size=1, max_size=3),
+           st.booleans(), st.none() | st.integers(1, 7))
+    def test_matches_reference_bit_for_bit(self, phi, grid, max_iter,
+                                           alphas, single, overflow_at):
+        # the one-pass iterates give the loop's values, repr for repr
+        # (-0.0 included), and its errors: type, message and the iterate
+        # that raises, never one after a divergent iterate ends the loop
+        try:
+            est = angular_derivative_estimate(phi, grid)
+        except ValueError:
+            assume(False)  # phi itself leaves H on this grid
+        weights = [Weight(alpha) for alpha in alphas]
+        expected = [_outcome(lambda w=w: reference_spectral(w, est, max_iter),
+                             overflow_at) for w in weights]
+        if single:
+            got = _outcome(lambda: spectral_radius_estimate(
+                weights[0], est, max_iter), overflow_at)
+            assert got == expected[0]
+            return
+        got = _outcome(lambda: spectral_radius_estimate(weights, est,
+                                                        max_iter), overflow_at)
+        if isinstance(expected[0], tuple):
+            assert [got] * len(weights) == expected
+        else:
+            assert got == f"[{', '.join(expected)}]"
+
+    @pytest.mark.parametrize("phi,grid,max_iter,error", [
+        (Affine(1e100, 1.0), DEFAULT_GRID, 4, CoefficientOverflow),
+        (Affine(1e5, 1.0), SampleGrid(r_max=1e300), 2, HalfPlaneError),
+        (Compose(Affine(0.5, 1.0), Affine(1e100, 0.0)), DEFAULT_GRID, 4,
+         HalfPlaneError),
+    ], ids=["overflow", "leaves-grid", "leaves-compose"])
+    def test_errors_at_the_iterate_the_loop_raises_them(self, phi, grid,
+                                                        max_iter, error):
+        est = angular_derivative_estimate(phi, grid)
+        weights = [Weight(0.0), Weight(2.5)]
+        assert len(spectral_radius_estimate(weights, est,
+                                            max_iter - 1)) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(error) as raised:
+                reference_spectral(weights[0], est, max_iter)
+            with pytest.raises(error, match=re.escape(str(raised.value))):
+                spectral_radius_estimate(weights, est, max_iter)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ITERATED, _ITERATE_GRIDS, st.integers(1, 8))
+    def test_images_are_each_iterates_own(self, phi, grid, count):
+        # the images of phi^n are the bits phi^n = compose(phi, phi^(n-1))
+        # gives when evaluated on its own, as the loop evaluated it
+        pts = grid.points()
+        with np.errstate(all="ignore"):
+            images, _ = iterate_images(phi, pts, count)
+            current, own = phi, []
+            for _ in images:
+                current = compose(phi, current)
+                own.append(current(pts))
+        own = np.array(own, dtype=complex).reshape(images.shape)
+        assert np.array_equal(images.view(np.uint64), own.view(np.uint64))
+
+    def test_images_stop_at_the_first_refused_iterate(self):
+        grid = SampleGrid(r_max=1e300)
+        images, error = iterate_images(Affine(1e5, 1.0), grid.points(), 8)
+        assert images.shape == (0, 40, 9)
+        assert isinstance(error, HalfPlaneError)
+        # phi^4 = 1.25e400 z: phi^2 and phi^3 are kept
+        phi = Compose(Affine(0.5, 1.0), Affine(1e100, 0.0))
+        images, error = iterate_images(phi, DEFAULT_GRID.points(), 8)
+        assert images.shape == (2, 40, 9)
+        assert str(error).startswith("symbol leaves the half-plane at z = ")
+        images, error = iterate_images(Affine(1e100, 1.0),
+                                       DEFAULT_GRID.points(), 8)
+        assert images.shape == (2, 40, 9)
+        assert str(error) == "affine coefficients exceeded 1e300"
+
+    def test_no_error_after_a_divergent_iterate(self):
+        # phi^3 reads divergent and ends the estimate; phi^5 would leave H
+        est = angular_derivative_estimate(Compose(PowerMap(0.9),
+                                                  Affine(1e100, 0.0)))
+        assert est.verdict == "inconclusive"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = spectral_radius_estimate(Weight(1.0), est, 8)
+        assert rho.per_iterate[-1] == (3, math.inf)
+        assert repr(rho) == repr(reference_spectral(Weight(1.0), est, 8))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from bergkit.symbols import (DEFAULT_GRID, Affine, CayleyMap,
                              CoefficientOverflow, Compose, HalfPlaneError,
                              Moebius, PowerMap, SampleGrid,
-                             angular_derivative_estimate, cayley_conjugate,
+                             angular_derivative_estimate, angular_trace,
+                             cayley_conjugate,
                              compose, identity, require_half_plane,
                              symbol_from_dict, validate_self_map)
 
@@ -323,6 +324,39 @@ class TestAngularDerivative:
     def test_rejects_invalid_symbol(self):
         with pytest.raises(HalfPlaneError):
             angular_derivative_estimate(Moebius(1, 0, 0, -1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 12), st.integers(1, 3),
+           st.data())
+    def test_trace_verdicts_follow_the_rule(self, count, shells, angles,
+                                            data):
+        # every trace of a stack is classified by the one-trace rule,
+        # written here as the estimator wrote it before it took stacks
+        def reference_verdict(shell_max):
+            if len(shell_max) >= 6:
+                window = shell_max[-6:]
+                growth = float(window[-1] / window[0])
+                increasing = bool(np.all(np.diff(window) > 0.0))
+                if increasing and growth >= 1.5:
+                    return "divergent"
+                return "finite" if growth <= 1.05 else "inconclusive"
+            spread = float(shell_max.max() / shell_max.min())
+            return "finite" if spread <= 1.05 else "inconclusive"
+
+        # traces that step by factors about the 1.05 and 1.5 thresholds,
+        # each shell's maximum at its first angle
+        steps = st.lists(st.sampled_from([0.9, 1.0, 1.004, 1.01, 1.2, 1.5]),
+                         min_size=shells - 1, max_size=shells - 1)
+        traces = np.array([np.cumprod([data.draw(st.floats(1e-3, 1e3))]
+                                      + data.draw(steps))
+                           for _ in range(count)])
+        points = np.ones((shells, angles), dtype=complex)
+        images = (np.arange(1, angles + 1) / traces[..., None]) + 0j
+        shell_max, verdicts = angular_trace(points, images)
+        assert np.array_equal(shell_max, (1.0 / images.real).max(axis=-1))
+        assert verdicts == [reference_verdict(row) for row in shell_max]
+        one, verdict = angular_trace(points, images[0])
+        assert np.array_equal(one, shell_max[0]) and verdict == verdicts[0]
 
 
 class TestCayley:

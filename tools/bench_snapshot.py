@@ -27,7 +27,9 @@ this file) and records:
   and 64 and on the stacks 12x8x8, 4x16x16 and 5x12x12 that the
   workloads solve, ``pivoted_cholesky`` at order 8, 32 and 64, one
   ``angular_derivative_estimate`` on the default grid for an affine map
-  and for a composition of two Moebius maps, one ``boundedness_verdict``
+  and for a composition of two Moebius maps, one six-iterate
+  ``spectral_radius_estimate`` at alpha 1 from each of those two
+  estimates, one ``boundedness_verdict``
   over the seven ``norm_sweep`` families at one alpha, one
   ``inner_product`` of a two-mode Laplace transform with itself on the
   default and on the doubled quadrature scheme of the ``quadrature``
@@ -93,7 +95,7 @@ from bergkit.cli import parse_symbol
 from bergkit.kernels import Weight
 from bergkit.laplace import HalfLineFunction, laplace_eval
 from bergkit.linalg import jacobi_eigh, pivoted_cholesky
-from bergkit.opnorm import boundedness_verdict
+from bergkit.opnorm import boundedness_verdict, spectral_radius_estimate
 from bergkit.space import QuadratureScheme, default_scheme, inner_product
 from bergkit.symbols import (DEFAULT_GRID, Affine, Compose, Moebius,
                              angular_derivative_estimate)
@@ -110,6 +112,10 @@ def eigenvalues(a):
 def angular(phi):
     return lambda: angular_derivative_estimate(phi, DEFAULT_GRID)
 
+def spectral(phi):
+    est = angular_derivative_estimate(phi, DEFAULT_GRID)
+    return lambda: spectral_radius_estimate(Weight(1.0), est, 6)
+
 cases = {}
 for n in (8, 32, 64):
     cases[f"linalg.jacobi_eigh.n{n}"] = eigenvalues(hermitian(n, n))
@@ -118,10 +124,14 @@ for b, n in ((12, 8), (4, 16), (5, 12)):
 for n in (8, 32, 64):
     h = hermitian(n, n)
     cases[f"linalg.pivoted_cholesky.n{n}"] = lambda g=h @ h: pivoted_cholesky(g)
-cases["symbols.angular_derivative_estimate.affine"] = angular(
-    Affine(2.0, 1.0 + 0.5j))
+affine = Affine(2.0, 1.0 + 0.5j)
+moebius_compose = Compose(Moebius(2.0, 1.0 + 0.5j, 0, 1.5),
+                          Moebius(1.5, 0.5 - 1j, 0, 2.0))
+cases["symbols.angular_derivative_estimate.affine"] = angular(affine)
 cases["symbols.angular_derivative_estimate.moebius_compose"] = angular(
-    Compose(Moebius(2.0, 1.0 + 0.5j, 0, 1.5), Moebius(1.5, 0.5 - 1j, 0, 2.0)))
+    moebius_compose)
+cases["opnorm.spectral_radius_estimate.affine"] = spectral(affine)
+cases["opnorm.spectral_radius_estimate.compose"] = spectral(moebius_compose)
 # the first op of a norm_sweep round: one cell of each of its seven families
 op = workloads.generate("norm_sweep", SEED, None)[0]
 weight = Weight(op.spec["cells"][0][1])
