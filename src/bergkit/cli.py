@@ -475,9 +475,10 @@ def _cmd_report(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern reads "-1e-5" as an option
+        # argparse's own pattern reads "-1e-5" and "-inf" as options
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$",
+            re.IGNORECASE)
 
     def error(self, message):
         raise CliError(message)

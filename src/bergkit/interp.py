@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .kernels import Weight
 from .laplace import HalfLineFunction, weighted_norm_squared
 
 __all__ = [
@@ -59,10 +60,9 @@ class InterpolationData:
 
 
 def interp_params(alpha: float) -> InterpolationData:
-    """Bracket alpha between dyadic endpoints and compute the weight data."""
-    alpha = float(alpha)
-    if not alpha > -1.0:
-        raise ValueError("alpha must exceed -1")
+    """Bracket alpha between dyadic endpoints and compute the weight data.
+    ``alpha`` is checked as a :class:`Weight` parameter is."""
+    alpha = Weight(alpha).alpha
     n = int(math.floor(math.log2(alpha + 2.0)))
     low = 2.0 ** n - 2.0
     high = 2.0 ** (n + 1) - 2.0

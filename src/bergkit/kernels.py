@@ -227,33 +227,26 @@ class PsdVerdict:
         }
 
 
-def psd_check(matrix):
-    """Positivity verdict for one Hermitian (n, n) matrix, or one verdict
-    per matrix for a stack: a list of same-size matrices or a (B, n, n)
-    array.
+def psd_check(matrices) -> list:
+    """One positivity verdict per Hermitian matrix of a stack: a list of
+    same-size matrices or a (B, n, n) array.
 
     The smallest eigenvalues come from one batched call of the
-    rotation-based solver in ``linalg``, which also checks and takes the
-    Hermitian part; eigenvectors are computed only for the matrices that
-    fail, to give their witnesses.  The acceptance threshold is
-    ``PSD_REL_TOL * max(1, trace/n)``, an absolute floor made scale-aware so
-    that roundoff on large-magnitude kernels does not produce false
-    negatives; the trace is that of the Hermitian part, whose diagonal is
-    ``Re M_ii``.
+    rotation-based solver in ``linalg``, which also checks the stack's
+    shape and takes the Hermitian part; eigenvectors are computed only for
+    the matrices that fail, to give their witnesses.  The acceptance
+    threshold is ``PSD_REL_TOL * max(1, trace/n)``, an absolute floor made
+    scale-aware so that roundoff on large-magnitude kernels does not
+    produce false negatives; the trace is that of the Hermitian part,
+    whose diagonal is ``Re M_ii``.
     """
-    if isinstance(matrix, (list, tuple)) and not matrix:
+    if len(matrices) == 0:
         return []
-    a = np.asarray(matrix, dtype=complex)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("matrix must be square")
-    n = a.shape[1]
+    a = np.asarray(matrices, dtype=complex)
     eigenvalues, _ = jacobi_eigh(a, compute_vectors=False)
     min_eigs = eigenvalues[:, 0]
     traces = np.trace(a, axis1=1, axis2=2).real
-    thresholds = PSD_REL_TOL * np.maximum(1.0, traces / max(n, 1))
+    thresholds = PSD_REL_TOL * np.maximum(1.0, traces / max(a.shape[1], 1))
     is_psd = min_eigs >= -thresholds
     witnesses = [None] * len(a)
     failing = np.flatnonzero(~is_psd)
@@ -261,7 +254,6 @@ def psd_check(matrix):
         _, vectors = jacobi_eigh(a[failing], compute_vectors=True)
         for index, vector in zip(failing, vectors[:, :, 0]):
             witnesses[index] = tuple(complex(x) for x in vector)
-    verdicts = [PsdVerdict(float(min_eigs[i]), float(thresholds[i]),
-                           bool(is_psd[i]), witnesses[i])
-                for i in range(len(a))]
-    return verdicts[0] if single else verdicts
+    return [PsdVerdict(float(min_eigs[i]), float(thresholds[i]),
+                       bool(is_psd[i]), witnesses[i])
+            for i in range(len(a))]

@@ -305,18 +305,15 @@ class IsometryResult:
                 "quadrature_gap": self.quadrature_gap}
 
 
-def isometry_check(weight: Weight | Sequence[Weight], f: HalfLineFunction,
+def isometry_check(weights: Sequence[Weight], f: HalfLineFunction,
                    scheme: QuadratureScheme | None = None
-                   ) -> IsometryResult | list[IsometryResult]:
+                   ) -> list[IsometryResult]:
     """Compare ||L f||^2 computed on the Bergman side with the closed-form
-    half-line norm, for one weight or for each weight of a sequence.
+    half-line norm, one :class:`IsometryResult` per weight.
 
     L f does not depend on alpha, so it is evaluated on the quadrature grid
     once and shared by both sides of the pairing and by every weight.
-    Returns one :class:`IsometryResult`, or a list with one per weight.
     """
-    single = isinstance(weight, Weight)
-    weights = (weight,) if single else tuple(weight)
     rhs_values = [mu_alpha_norm(w, f) for w in weights]
     scheme = scheme or default_scheme()
     with np.errstate(invalid="ignore", over="ignore"):
@@ -342,4 +339,4 @@ def isometry_check(weight: Weight | Sequence[Weight], f: HalfLineFunction,
         gap = abs(best - rhs) / denom
         results.append(IsometryResult(lhs_quad, lhs_closed, rhs, gap,
                                       quadrature_gap))
-    return results[0] if single else results
+    return results

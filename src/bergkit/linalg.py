@@ -5,7 +5,7 @@ meant to be cross-checkable against LAPACK rather than built on top of
 it, so the eigensolver and factorization here are hand-rolled.  All
 matrices are small (n <= 64); robustness is preferred over speed.
 
-``jacobi_eigh`` takes one matrix or a stack of same-size matrices.  It
+``jacobi_eigh`` takes a stack of same-size matrices, one or more.  It
 keeps cyclic Jacobi rotations for their relative accuracy (Demmel &
 Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and runs them in the
 round-robin order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985):
@@ -15,7 +15,7 @@ of its planes in every matrix at once: the column update and the row
 update each make two products (by the cosines and by the sine pairs) and
 two in-place sums.  Each matrix keeps its own skip threshold and
 convergence test, so its eigenvalues are the same whether it is solved
-alone or in a stack.
+in a stack of one or among others.
 """
 
 from __future__ import annotations
@@ -133,14 +133,14 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     """Eigendecomposition of complex Hermitian matrices by cyclic Jacobi
     rotations in Brent-Luk order.
 
-    ``matrix`` is one (n, n) matrix or a stack (B, n, n).  Each rotation
+    ``matrix`` is a (B, n, n) stack, also for one matrix.  Each rotation
     is a 2x2 unitary that annihilates one off-diagonal pair; a matrix
     leaves the sweeps once its off-diagonal Frobenius mass is at most
     ``JACOBI_TOL * ||M||_F``, and ``ConvergenceError`` (a ``ValueError``)
     is raised when ``max_sweeps`` sweeps leave any matrix above that.
     A matrix with an inf or NaN entry is refused with ``ValueError``;
     one whose ``||M||_F`` leaves the float range is solved all the same.
-    Eigenvalues are returned in ascending order, shape (n,) or (B, n);
+    Eigenvalues are returned in ascending order, shape (B, n);
     the matching unitary eigenvector matrices (columns) are returned when
     ``compute_vectors`` is set, otherwise ``None``.
 
@@ -148,11 +148,9 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     far inside the 1e-10 budget the positivity checks rely on.
     """
     a = np.array(matrix, dtype=complex)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("matrix must be square")
+        raise ValueError(f"need a (B, n, n) stack of square matrices, "
+                         f"not shape {a.shape}")
     batch, n = a.shape[:2]
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
@@ -204,8 +202,6 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     w = np.ldexp(np.take_along_axis(w, order, axis=1), scale[:, None])
     if v is not None:
         v = np.take_along_axis(v, order[:, None, :], axis=2)
-    if single:
-        return w[0], (None if v is None else v[0])
     return w, v
 
 
@@ -263,18 +259,14 @@ def pivoted_cholesky(matrix):
 def solve_lower_triangular(lower, rhs):
     """Forward substitution ``L X = B`` for lower-triangular ``L``.
 
-    ``rhs`` is an (n,) vector, an (n, k) matrix or a stack (B, n, k) of
-    right-hand sides that the one ``lower`` serves.  Each matrix of a
+    ``rhs`` is an (n, k) matrix or a stack (B, n, k) of right-hand sides
+    that the one ``lower`` serves.  Each matrix of a
     stack is solved with the same products, in the same memory layout,
     as it is alone, so its solution is the same bit for bit.
     """
     l = np.asarray(lower, dtype=complex)
-    b = np.array(rhs, dtype=complex)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    n = l.shape[0]
+    b = np.asarray(rhs, dtype=complex)
     x = np.zeros_like(b)
-    for i in range(n):
+    for i in range(l.shape[0]):
         x[..., i, :] = (b[..., i, :] - l[i, :i] @ x[..., :i, :]) / l[i, i]
-    return x[:, 0] if squeeze else x
+    return x

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import Weight, PsdVerdict, bergman_kernel, psd_check
+from .kernels import Weight, bergman_kernel, psd_check
 from .linalg import jacobi_eigh, pivoted_cholesky, solve_lower_triangular
 from .symbols import (DEFAULT_GRID, AngularDerivativeEstimate, SampleGrid,
                       Symbol, angular_derivative_estimate, angular_trace,
@@ -92,10 +92,16 @@ def _prefix_sizes(count: int) -> list:
     return sizes + [count]
 
 
-def _gram_estimates(pts: np.ndarray, weights: Sequence[Weight],
-                    images: Sequence[np.ndarray]) -> list:
-    """The Gram bound of every (symbol, weight) cell, symbol-major, where
-    ``images[s]`` are phi(pts) for symbol s.
+def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
+                       points: Sequence[complex]) -> list:
+    """Finite-section lower bounds for the norm from kernel Gram matrices,
+    one :class:`NormEstimate` per (symbol, weight) cell, symbol-major.
+
+    With G_ij = <k_{z_j}, k_{z_i}> and H_ij = <k_{phi(z_j)}, k_{phi(z_i)}>,
+    the largest mu solving H v = mu G v is the squared norm of the adjoint
+    restricted to span{k_{z_i}}; its square root never exceeds the operator
+    norm and is non-decreasing as points are added.  The trace records the
+    estimate on nested prefixes of the point list.
 
     Per weight, the Gram matrix G of the points is diagonally normalized
     and each prefix of it factored by pivoted Cholesky once, for every
@@ -107,11 +113,13 @@ def _gram_estimates(pts: np.ndarray, weights: Sequence[Weight],
     stack.  A stack entry is bitwise its one-matrix solve, so a cell's
     estimate does not depend on the cells beside it.
     """
+    pts = require_half_plane(points)
     if pts.size == 0:
         raise ValueError("need at least one point")
     if len(set(pts.tolist())) != pts.size:
         raise ValueError("points must be distinct")
-    images = np.asarray(images)
+    images = np.array([require_half_plane(phi(pts), pts)
+                       for phi in phis]).reshape(-1, pts.size)
     symbols = np.arange(len(images))
     sizes = _prefix_sizes(pts.size)
     mu = np.empty((len(images), len(weights), len(sizes)))
@@ -141,27 +149,10 @@ def _gram_estimates(pts: np.ndarray, weights: Sequence[Weight],
     return estimates
 
 
-def gram_norm_estimate(weight: Weight, phi: Symbol,
-                       points: Sequence[complex]) -> NormEstimate:
-    """Finite-section lower bound for the norm from kernel Gram matrices.
-
-    With G_ij = <k_{z_j}, k_{z_i}> and H_ij = <k_{phi(z_j)}, k_{phi(z_i)}>,
-    the largest mu solving H v = mu G v is the squared norm of the adjoint
-    restricted to span{k_{z_i}}; its square root never exceeds the operator
-    norm and is non-decreasing as points are added.  The trace records the
-    estimate on nested prefixes of the point list.  This is the one-cell
-    case of the Gram bound in :func:`boundedness_verdict`.
-    """
-    pts = require_half_plane(points)
-    images = require_half_plane(phi(pts), pts)
-    return _gram_estimates(pts, [weight], [images])[0]
-
-
 def psd_boundedness_certificate(weight: Weight, phi: Symbol, lam: float,
-                                points) -> PsdVerdict:
-    """Positivity verdict for lam^(2+alpha) G - H at the given points, or
-    one verdict per point set for a list of same-size sets (one batched
-    :func:`psd_check`).
+                                point_sets) -> list:
+    """Positivity verdicts for lam^(2+alpha) G - H, one per point set of a
+    list of same-size sets, checked in one batched :func:`psd_check`.
 
     Positivity at every tested configuration is evidence (not proof) for
     norm <= lam^((2+alpha)/2).  The matrix is normalized by the congruence
@@ -172,14 +163,17 @@ def psd_boundedness_certificate(weight: Weight, phi: Symbol, lam: float,
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError("lam must be a finite positive number")
-    pts = require_half_plane(points)
+    pts = require_half_plane(point_sets)
+    if pts.ndim != 2:
+        raise ValueError(f"need a (B, n) list of same-size point sets, "
+                         f"not shape {pts.shape}")
     images = require_half_plane(phi(pts), pts)
-    gram = bergman_kernel(weight, pts[..., None, :], pts[..., :, None])
-    target = bergman_kernel(weight, images[..., None, :], images[..., :, None])
+    gram = bergman_kernel(weight, pts[:, None, :], pts[:, :, None])
+    target = bergman_kernel(weight, images[:, None, :], images[:, :, None])
     factor = lam ** weight.exponent
-    scale = 1.0 / np.sqrt(factor * gram.diagonal(axis1=-2, axis2=-1).real)
+    scale = 1.0 / np.sqrt(factor * gram.diagonal(axis1=1, axis2=2).real)
     return psd_check((factor * gram - target)
-                     * (scale[..., :, None] * scale[..., None, :]))
+                     * (scale[:, :, None] * scale[:, None, :]))
 
 
 @dataclass(frozen=True)
@@ -195,8 +189,9 @@ class SpectralRadiusEstimate:
                                 for n, v in self.per_iterate]}
 
 
-def spectral_radius_estimate(weight, est: AngularDerivativeEstimate,
-                             max_iter: int = 8):
+def spectral_radius_estimate(weights: Sequence[Weight],
+                             est: AngularDerivativeEstimate,
+                             max_iter: int = 8) -> list:
     """Estimate the spectral radius through powers C^n = C_{phi o ... o phi}.
 
     Each iterate applies the kernel-ratio bound to the n-fold composition
@@ -208,21 +203,19 @@ def spectral_radius_estimate(weight, est: AngularDerivativeEstimate,
     no iterate is classified again: Julia's lemma gives
     Re z / Re phi^n(z) <= lam^n, so a trace that still rises on the fixed
     grid is a finite lower bound.  Else a divergent iterate gives inf and
-    is the last; an iterate after it is never built.
-
-    ``weight`` is one :class:`Weight` or a sequence, and the estimates
-    come as one or a list; the iterates are shared by every weight.
+    is the last; an iterate after it is never built.  The iterates are
+    shared by every weight, one estimate each.
     """
     if max_iter < 1:
         raise ValueError("need at least one iterate")
     sups = _iterate_sup_ratios(est, max_iter)
     estimates = []
-    for w in [weight] if isinstance(weight, Weight) else weight:
+    for w in weights:
         per_iterate = tuple((n, sup ** (w.half_exponent / n))
                             for n, sup in enumerate(sups, 1))
         estimates.append(SpectralRadiusEstimate(per_iterate[-1][1],
                                                 per_iterate))
-    return estimates[0] if isinstance(weight, Weight) else estimates
+    return estimates
 
 
 def _iterate_sup_ratios(est: AngularDerivativeEstimate,
@@ -286,15 +279,13 @@ def default_gram_points(grid: SampleGrid) -> np.ndarray:
     return np.geomspace(grid.r_min, hi, 12).astype(complex)
 
 
-def boundedness_verdict(weight, phi, grid: SampleGrid = DEFAULT_GRID):
-    """Full report: boundedness verdict plus every estimator on success.
-
-    ``weight`` is one :class:`Weight` or a sequence, and ``phi`` one
-    :class:`Symbol` or a sequence; with a sequence the reports come as a
-    flat list, symbol-major (every weight of the first symbol, then the
-    next symbol).  The angular estimate and the spectral iterates are made
-    once per symbol, and the Gram factor once per weight (see
-    ``_gram_estimates``).
+def boundedness_verdict(weights: Sequence[Weight], phis: Sequence[Symbol],
+                        grid: SampleGrid = DEFAULT_GRID) -> list:
+    """Full reports: boundedness verdict plus every estimator on success,
+    one per (symbol, weight) cell, symbol-major (every weight of the first
+    symbol, then the next symbol).  The angular estimate and the spectral
+    iterates are made once per symbol, and the Gram bounds of the bounded
+    symbols in one :func:`gram_norm_estimate` call.
 
     The operator is bounded exactly when the angular-derivative trace
     converges; a divergent trace is returned with its witness radii.  The
@@ -304,14 +295,10 @@ def boundedness_verdict(weight, phi, grid: SampleGrid = DEFAULT_GRID):
     A refused Gram pencil (non-finite, or not converged) of any cell
     raises for the whole call.
     """
-    single = isinstance(weight, Weight) and isinstance(phi, Symbol)
-    weights = [weight] if isinstance(weight, Weight) else list(weight)
-    phis = [phi] if isinstance(phi, Symbol) else list(phi)
     ests = [angular_derivative_estimate(sym, grid) for sym in phis]
-    pts = default_gram_points(grid)
-    images = [require_half_plane(sym(pts), pts)
-              for sym, est in zip(phis, ests) if est.verdict == "finite"]
-    grams = iter(_gram_estimates(pts, weights, images) if images else [])
+    bounded = [sym for sym, est in zip(phis, ests) if est.verdict == "finite"]
+    grams = iter(gram_norm_estimate(weights, bounded, default_gram_points(grid))
+                 if bounded else [])
     reports = []
     for sym, est in zip(phis, ests):
         if est.verdict != "finite":
@@ -334,4 +321,4 @@ def boundedness_verdict(weight, phi, grid: SampleGrid = DEFAULT_GRID):
             spectral_radius=rho,
             essential_lower_bound=essential_norm_lower_bound(w, est),
         ) for w, rho in zip(weights, spectral)]
-    return reports[0] if single else reports
+    return reports

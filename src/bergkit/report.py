@@ -59,16 +59,17 @@ def _criterion_1(seed: int) -> CriterionResult:
     """Norm formula: both lower bounds reach >= 0.99 of lam^((2+alpha)/2)
     and never exceed it beyond 1e-6 relative; under 10 s total."""
     start = time.perf_counter()
-    gram_points = np.geomspace(1.0, 1e4, 16)
+    weights = [Weight(alpha) for alpha in ALPHAS]
+    # every (symbol, weight) cell in one call, symbol-major
+    grams = iter(gram_norm_estimate(weights, [phi for phi, _ in AFFINE_CASES],
+                                    np.geomspace(1.0, 1e4, 16)))
     lowest = 1.0
     overshoot = 0.0
     for phi, lam in AFFINE_CASES:
         est = angular_derivative_estimate(phi)
-        for alpha in ALPHAS:
-            w = Weight(alpha)
+        for w in weights:
             theo = norm_theoretical(w, lam)
-            for value in (kernel_ratio_bound(w, est),
-                          gram_norm_estimate(w, phi, gram_points).value):
+            for value in (kernel_ratio_bound(w, est), next(grams).value):
                 lowest = min(lowest, value / theo)
                 overshoot = max(overshoot, value / theo - 1.0)
     within_budget = (time.perf_counter() - start) < 10.0
@@ -100,7 +101,7 @@ def _criterion_3(seed: int) -> CriterionResult:
     """Unboundedness: sqrt(z) is flagged UNBOUNDED with a monotone trace
     reaching ratio 1e3 by r = 1e6; constant maps rejected by validation."""
     start = time.perf_counter()
-    report = boundedness_verdict(Weight(0.0), PowerMap(0.5))
+    report, = boundedness_verdict([Weight(0.0)], [PowerMap(0.5)])
     ratios = report.angular.trace
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     reached = ratios[-1] >= 1e3
@@ -185,8 +186,8 @@ def _criterion_6(seed: int) -> CriterionResult:
             verdicts = psd_boundedness_certificate(w, phi, lam, near)
             true_failures += sum(not v.is_psd for v in verdicts)
             undersized = psd_boundedness_certificate(w, phi, 0.8 * lam, far)
-            undersized.append(psd_boundedness_certificate(
-                w, phi, 0.8 * lam, [1e3, 1e4]))
+            undersized += psd_boundedness_certificate(w, phi, 0.8 * lam,
+                                                      [[1e3, 1e4]])
             missed_detections += sum(v.is_psd for v in undersized)
             checks += len(verdicts) + len(undersized)
     passed = true_failures == 0 and missed_detections == 0
@@ -212,11 +213,11 @@ def _criterion_7(seed: int) -> CriterionResult:
     ]
     worst_closed = 0.0
     for alpha, terms in closed_cases:
-        res = isometry_check(Weight(alpha), HalfLineFunction.build(terms))
+        res, = isometry_check([Weight(alpha)], HalfLineFunction.build(terms))
         worst_closed = max(worst_closed, res.gap)
     worst_quad = 0.0
     for alpha, terms in quad_cases:
-        res = isometry_check(Weight(alpha), HalfLineFunction.build(terms))
+        res, = isometry_check([Weight(alpha)], HalfLineFunction.build(terms))
         worst_quad = max(worst_quad, res.quadrature_gap)
 
     rng = _rng(seed, 7)

@@ -174,7 +174,7 @@ def test_layer_code_times_six_spectral_iterates(monkeypatch):
     # both symbols read finite, so each estimate runs all six iterates
     cases = layer_cases(monkeypatch)
     for family in ("affine", "compose"):
-        rho = cases[f"opnorm.spectral_radius_estimate.{family}"]()
+        rho, = cases[f"opnorm.spectral_radius_estimate.{family}"]()
         assert [n for n, _ in rho.per_iterate] == [1, 2, 3, 4, 5, 6]
         assert 0 < rho.value < float("inf")
 

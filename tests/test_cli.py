@@ -366,24 +366,29 @@ class TestGridFlag:
         ["spectral", "--symbol", "affine:2,1"],
         ["laplace", "--f", "t*exp(-t)"],
     ], ids=lambda command: command[0])
-    @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf", "1e999"])
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf", "1e999",
+                                       "-Infinity", "-NaN"])
     def test_non_finite_alpha_names_the_flag(self, capsys, command, alpha):
         # inf used to fail in the estimators (norm and psd: "matrix has
         # non-finite entries", interp: "cannot convert float infinity to
-        # integer", spectral: a JSON error) and nan as "alpha must exceed -1"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(command + [f"--alpha={alpha}"]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: argument --alpha: need a finite number, "
-                f"not {alpha!r}\n")
+        # integer", spectral: a JSON error) and nan as "alpha must exceed
+        # -1"; a separate "-inf" token was taken for an option ("expected
+        # one argument")
+        for flag in ([f"--alpha={alpha}"], ["--alpha", alpha]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(command + flag) == 1
+            assert capsys.readouterr() == (
+                "", f"error: argument --alpha: need a finite number, "
+                    f"not {alpha!r}\n")
 
     @pytest.mark.parametrize("command,message", [
         (["norm", "--symbol", "affine:2,1"],
          "weight parameter must satisfy alpha > -1"),
         (["spectral", "--symbol", "affine:2,1"],
          "weight parameter must satisfy alpha > -1"),
-        (["interp"], "alpha must exceed -1"),
+        # interp checks alpha through Weight; it said "alpha must exceed -1"
+        (["interp"], "weight parameter must satisfy alpha > -1"),
     ], ids=["norm", "spectral", "interp"])
     def test_finite_alpha_at_most_minus_one(self, capsys, command, message):
         assert main(command + ["--alpha", "-1"]) == 1
@@ -530,7 +535,7 @@ class TestOtherCommands:
             (a, t) for a in (0.0, 1.0) for t in range(3)]
         for v in data["verdicts"]:
             pts = [complex(re, im) for re, im in v["points"]]
-            single = psd_check(nevanlinna_kernel(Affine(2, 1), pts))
+            single, = psd_check([nevanlinna_kernel(Affine(2, 1), pts)])
             assert v["min_eigenvalue"] == single.min_eigenvalue
             assert v["threshold"] == single.threshold
 

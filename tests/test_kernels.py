@@ -166,9 +166,10 @@ class TestGramMatrix:
     def test_gram_is_psd_on_random_configurations(self):
         rng = np.random.default_rng(7)
         for alpha in (0.0, 1.0, 2.7):
-            for _ in range(5):
-                pts = DEFAULT_GRID.sample_points(6, rng)
-                assert psd_check(gram_matrix(Weight(alpha), pts)).is_psd
+            verdicts = psd_check([
+                gram_matrix(Weight(alpha), DEFAULT_GRID.sample_points(6, rng))
+                for _ in range(5)])
+            assert all(v.is_psd for v in verdicts)
 
     def test_psd_check_refuses_non_finite_gram(self):
         # kernels at points near 0 overflow; the verdict used to come back
@@ -179,7 +180,7 @@ class TestGramMatrix:
             gram = gram_matrix(Weight(6), pts)
             assert not np.all(np.isfinite(gram))
             with pytest.raises(ValueError, match="non-finite"):
-                psd_check(gram)
+                psd_check([gram])
 
     def test_hermitian_defect_small(self):
         rng = np.random.default_rng(11)
@@ -199,7 +200,7 @@ class TestNevanlinnaKernel:
 
     def test_negative_real_part_fails_psd(self):
         m = nevanlinna_kernel(lambda z: -np.ones_like(z), [1.0])
-        verdict = psd_check(m)
+        verdict, = psd_check([m])
         assert not verdict.is_psd
         assert verdict.min_eigenvalue == pytest.approx(-1.0)
 
@@ -226,9 +227,10 @@ class TestNevanlinnaKernel:
     ])
     def test_positive_real_part_gives_psd(self, psi):
         rng = np.random.default_rng(13)
-        for _ in range(5):
-            pts = DEFAULT_GRID.sample_points(8, rng)
-            assert psd_check(nevanlinna_kernel(psi, pts)).is_psd
+        verdicts = psd_check([
+            nevanlinna_kernel(psi, DEFAULT_GRID.sample_points(8, rng))
+            for _ in range(5)])
+        assert all(v.is_psd for v in verdicts)
 
 
 class TestDefectKernel:
@@ -245,7 +247,7 @@ class TestDefectKernel:
         m = defect_kernel_matrix(Affine(1, 1), 1.0, 1, [1.0, 2.0])
         np.testing.assert_allclose(m, [[1.0, 2 / 3], [2 / 3, 0.5]])
         assert np.abs(m - m.conj().T).max() <= 1e-12 * np.abs(m).max()
-        verdict = psd_check(m)
+        verdict, = psd_check([m])
         assert verdict.is_psd  # det = 1/18 > 0
 
     def test_parameter_validation(self):
@@ -263,9 +265,10 @@ class TestDefectKernel:
     def test_dyadic_powers_psd_at_true_lambda(self, phi, n):
         lam = phi.known_lambda
         rng = np.random.default_rng(17)
-        for _ in range(5):
-            pts = DEFAULT_GRID.sample_points(8, rng)
-            assert psd_check(defect_kernel_matrix(phi, lam, n, pts)).is_psd
+        verdicts = psd_check([
+            defect_kernel_matrix(phi, lam, n, DEFAULT_GRID.sample_points(8, rng))
+            for _ in range(5)])
+        assert all(v.is_psd for v in verdicts)
 
 
 class TestFactorization:
@@ -295,34 +298,34 @@ class TestMatrixOps:
     def test_schur_product_of_psd_defect_matrices_is_psd(self):
         # Schur product theorem, the step behind K^2m = K^m (K^m + 2 lam^-m)
         m = defect_kernel_matrix(Affine(1, 1), 1.0, 1, [1.0, 2.0, 3.0])
-        assert psd_check(m * m).is_psd
+        assert psd_check([m * m])[0].is_psd
 
 
 class TestPsdCheck:
     def test_identity(self):
-        verdict = psd_check(np.eye(3))
+        verdict, = psd_check([np.eye(3)])
         assert verdict.is_psd
         assert verdict.min_eigenvalue == pytest.approx(1.0)
         assert verdict.witness is None
 
     def test_indefinite_with_witness(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0]])
-        verdict = psd_check(m)
+        verdict, = psd_check([m])
         assert not verdict.is_psd
         assert verdict.min_eigenvalue == pytest.approx(-1.0)
         c = np.array(verdict.witness)
         assert (c.conj() @ m @ c).real < 0
 
     def test_threshold_scales_with_trace(self):
-        verdict = psd_check(1e6 * np.eye(4))
+        verdict, = psd_check([1e6 * np.eye(4)])
         assert verdict.threshold == pytest.approx(1e-9 * 1e6)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            psd_check(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            psd_check([np.array([[1.0, 1.0], [0.0, 1.0]])])
 
     def test_accepts_kernel_matrix_inputs(self):
-        assert psd_check(gram_matrix(Weight(0.0), [1.0, 2.0])).is_psd
+        assert psd_check([gram_matrix(Weight(0.0), [1.0, 2.0])])[0].is_psd
 
     def test_sequence_gives_one_verdict_per_matrix(self):
         rng = np.random.default_rng(4)
@@ -335,9 +338,18 @@ class TestPsdCheck:
         verdicts = psd_check(matrices)
         assert [v.is_psd for v in verdicts] == [True, False, True, True]
         assert [v.witness is None for v in verdicts] == [True, False, True, True]
+        # each entry is its one-element batch
         for m, v in zip(matrices, verdicts):
-            assert v == psd_check(m)
+            assert repr([v]) == repr(psd_check([m]))
         assert psd_check([]) == []
+
+    @pytest.mark.parametrize("matrices", [
+        np.eye(3), [[1.0, 0.0], [0.0, 1.0]], np.ones((2, 3, 4))],
+        ids=["matrix", "nested-list", "not-square"])
+    def test_refuses_what_is_not_a_stack(self, matrices):
+        # one matrix used to give one verdict, not a list
+        with pytest.raises(ValueError, match=r"need a \(B, n, n\) stack"):
+            psd_check(matrices)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 16), st.integers(0, 2 ** 32 - 1),
@@ -361,10 +373,10 @@ class TestPsdCheck:
         expected = repr(psd_check(hermitian_part))
         assert repr(psd_check(a)) == expected
         assert repr(psd_check(stack)) == expected
-        assert repr(psd_check(a[0])) == repr(psd_check(hermitian_part[0]))
+        assert repr(psd_check(a[:1])) == repr(psd_check(hermitian_part[:1]))
 
     def test_verdict_round_trips_to_json(self):
-        verdict = psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        verdict, = psd_check([np.array([[1.0, 2.0], [2.0, 1.0]])])
         data = verdict.to_dict()
         assert data["is_psd"] is False
         assert len(data["witness"]) == 2

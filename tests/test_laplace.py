@@ -118,10 +118,11 @@ class TestRowBlocks:
     def test_blocks_run_on_threads_that_end_with_the_call(self):
         # 63,360 nodes on 4 CPUs: 3 blocks, two of them on other threads
         f = halfline((1, 1.5, 1.0), (0.5j, 2.25, 2.0))
-        idents, original = [], laplace._sum_modes
+        threads, original = [], laplace._sum_modes
 
         def sum_modes(*args):
-            idents.append(threading.get_ident())
+            # the Thread itself: an ident is reused once its thread ends
+            threads.append(threading.current_thread())
             return original(*args)
 
         z = default_scheme().z
@@ -130,7 +131,7 @@ class TestRowBlocks:
                                                sum_modes):
             value = laplace_eval(f, z)
         assert threading.active_count() == before
-        assert len(set(idents)) == 3
+        assert len(set(threads)) == 3
         assert value.tobytes() == self.reference(f, z).tobytes()
 
     def test_worker_keeps_the_callers_errstate(self):
@@ -149,7 +150,7 @@ class TestRowBlocks:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError) as info, mock.patch.object(
                         laplace, "_sum_modes", sum_modes):
-                    isometry_check(Weight(0.0), f)
+                    isometry_check([Weight(0.0)], f)
             errors.append(str(info.value))
         assert errors == ["integrand is not finite at a quadrature node"] * 2
         # one block on one CPU, two on two, each under isometry_check's state
@@ -271,26 +272,26 @@ class TestKernelPreimage:
 
 class TestIsometry:
     def test_kernel_case_alpha_zero(self):
-        result = isometry_check(Weight(0.0), halfline((1, 1.0, 1.0)))
+        result, = isometry_check([Weight(0.0)], halfline((1, 1.0, 1.0)))
         assert result.lhs_closed_form == pytest.approx(0.25)
         assert result.rhs == pytest.approx(0.25)
         assert result.gap <= 1e-10
 
     def test_kernel_case_alpha_one(self):
-        result = isometry_check(Weight(1.0), halfline((1, 2.0, 1.0)))
+        result, = isometry_check([Weight(1.0)], halfline((1, 2.0, 1.0)))
         assert result.lhs_closed_form == pytest.approx(0.125)
         assert result.gap <= 1e-10
 
     def test_quadrature_case(self):
-        result = isometry_check(Weight(0.0), halfline((1, 1.0, 2.0),
-                                                      (1, 2.0, 2.0)))
+        result, = isometry_check([Weight(0.0)], halfline((1, 1.0, 2.0),
+                                                         (1, 2.0, 2.0)))
         assert result.lhs_closed_form is None
         assert result.rhs == pytest.approx(19 / 128)
         assert result.quadrature_gap <= 1e-3
 
     def test_complex_coefficient_kernel_combination(self):
-        result = isometry_check(Weight(2.0), halfline((1, 3.0, 2.0),
-                                                      (0.5j, 3.0, 1.0)))
+        result, = isometry_check([Weight(2.0)], halfline((1, 3.0, 2.0),
+                                                         (0.5j, 3.0, 1.0)))
         assert result.lhs_closed_form is not None
         assert result.gap <= 1e-10
 
@@ -302,7 +303,7 @@ class TestIsometry:
 
 class TestIsometryOverWeights:
     """One call over several weights evaluates L f once; every result must
-    be bitwise the one a call for that weight alone gives."""
+    be bitwise the one-element batch of its weight."""
 
     @staticmethod
     def assert_matches_single_calls(f, weights, scheme=None):
@@ -310,7 +311,7 @@ class TestIsometryOverWeights:
         assert len(results) == len(weights)
         for w, result in zip(weights, results):
             # repr tells every float apart bit for bit, -0.0 included
-            assert repr(result) == repr(isometry_check(w, f, scheme))
+            assert repr([result]) == repr(isometry_check([w], f, scheme))
         return results
 
     def test_weight_list_matches_single_calls(self):
@@ -325,9 +326,9 @@ class TestIsometryOverWeights:
         # |L f|^2 overflows near z = 0, while ||f||^2 stays finite at both
         # alphas (2.5e307 and 2.5e303)
         f = halfline((1e150, 1.0, 1e-4))
-        for weight in (Weight(0.0), [Weight(0.0), Weight(1.0)]):
+        for weights in ([Weight(0.0)], [Weight(0.0), Weight(1.0)]):
             with pytest.raises(ValueError, match="not finite at a quadrature node"):
-                isometry_check(weight, f)
+                isometry_check(weights, f)
 
     @pytest.mark.parametrize("terms,modes", [
         ([(1e200, 1.0, 1.0)], "mode 0 (1e+200+0j)*t^1*exp(-(1+0j)*t)"),
@@ -340,9 +341,9 @@ class TestIsometryOverWeights:
         # the second mode's own term: the first pair whose term leaves the
         # float range is named
         f = halfline(*terms)
-        for weight in (Weight(0.0), [Weight(0.0), Weight(1.0)]):
+        for weights in ([Weight(0.0)], [Weight(0.0), Weight(1.0)]):
             with pytest.raises(OverflowError) as info:
-                isometry_check(weight, f)
+                isometry_check(weights, f)
             assert str(info.value) == f"the norm closed form of {modes} overflows"
 
     def test_closed_form_overflow_names_the_weight(self):

@@ -1,5 +1,6 @@
 """The hand-rolled solvers are cross-checked against LAPACK (numpy)."""
 
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ def random_hermitian(rng, n):
 def test_jacobi_matches_lapack(n):
     rng = np.random.default_rng(n)
     a = random_hermitian(rng, n)
-    w, v = jacobi_eigh(a)
+    (w,), (v,) = jacobi_eigh(a[None])
     w_ref = np.linalg.eigvalsh(a)
     scale = max(np.abs(w_ref).max(), 1.0)
     assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
@@ -40,7 +41,7 @@ def test_jacobi_matches_lapack(n):
 def test_jacobi_eigenvalues_property(n, seed):
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, n)
-    w, _ = jacobi_eigh(a, compute_vectors=False)
+    (w,), _ = jacobi_eigh(a[None], compute_vectors=False)
     w_ref = np.linalg.eigvalsh(a)
     scale = max(np.abs(w_ref).max(), 1.0)
     assert np.max(np.abs(w - w_ref)) <= 1e-11 * scale
@@ -57,11 +58,12 @@ def test_jacobi_stack_matches_single_solves(batch, n, seed, vectors):
     stack = np.array([s * random_hermitian(rng, n) for s in scales])
     w, v = jacobi_eigh(stack, compute_vectors=vectors)
     assert w.shape == (batch, n)
+    # each entry is, bit for bit, its one-element stack
     for i, a in enumerate(stack):
-        w1, v1 = jacobi_eigh(a, compute_vectors=vectors)
-        assert np.array_equal(w[i], w1)
+        w1, v1 = jacobi_eigh(stack[i:i + 1], compute_vectors=vectors)
+        assert w[i:i + 1].tobytes() == w1.tobytes()
         if vectors:
-            assert np.array_equal(v[i], v1)
+            assert v[i:i + 1].tobytes() == v1.tobytes()
         w_ref = np.linalg.eigvalsh(a)
         assert np.max(np.abs(w[i] - w_ref)) <= 1e-12 * np.abs(w_ref).max()
 
@@ -196,7 +198,7 @@ def test_jacobi_outside_the_frobenius_range(scale):
     # solved at the power-of-two scale of its largest entry instead
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w, v = jacobi_eigh(scale * np.ones((2, 2)))
+        (w,), (v,) = jacobi_eigh(scale * np.ones((1, 2, 2)))
         stack = scale * np.array([np.ones((2, 2)), np.diag([1.0, -1.0])])
         w_stack, _ = jacobi_eigh(stack, compute_vectors=False)
     # not the diagonal [1, 1], which the unscaled sweeps returned
@@ -221,7 +223,7 @@ def test_jacobi_raises_when_sweeps_run_out():
     rng = np.random.default_rng(16)
     a = random_hermitian(rng, 16)
     with pytest.raises(ConvergenceError, match="1 of 1 matrices"):
-        jacobi_eigh(a, max_sweeps=1)
+        jacobi_eigh(a[None], max_sweeps=1)
     stack = np.array([a, np.diag(np.arange(16.0)), a])
     with pytest.raises(ValueError, match="2 of 3 matrices"):
         jacobi_eigh(stack, compute_vectors=False, max_sweeps=1)
@@ -229,21 +231,24 @@ def test_jacobi_raises_when_sweeps_run_out():
 
 def test_jacobi_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        jacobi_eigh(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_jacobi_rejects_non_finite(bad):
     # checked before the Hermitian test, which NaN entries would pass
     with pytest.raises(ValueError, match="non-finite"):
-        jacobi_eigh(np.array([[1.0, bad], [bad, 1.0]]))
+        jacobi_eigh(np.array([[[1.0, bad], [bad, 1.0]]]))
     with pytest.raises(ValueError, match="non-finite"):
         jacobi_eigh(np.array([np.eye(2), [[bad, 0.0], [0.0, 1.0]]]))
 
 
 def test_jacobi_rejects_non_square():
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.ones((2, 3)))
+    # one (n, n) matrix is not taken for a stack of one
+    for shape in ((2, 3), (1, 2, 3), (2, 2), (3,)):
+        with pytest.raises(ValueError, match=r"need a \(B, n, n\) stack .* "
+                           rf"not shape {re.escape(str(shape))}$"):
+            jacobi_eigh(np.ones(shape))
 
 
 def test_hermitian_defect():
@@ -300,8 +305,8 @@ def test_solve_lower_triangular():
     b = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
     x = solve_lower_triangular(l, b)
     assert np.allclose(l @ x, b, atol=1e-12)
-    xv = solve_lower_triangular(l, b[:, 0])
-    assert np.allclose(l @ xv, b[:, 0], atol=1e-12)
+    xv = solve_lower_triangular(l, b[:, :1])
+    assert np.allclose(l @ xv, b[:, :1], atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,9 +23,9 @@ this file) and records:
   interpreter taken before and after it, over that reference's nominal
   time, as ``bergbench/run.py`` scales ``setup_s``;
 - per-layer timings in one child process, each under its layer's full
-  name: ``jacobi_eigh`` (eigenvalues only) on one matrix of order 8, 32
-  and 64 and on the stacks 12x8x8, 4x16x16 and 5x12x12 that the
-  workloads solve, ``pivoted_cholesky`` at order 8, 32 and 64, one
+  name: ``jacobi_eigh`` (eigenvalues only) on a stack of one matrix of
+  order 8, 32 and 64 and on the stacks 12x8x8, 4x16x16 and 5x12x12 that
+  the workloads solve, ``pivoted_cholesky`` at order 8, 32 and 64, one
   ``angular_derivative_estimate`` on the default grid for an affine map
   and for a composition of two Moebius maps, one six-iterate
   ``spectral_radius_estimate`` at alpha 1 from each of those two
@@ -114,11 +114,11 @@ def angular(phi):
 
 def spectral(phi):
     est = angular_derivative_estimate(phi, DEFAULT_GRID)
-    return lambda: spectral_radius_estimate(Weight(1.0), est, 6)
+    return lambda: spectral_radius_estimate([Weight(1.0)], est, 6)
 
 cases = {}
 for n in (8, 32, 64):
-    cases[f"linalg.jacobi_eigh.n{n}"] = eigenvalues(hermitian(n, n))
+    cases[f"linalg.jacobi_eigh.n{n}"] = eigenvalues(hermitian(n, n)[None])
 for b, n in ((12, 8), (4, 16), (5, 12)):
     cases[f"linalg.jacobi_eigh.{b}x{n}x{n}"] = eigenvalues(hermitian(b, n, n))
 for n in (8, 32, 64):
@@ -137,7 +137,7 @@ op = workloads.generate("norm_sweep", SEED, None)[0]
 weight = Weight(op.spec["cells"][0][1])
 symbols = [parse_symbol(sym.text) for sym, _ in op.spec["cells"]]
 cases["opnorm.boundedness_verdict.norm_sweep_families"] = (
-    lambda: boundedness_verdict(weight, symbols, DEFAULT_GRID))
+    lambda: boundedness_verdict([weight], symbols, DEFAULT_GRID))
 f = HalfLineFunction.build([(1.0, 1.0, 1.0), (0.5 + 1j, 2.5, 1.5 - 0.5j)])
 transform = lambda z: laplace_eval(f, z)
 for name, scheme in (
