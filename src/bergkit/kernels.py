@@ -238,11 +238,15 @@ def psd_check(matrices) -> list:
     threshold is ``PSD_REL_TOL * max(1, trace/n)``, an absolute floor made
     scale-aware so that roundoff on large-magnitude kernels does not
     produce false negatives; the trace is that of the Hermitian part,
-    whose diagonal is ``Re M_ii``.
+    whose diagonal is ``Re M_ii``.  A stack of order 0 is refused with
+    ``ValueError``: its matrices have no smallest eigenvalue.
     """
     if len(matrices) == 0:
         return []
     a = np.asarray(matrices, dtype=complex)
+    if a.shape[1:] == (0, 0):  # no smallest eigenvalue to test
+        raise ValueError(f"need a (B, n, n) stack of square matrices with "
+                         f"n >= 1, not shape {a.shape}")
     eigenvalues, _ = jacobi_eigh(a, compute_vectors=False)
     min_eigs = eigenvalues[:, 0]
     traces = np.trace(a, axis1=1, axis2=2).real

@@ -9,13 +9,17 @@ matrices are small (n <= 64); robustness is preferred over speed.
 keeps cyclic Jacobi rotations for their relative accuracy (Demmel &
 Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and runs them in the
 round-robin order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985):
-a sweep is n - 1 steps of n/2 disjoint (p, q) planes.  One step moves
-the stack to the step's layout with one flat ``take``, then rotates all
-of its planes in every matrix at once: the column update and the row
-update each make two products (by the cosines and by the sine pairs) and
-two in-place sums.  Each matrix keeps its own skip threshold and
-convergence test, so its eigenvalues are the same whether it is solved
-in a stack of one or among others.
+a sweep is n - 1 steps of n/2 disjoint (p, q) planes.  The sweeps run
+on a workspace, built for the matrices still active and again each time
+converged ones leave: two buffers for the stack (two more for the
+vectors), the views of each buffer that a step reads and writes, built
+once, and the step's temporaries.  One step gathers the stack from one
+buffer into the other in the step's layout, then rotates all of its
+planes in every matrix at once, every result written in place: the
+column update and the row update each make two products (by the cosines
+and by the sine pairs) and two sums.  Each matrix keeps its own skip
+threshold and convergence test, so its eigenvalues are the same, bit for
+bit, whether it is solved in a stack of one or among others.
 """
 
 from __future__ import annotations
@@ -86,47 +90,147 @@ def _schedule(n: int) -> tuple:
     return tuple(moves)
 
 
-def _rotate(a: np.ndarray, v, skip: np.ndarray, planes: int) -> None:
-    """One Brent-Luk step, in place: annihilate entry (2i, 2i+1) of every
-    matrix k in the C-contiguous stack ``a`` for i < ``planes``, one 2x2
-    unitary per plane.  Planes whose entry is at most ``skip[k, 0]`` get
-    the identity.  ``v`` accumulates the columns."""
-    b, n = a.shape[:2]
-    flat = a.reshape(b, n * n)
-    stride = 2 * n + 2
-    end = planes * stride
-    apq = flat[:, 1:end:stride]
-    r = np.abs(apq)
-    rotate = r > skip
-    if not np.count_nonzero(rotate):
-        return
-    r = np.where(rotate, r, 1.0)
-    tau = (flat[:, n + 1:n + 1 + end:stride].real
-           - flat[:, 0:end:stride].real) / (2.0 * r)
-    # t = sign(tau) / (|tau| + hypot(1, tau)), the smaller root
-    t = np.where(rotate, 1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau)),
-                 0.0)
-    c = 1.0 / np.hypot(1.0, t)
-    # The unitary on plane i is [[c, s], [-conj(s), c]], with (s, conj(s))
-    # in ``sines``.  Columns transform by u: p' = p c - q conj(s) and
-    # q' = p s + q c; rows by u*: p' = p c - q s and q' = p conj(s) + q c.
-    sines = np.empty((b, planes, 2), dtype=complex)
-    np.multiply(t * c, apq / r, out=sines[..., 0])
-    np.conjugate(sines[..., 0], out=sines[..., 1])
-    cc, ss = c[:, None, :, None], sines[:, None]
-    for m in (a, v) if v is not None else (a,):
-        x = m[..., :2 * planes].reshape(b, n, planes, 2)
-        xc, xs = x * cc, x * ss
-        np.subtract(xc[..., 0], xs[..., 1], out=x[..., 0])
-        np.add(xs[..., 0], xc[..., 1], out=x[..., 1])
-    x = a[:, :2 * planes].reshape(b, planes, 2, n)
-    xc, xs = x * c[:, :, None, None], x * sines[:, :, ::-1, None]
-    np.subtract(xc[:, :, 0], xs[:, :, 1], out=x[:, :, 0])
-    np.add(xs[:, :, 0], xc[:, :, 1], out=x[:, :, 1])
-    keep = ~rotate
-    flat[:, 1:end:stride] *= keep
-    flat[:, n:n + end:stride] *= keep
-    flat[:, ::n + 1].imag = 0.0
+def _columns(x: np.ndarray, k: int, n: int, planes: int) -> tuple:
+    """The first 2 * ``planes`` columns of a (k, n, m) array, viewed as
+    (k, n, planes, 2) pairs: (pairs, p columns, q columns)."""
+    x = x[..., :2 * planes].reshape(k, n, planes, 2)
+    return x, x[..., 0], x[..., 1]
+
+
+def _rows(x: np.ndarray, k: int, n: int, planes: int) -> tuple:
+    """The first 2 * ``planes`` rows of a (k, m, n) array, viewed as
+    (k, planes, 2, n) pairs: (pairs, p rows, q rows)."""
+    x = x[:, :2 * planes].reshape(k, planes, 2, n)
+    return x, x[:, :, 0], x[:, :, 1]
+
+
+def _update(pairs: tuple, cosines, sines, products: tuple) -> None:
+    """p' = p c - q s1 and q' = p s0 + q c, in place, on the pairs (p, q)
+    of ``pairs`` (see :func:`_columns` and :func:`_rows`), where (s0, s1)
+    are the pairs of ``sines``; ``products`` holds the buffers of x c and
+    x s, as pairs too."""
+    x, x0, x1 = pairs
+    (xc, xc0, xc1), (xs, xs0, xs1) = products
+    np.multiply(x, cosines, xc)
+    np.multiply(x, sines, xs)
+    np.subtract(xc0, xs1, x0)
+    np.add(xs0, xc1, x1)
+
+
+class _Workspace:
+    """The buffers of the Brent-Luk sweeps on k active order-n matrices.
+
+    The stack moves between two C-contiguous (k, n, n) buffers, and so do
+    the vectors when they are computed: each move gathers the current
+    buffer into the other one.  The views a step reads and writes in
+    either buffer, and the temporaries it fills, are built here once, so a
+    step allocates nothing: every ufunc gets its output array as its third
+    argument.  ``stack`` and ``vectors``, C-contiguous arrays that the
+    workspace then owns, are its first buffers.
+    """
+
+    def __init__(self, stack: np.ndarray, vectors, skip: np.ndarray):
+        k, n = stack.shape[:2]
+        planes = n // 2
+        stride = 2 * n + 2
+        end = planes * stride
+        self.current = 0
+        self.skip = skip
+        self.stacks = (stack, np.empty_like(stack))
+        self.flats = tuple(m.reshape(k, n * n) for m in self.stacks)
+        # Per buffer: the (p, q) and (q, p) entries of the planes, the real
+        # parts of their (p, p) and (q, q) entries, the imaginary parts of
+        # the diagonal, and the column and the row pairs of the planes.
+        self.views = tuple(
+            (f[:, 1:end:stride], f[:, n:n + end:stride],
+             f[:, 0:end:stride].real, f[:, n + 1:n + 1 + end:stride].real,
+             f[:, ::n + 1].imag,
+             _columns(m, k, n, planes), _rows(m, k, n, planes))
+            for m, f in zip(self.stacks, self.flats))
+        self.vectors = None
+        if vectors is not None:
+            self.vectors = (vectors, np.empty_like(vectors))
+            self.vector_columns = tuple(_columns(m, k, n, planes)
+                                        for m in self.vectors)
+        self.r, self.tau, self.t, self.c = np.empty((4, k, planes))
+        self.rotate, self.keep = np.empty((2, k, planes), dtype=bool)
+        self.ratio = np.empty((k, planes), dtype=complex)
+        sines = np.empty((k, planes, 2), dtype=complex)
+        self.sine, self.sine_conj = sines[..., 0], sines[..., 1]
+        # The column update broadcasts the cosines and the sine pairs over
+        # the rows, the row update over the columns, with the pairs swapped.
+        self.column_factors = (self.c[:, None, :, None], sines[:, None])
+        self.row_factors = (self.c[:, :, None, None], sines[:, :, ::-1, None])
+        products = np.empty((2, k, n * 2 * planes), dtype=complex)
+        self.column_products = tuple(
+            _columns(x.reshape(k, n, 2 * planes), k, n, planes)
+            for x in products)
+        self.row_products = tuple(
+            _rows(x.reshape(k, 2 * planes, n), k, n, planes)
+            for x in products)
+
+    def sweep(self, moves: tuple) -> tuple:
+        """One sweep: every move of ``moves`` but the last is followed by a
+        step.  Returns the stack and the vectors (``None`` without), in the
+        buffers the next sweep overwrites."""
+        for move, flat in moves[:-1]:
+            self._move(move, flat)
+            self._rotate()
+        self._move(*moves[-1])
+        return (self.stacks[self.current],
+                None if self.vectors is None else self.vectors[self.current])
+
+    def _move(self, move: np.ndarray, flat: np.ndarray) -> None:
+        # "clip" because the default "raise" gathers into a temporary
+        # first; the schedule's indices are all in range.
+        source, self.current = self.current, 1 - self.current
+        self.flats[source].take(flat, 1, self.flats[self.current], "clip")
+        if self.vectors is not None:
+            self.vectors[source].take(move, 2, self.vectors[self.current],
+                                      "clip")
+
+    def _rotate(self) -> None:
+        """One Brent-Luk step on the current buffers: annihilate entry
+        (2i, 2i+1) of every matrix k for every plane i, one 2x2 unitary per
+        plane.  Planes whose entry is at most ``skip[k, 0]`` get the
+        identity.  The vectors accumulate the columns."""
+        apq, aqp, app, aqq, diagonal_imag, columns, rows = (
+            self.views[self.current])
+        r, tau, t, c, rotate, keep = (self.r, self.tau, self.t, self.c,
+                                      self.rotate, self.keep)
+        np.absolute(apq, r)
+        np.greater(r, self.skip, rotate)
+        if not np.count_nonzero(rotate):
+            return
+        np.logical_not(rotate, keep)
+        np.copyto(r, 1.0, where=keep)
+        np.subtract(aqq, app, tau)
+        np.multiply(2.0, r, t)  # 2 r, in the buffer of t
+        np.divide(tau, t, tau)
+        # t = sign(tau) / (|tau| + hypot(1, tau)), the smaller root
+        np.hypot(1.0, tau, t)
+        np.copysign(t, tau, t)
+        np.add(tau, t, t)
+        np.divide(1.0, t, t)
+        np.copyto(t, 0.0, where=keep)
+        np.hypot(1.0, t, c)
+        np.divide(1.0, c, c)
+        # The unitary on plane i is [[c, s], [-conj(s), c]], with (s, conj(s))
+        # in the sine pairs.  Columns transform by u: p' = p c - q conj(s)
+        # and q' = p s + q c; rows by u*: p' = p c - q s and
+        # q' = p conj(s) + q c.
+        np.multiply(t, c, tau)  # t c, in the buffer of tau
+        np.divide(apq, r, self.ratio)
+        np.multiply(tau, self.ratio, self.sine)
+        np.conjugate(self.sine, self.sine_conj)
+        _update(columns, *self.column_factors, self.column_products)
+        if self.vectors is not None:
+            _update(self.vector_columns[self.current], *self.column_factors,
+                    self.column_products)
+        _update(rows, *self.row_factors, self.row_products)
+        np.multiply(apq, keep, apq)
+        np.multiply(aqp, keep, aqp)
+        diagonal_imag[...] = 0.0
 
 
 def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
@@ -138,8 +242,9 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     leaves the sweeps once its off-diagonal Frobenius mass is at most
     ``JACOBI_TOL * ||M||_F``, and ``ConvergenceError`` (a ``ValueError``)
     is raised when ``max_sweeps`` sweeps leave any matrix above that.
-    A matrix with an inf or NaN entry is refused with ``ValueError``;
-    one whose ``||M||_F`` leaves the float range is solved all the same.
+    A negative ``max_sweeps``, and a matrix with an inf or NaN entry, are
+    refused with ``ValueError``; a matrix whose ``||M||_F`` leaves the
+    float range is solved all the same.
     Eigenvalues are returned in ascending order, shape (B, n);
     the matching unitary eigenvector matrices (columns) are returned when
     ``compute_vectors`` is set, otherwise ``None``.
@@ -147,6 +252,8 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     Residuals satisfy ``||M v - w v|| <= ~1e-13 ||M||`` for every pair,
     far inside the 1e-10 budget the positivity checks rely on.
     """
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be at least 0, not {max_sweeps}")
     a = np.array(matrix, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"need a (B, n, n) stack of square matrices, "
@@ -172,6 +279,7 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     active = np.flatnonzero(target > 0.0) if n > 1 else np.empty(0, np.intp)
     work = a[active]
     vectors = v[active] if v is not None else None
+    space = None
     diag = np.arange(n)
     moves = _schedule(n) if n > 1 else ()
     for sweep in range(max_sweeps + 1):
@@ -183,16 +291,12 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
             if v is not None:
                 v[active[done]] = vectors[done]
                 vectors = vectors[~done]
-            active, work = active[~done], work[~done]
+            active, work, space = active[~done], work[~done], None
         if not active.size or sweep == max_sweeps:
             break
-        k, active_skip = len(active), skip[active][:, None]
-        for step, (move, flat) in enumerate(moves):
-            work = work.reshape(k, n * n).take(flat, axis=1).reshape(k, n, n)
-            if vectors is not None:
-                vectors = vectors.take(move, axis=2)
-            if step < len(moves) - 1:
-                _rotate(work, vectors, active_skip, n // 2)
+        if space is None:
+            space = _Workspace(work, vectors, skip[active][:, None])
+        work, vectors = space.sweep(moves)
     if active.size:
         raise ConvergenceError(f"{active.size} of {batch} matrices did not "
                                f"converge in {max_sweeps} Jacobi sweeps")

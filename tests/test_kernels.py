@@ -351,6 +351,13 @@ class TestPsdCheck:
         with pytest.raises(ValueError, match=r"need a \(B, n, n\) stack"):
             psd_check(matrices)
 
+    def test_refuses_a_stack_of_order_zero(self):
+        # used to end in an IndexError at the smallest eigenvalue
+        with pytest.raises(ValueError, match=r"^need a \(B, n, n\) stack of "
+                           r"square matrices with n >= 1, not shape "
+                           r"\(2, 0, 0\)$"):
+            psd_check(np.zeros((2, 0, 0)))
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 16), st.integers(0, 2 ** 32 - 1),
            st.floats(0.0, 1.0))

@@ -153,14 +153,17 @@ def reference_eigh(stack, compute_vectors):
 @given(st.integers(min_value=1, max_value=12),
        st.integers(min_value=1, max_value=17),
        st.integers(min_value=0, max_value=10_000),
-       st.sampled_from(["complex", "real", "sparse", "diagonal", "zero"]),
+       st.sampled_from(["complex", "real", "sparse", "diagonal", "zero",
+                        "mixed"]),
        st.sampled_from([1.0, 1e-200, 1e200]), st.booleans())
 def test_jacobi_matches_reference_bitwise(batch, n, seed, kind, scale,
                                           vectors):
     # The step takes fewer array calls than the reference but puts every
     # entry through the same products and sums in the same order, so the
     # bits agree, signed zeros of skipped planes and real inputs included.
-    # Zero and diagonal stacks converge before any step.
+    # Zero and diagonal stacks converge before any step; in a mixed stack
+    # the matrices leave at different sweeps, and the step's workspace is
+    # built again for the ones left.
     rng = np.random.default_rng(seed)
     stack = np.array([random_hermitian(rng, n) for _ in range(batch)])
     if kind == "real":
@@ -173,6 +176,11 @@ def test_jacobi_matches_reference_bitwise(batch, n, seed, kind, scale,
         stack = stack * np.eye(n)  # no plane rotates
     elif kind == "zero":
         stack = np.zeros_like(stack)
+    elif kind == "mixed":  # diagonal, sparse and dense matrices
+        pick = rng.integers(0, 3, batch)
+        pairs = np.triu(rng.random(stack.shape) < 0.6, 1)
+        stack[pick == 0] *= np.eye(n)
+        stack[pick == 1] *= ~(pairs | pairs.swapaxes(1, 2))[pick == 1]
     stack *= scale
     w, v = jacobi_eigh(stack, compute_vectors=vectors)
     if scale == 1.0:
@@ -227,6 +235,32 @@ def test_jacobi_raises_when_sweeps_run_out():
     stack = np.array([a, np.diag(np.arange(16.0)), a])
     with pytest.raises(ValueError, match="2 of 3 matrices"):
         jacobi_eigh(stack, compute_vectors=False, max_sweeps=1)
+
+
+def test_jacobi_results_are_new_arrays():
+    # The sweeps reuse their buffers within a call, never across calls,
+    # and leave the input as it was.
+    rng = np.random.default_rng(7)
+    stack = np.array([random_hermitian(rng, 6) for _ in range(3)])
+    stack[1] = np.diag(np.arange(6.0))  # leaves before the first sweep
+    before = stack.tobytes()
+    w, v = jacobi_eigh(stack)
+    w_bits, v_bits = w.tobytes(), v.tobytes()
+    jacobi_eigh(stack)
+    jacobi_eigh(stack[::-1], compute_vectors=False)
+    assert w.tobytes() == w_bits and v.tobytes() == v_bits
+    assert stack.tobytes() == before
+    assert not np.shares_memory(w, stack) and not np.shares_memory(v, stack)
+
+
+def test_jacobi_refuses_negative_max_sweeps():
+    # used to run no sweep and report that -1 sweeps did not converge;
+    # refused before the matrix is looked at
+    for matrix in (np.eye(2)[None], np.ones((2, 3))):
+        with pytest.raises(ValueError, match="^max_sweeps must be at least "
+                           "0, not -1$") as error:
+            jacobi_eigh(matrix, max_sweeps=-1)
+        assert not isinstance(error.value, ConvergenceError)
 
 
 def test_jacobi_rejects_non_hermitian():

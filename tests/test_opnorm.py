@@ -233,6 +233,13 @@ class TestCertificate:
             psd_boundedness_certificate(Weight(0.0), Affine(2, 1), 0.5,
                                         points)
 
+    def test_refuses_empty_point_sets(self):
+        # their matrices have order 0 and no smallest eigenvalue
+        with pytest.raises(ValueError, match=r"n >= 1, not shape "
+                           r"\(3, 0, 0\)$"):
+            psd_boundedness_certificate(Weight(1), Affine(2, 1), 0.5,
+                                        np.zeros((3, 0)))
+
     def test_non_finite_certificate_refused(self):
         # used to give a NaN threshold
         with np.errstate(all="ignore"), pytest.raises(ValueError,
