@@ -24,16 +24,15 @@ from . import report as report_mod
 from .interp import interp_params
 from .kernels import (Weight, defect_kernel_matrix, gram_matrix,
                       nevanlinna_kernel, psd_check)
-from .laplace import HalfLineFunction, isometry_check
+from .laplace import _MODE, HalfLineFunction, isometry_check
 from .opnorm import boundedness_verdict, spectral_radius_estimate
 from .space import DEFAULT_NX, DEFAULT_NY, DEFAULT_YMAX, _cached_scheme
-from .symbols import (DEFAULT_GRID, INTEGER, REAL, STRING, Affine, Block,
-                      Compose, HalfPlaneError, Moebius, PowerMap, SampleGrid,
-                      Symbol, angular_derivative_estimate, cayley_conjugate,
-                      identity, read_json, symbol_from_dict,
-                      validate_self_map)
+from .symbols import (_DESCRIPTORS, _GRID, COMPLEX, DEFAULT_GRID, INTEGER,
+                      REAL, STRING, Block, HalfPlaneError, SampleGrid, Symbol,
+                      _pair, angular_derivative_estimate, identity, read_json,
+                      symbol_from_dict, validate_self_map)
 
-__all__ = ["main", "parse_symbol", "parse_halfline"]
+__all__ = ["main", "parse_symbol"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -47,14 +46,45 @@ class CliError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# mini-syntax parsing
+# flag text as the JSON value of its run-config key (--f: of --f-json),
+# which read_json then checks as it checks that key's value
+
+_TOKENS = {REAL: (float, "a number"), INTEGER: (int, "an integer"),
+           COMPLEX: (complex, "a complex number")}
 
 
-def _complex_token(token: str) -> complex:
+def _token(token: str, kind):
+    """A mini-syntax token as the JSON value of ``kind`` it spells: an
+    integer is decimal digits, a complex [re, im]."""
+    convert, need = _TOKENS[kind]
+    token = token.strip()
     try:
-        return complex(token.strip().replace(" ", ""))
-    except ValueError as exc:
-        raise CliError(f"cannot parse complex number from {token!r}") from exc
+        if kind == INTEGER and not re.fullmatch(r"[-+]?[0-9]+", token):
+            raise ValueError(token)
+        value = convert(token.replace(" ", "") if kind == COMPLEX else token)
+    except ValueError:
+        raise CliError(f"need {need}, not {token!r}") from None
+    return _pair(value) if kind == COMPLEX else value
+
+
+def _fields(block: str, tokens: list, keys: dict) -> dict:
+    """The ``block`` object whose ``keys`` the ``tokens`` give in order,
+    each read by its key's kind; the last key, when complex, may take two
+    tokens, re and im."""
+    text = ",".join(tokens)
+    if len(tokens) == len(keys) + 1 and [*keys.values()][-1] == COMPLEX:
+        tokens = tokens[:-2] + [tokens[-2:]]
+    if len(tokens) != len(keys):
+        raise CliError(f"{block} takes the fields {','.join(keys)}, "
+                       f"not {text!r}")
+    values = {}
+    for (key, kind), token in zip(keys.items(), tokens):
+        try:
+            values[key] = ([_token(part, REAL) for part in token]
+                           if isinstance(token, list) else _token(token, kind))
+        except ValueError as exc:
+            raise CliError(f"{block} key {key!r}: {exc}") from None
+    return values
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -70,44 +100,43 @@ def _split_top(text: str, sep: str) -> list[str]:
     return chunks + [text[start:]]
 
 
-def parse_symbol(text: str) -> Symbol:
-    """Parse the command-line symbol syntax.
-
-    affine:a,b_re[,b_im] | moebius:a,b,c,d | power:p | cayley:a,b,c,d |
-    compose:(s1;s2) | identity; cayley coefficients must define a disc
-    self-map (see ``cayley_conjugate``).
-    """
+def _descriptor(text: str):
+    """``--symbol`` text as the descriptor it spells.  ``kind:f1,f2,...``
+    gives the descriptor keys of its kind (``symbols._DESCRIPTORS``) in
+    order; ``json:`` text is the descriptor itself, ``compose:(s1;s2)``
+    composes two texts, and ``identity`` is affine:1,0."""
     text = text.strip()
+    kind, _, fields = text.partition(":")
+    if kind == "json":
+        return json.loads(fields)
     if text == "identity":
-        return identity()
-    if text.startswith("json:"):
-        return symbol_from_dict(json.loads(text[len("json:"):]))
-    if text.startswith("compose:"):
-        body = text[len("compose:"):].strip()
+        return identity().to_dict()
+    if kind == "compose":
+        body = fields.strip()
         parts = _split_top(body[1:-1], ";")
         if not (body.startswith("(") and body.endswith(")")
                 and len(parts) == 2):
             raise CliError("compose syntax is compose:(s1;s2)")
-        return Compose(parse_symbol(parts[0]), parse_symbol(parts[1]))
-    if ":" not in text:
-        raise CliError(f"unrecognized symbol {text!r}")
-    kind, _, args = text.partition(":")
-    parts = [p for p in args.split(",") if p.strip()]
-    if kind == "affine":
-        if len(parts) not in (2, 3):
-            raise CliError("affine syntax is affine:a,b_re[,b_im]")
-        return Affine(float(parts[0]), complex(*map(float, parts[1:])))
-    if kind == "power":
-        if len(parts) != 1:
-            raise CliError("power syntax is power:p")
-        return PowerMap(float(parts[0]))
-    if kind in ("moebius", "cayley"):
-        if len(parts) != 4:
-            raise CliError(f"{kind} syntax is {kind}:a,b,c,d")
-        a, b, c, d = (_complex_token(p) for p in parts)
-        return (Moebius(a, b, c, d) if kind == "moebius"
-                else cayley_conjugate(a, b, c, d))
-    raise CliError(f"unrecognized symbol kind {kind!r}")
+        return {"kind": kind, "left": _descriptor(parts[0]),
+                "right": _descriptor(parts[1])}
+    if kind not in _DESCRIPTORS:
+        return {"kind": kind}  # refused by the descriptor reader
+    return {"kind": kind, **_fields(f"{kind} descriptor", fields.split(","),
+                                    _DESCRIPTORS[kind][1])}
+
+
+def parse_symbol(text: str) -> Symbol:
+    """The symbol ``--symbol`` text names, read as its descriptor is (see
+    the README for the mini-syntax)."""
+    return symbol_from_dict(_descriptor(text))
+
+
+def _symbol(item) -> tuple:
+    """A ``symbols`` item as (text, symbol): a string is ``--symbol`` text,
+    anything else a descriptor, whose text is ``json:`` and its dump."""
+    if isinstance(item, str):
+        return item, parse_symbol(item)
+    return "json:" + json.dumps(item, sort_keys=True), symbol_from_dict(item)
 
 
 _TERM_RE = re.compile(
@@ -116,61 +145,40 @@ _TERM_RE = re.compile(
     r"exp\(-(?P<rate>.*?)\*?t\)$")
 
 
-def parse_halfline(text: str) -> HalfLineFunction:
-    """Parse sums of c*t^b*exp(-s*t) terms, e.g. "t*exp(-t)+2*t^2*exp(-3*t)".
-
-    Terms are joined by top-level '+'; negative coefficients belong to the
-    coefficient token.  The JSON descriptor remains the full-fidelity input.
-    """
-    terms = []
+def _modes(text: str) -> list:
+    """``--f`` text, c*t^b*exp(-s*t) terms joined by top-level '+' (a minus
+    sign belongs to its coefficient), as the ``--f-json`` list of modes."""
+    modes = []
     for chunk in _split_top(text.replace(" ", ""), "+"):
         match = _TERM_RE.match(chunk)
         if not match:
             raise CliError(f"cannot parse half-line term {chunk!r}")
-        coef_text = match.group("coef")
-        coef = _complex_token(coef_text.strip("()")) if coef_text else 1.0
+        coef, beta, rate = match.group("coef", "beta", "rate")
         has_t = "t" in chunk.split("exp")[0]
-        beta = float(match.group("beta")) if match.group("beta") else (
-            1.0 if has_t else 0.0)
-        rate_text = match.group("rate")
-        rate = _complex_token(rate_text.strip("()")) if rate_text else 1.0
-        terms.append((coef, beta, rate))
-    return HalfLineFunction.build(terms)
+        modes.append(_fields(f"item {len(modes)}: mode", [
+            coef.strip("()") if coef else "1", beta or ("1" if has_t else "0"),
+            rate.strip("()") if rate else "1"], _MODE.keys))
+    return modes
 
 
-def _parse_grid(text: str) -> SampleGrid:
-    parts = text.split(",")
-    if len(parts) != 5:
-        raise CliError("grid syntax is r_min,r_max,shells,angles,aperture")
-    values, kinds = [], {int: "an integer", float: "a number"}
-    for name, part in zip(("r_min", "r_max", "shells", "angles", "aperture"),
-                          parts):
-        convert = int if name in ("shells", "angles") else float
+def parse_halfline(text: str) -> HalfLineFunction:
+    """The function ``--f`` text names, read as its ``--f-json`` list is."""
+    return HalfLineFunction.from_dict(_modes(text))
+
+
+def _flag(kind, translate=None):
+    """An argparse ``type``: a flag's text as the JSON value of ``kind``
+    that ``translate`` spells (by default a token of a number kind, else
+    the text itself), read as that kind."""
+    translate = translate or (functools.partial(_token, kind=kind)
+                              if kind in _TOKENS else str)
+
+    def read(text):
         try:
-            values.append(convert(part))
-        except ValueError:
-            raise CliError(f"--grid {name}: need {kinds[convert]}, not "
-                           f"{part!r}") from None
-        if convert is int:
-            try:  # a count, as a run-config grid reads it
-                read_json(values[-1], INTEGER)
-            except ValueError:
-                raise CliError(f"--grid {name}: need an integer in "
-                               f"[0, 2**63), not {part!r}") from None
-    r_min, r_max, shells, angles, aperture = values
-    try:
-        return SampleGrid(aperture, r_min, r_max, shells, angles)
-    except ValueError as exc:
-        raise CliError(f"--grid: {exc}") from None
-
-
-def _symbol_text(item) -> str:
-    """A run-config ``symbols`` item as ``--symbol`` text: a string is
-    mini-syntax, anything else a descriptor that ``parse_symbol`` reads."""
-    try:
-        return read_json(item, STRING)
-    except ValueError:
-        return "json:" + json.dumps(item, sort_keys=True)
+            return read_json(translate(text), kind)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
 
 
 def _scheme(block):
@@ -182,40 +190,25 @@ def _scheme(block):
                           quad.get("y_max", DEFAULT_YMAX))
 
 
-def _alpha(text: str) -> float:
-    """``--alpha``, read as a run-config ``alphas`` item is."""
-    try:
-        return read_json(float(text), REAL)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"need a finite number, not {text!r}") from None
-
-
-def _seed(text: str) -> int:
-    """``--seed``, read as a run-config ``seed`` is."""
-    try:
-        return read_json(int(text), INTEGER)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"need an integer in [0, 2**63), not {text!r}") from None
-
-
 # The inputs subcommands share, by run-config key, in the order they are
 # settled (the grid before the symbols checked on it): the flag, if any,
-# and its argparse options, the read_json kind of the key, the default.
+# its argparse options (the type reads it by default as one value, or
+# item, of the key), the read_json kind of the key and its default.
 _INPUTS = {
-    "alphas": ("--alpha", dict(type=_alpha, action="append", metavar="ALPHA",
+    "alphas": ("--alpha", dict(action="append", metavar="ALPHA",
                help="weight parameter alpha > -1 (repeatable)"),
                [REAL], [0.0]),
-    "grid": ("--grid", dict(help="r_min,r_max,shells,angles,aperture"),
+    "grid": ("--grid", dict(help=",".join(_GRID.keys), type=_flag(
+        SampleGrid.from_dict,
+        lambda text: _fields("grid", text.split(","), _GRID.keys))),
              SampleGrid.from_dict, DEFAULT_GRID),
     "symbols": ("--symbol", dict(
         action="append", metavar="SYMBOL",
         help="affine:a,b | moebius:a,b,c,d | power:p | cayley:a,b,c,d | "
-             "compose:(s1;s2) | identity"), [_symbol_text], []),
+             "compose:(s1;s2) | identity | json:<descriptor>"), [_symbol], []),
     "quadrature": (None, {}, _scheme, None),
-    "format": ("--format", dict(choices=FORMATS), FORMATS, "json"),
-    "seed": ("--seed", dict(type=_seed), INTEGER, 0),
+    "format": ("--format", dict(help="json | csv"), FORMATS, "json"),
+    "seed": ("--seed", {}, INTEGER, 0),
     "out": ("--out", dict(help="output path (default stdout)"), STRING, None),
 }
 
@@ -223,9 +216,8 @@ _INPUTS = {
 def _apply_config(args) -> None:
     """Settle each input the subcommand reads: its flag wins, then its
     value in the run-config file (read as the command's own block), then
-    its default; an empty value counts as none.  ``args.grid`` becomes a
-    :class:`SampleGrid` and ``args.symbols`` (text, symbol) pairs valid on
-    it, at least one except for ``psd``."""
+    its default; an empty value counts as none.  The (text, symbol) pairs
+    of ``args.symbols`` are checked on the grid; ``psd`` may have none."""
     config = {}
     if args.config:
         with open(args.config) as handle:
@@ -234,14 +226,17 @@ def _apply_config(args) -> None:
         value = getattr(args, key, None)  # None: no flag gave it
         if value is None:
             value = config.get(key) or default
-        elif key == "grid":
-            value = _parse_grid(value)
         if key == "symbols":
-            value = [(text, _validated_symbol(text, args.grid))
-                     for text in value]
             if not value and args.command != "psd":
                 raise CliError(f"{args.command} needs --symbol or a "
                                "run-config 'symbols' list")
+            for text, sym in value:
+                try:
+                    validate_self_map(sym, args.grid)
+                except HalfPlaneError as exc:
+                    raise CliError(f"symbol {text!r} rejected: {exc}" + (
+                        f" (witness {exc.witness:g})"
+                        if exc.witness is not None else "")) from exc
         setattr(args, key, value)
 
 
@@ -284,18 +279,6 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _validated_symbol(text: str, grid: SampleGrid) -> Symbol:
-    """The symbol ``text`` names, once it is seen to map ``grid`` into H."""
-    sym = parse_symbol(text)
-    try:
-        validate_self_map(sym, grid)
-    except HalfPlaneError as exc:
-        raise CliError(f"symbol {text!r} rejected: {exc}"
-                       + (f" (witness {exc.witness:g})"
-                          if exc.witness is not None else "")) from exc
-    return sym
 
 
 def _cmd_norm(args) -> int:
@@ -365,8 +348,8 @@ def _kernel_builder(args):
     _, sym = args.symbols[0]
     if not defect:
         return lambda alpha, pts: nevanlinna_kernel(sym, pts)
-    try:
-        n = int(kind[2:])
+    try:  # a count, as --seed is read
+        n = read_json(_token(kind[2:], INTEGER), INTEGER)
     except ValueError:
         n = 0
     if n < 1:
@@ -414,14 +397,8 @@ def _cmd_angular(args) -> int:
 
 
 def _cmd_laplace(args) -> int:
-    if args.f_json:
-        try:
-            func = HalfLineFunction.from_dict(json.loads(args.f_json))
-        except ValueError as exc:  # not JSON, or not a list of modes
-            raise CliError(f"--f-json: {exc}") from None
-    elif args.f:
-        func = parse_halfline(args.f)
-    else:
+    func = args.f if args.f_json is None else args.f_json
+    if func is None:
         raise CliError("laplace needs --f or --f-json")
     results = isometry_check([Weight(alpha) for alpha in args.alphas], func,
                              args.quadrature)
@@ -475,10 +452,9 @@ def _cmd_report(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern reads "-1e-5" and "-inf" as options
-        self._negative_number_matcher = re.compile(
-            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$",
-            re.IGNORECASE)
+        # a value may start with a minus sign: "-1e-5", "-inf", "-1,1e6,..."
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
     def error(self, message):
         raise CliError(message)
@@ -492,7 +468,9 @@ def _subcommand(sub, name: str, func, help: str, reads: tuple, **defaults):
     for key, (flag, options, kind, default) in _INPUTS.items():
         if key in reads + ("seed", "out"):
             if flag:
-                parser.add_argument(flag, dest=key, **options)
+                item = kind[0] if isinstance(kind, list) else kind
+                parser.add_argument(flag, dest=key,
+                                    **{"type": _flag(item), **options})
             inputs[key], kinds[key] = defaults.get(key, default), kind
     parser.add_argument("--config", help="JSON run-config file; flags win")
     parser.set_defaults(func=func, inputs=inputs,
@@ -524,8 +502,11 @@ def _build_parser() -> _Parser:
 
     p = _subcommand(sub, "laplace", _cmd_laplace, "Laplace isometry checks",
                     ("alphas", "quadrature", "format"))
-    p.add_argument("--f", help='e.g. "t*exp(-t)+2*t^2*exp(-3*t)"')
-    p.add_argument("--f-json", help="JSON list of {c, beta, s} terms")
+    p.add_argument("--f", type=_flag(HalfLineFunction.from_dict, _modes),
+                   help='e.g. "t*exp(-t)+2*t^2*exp(-3*t)"')
+    p.add_argument("--f-json",
+                   type=_flag(HalfLineFunction.from_dict, json.loads),
+                   help="JSON list of {c, beta, s} terms")
 
     _subcommand(sub, "interp", _cmd_interp, "dyadic interpolation data",
                 ("alphas", "format"), alphas=[1.0])

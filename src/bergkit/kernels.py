@@ -105,7 +105,8 @@ def bergman_kernel(weight: Weight, omega, z):
     """
     omega = require_half_plane(omega)
     z = require_half_plane(z)
-    value = _shifted_power(np.conj(omega), z, weight.exponent)
+    with np.errstate(over="ignore"):  # a power past the range: k is 0
+        value = _shifted_power(np.conj(omega), z, weight.exponent)
     np.divide(weight.norm_const, value, out=value)
     if value.ndim == 0:
         return complex(value)
@@ -151,13 +152,17 @@ def _defect_sums(phi, omega, z):
 
 
 def defect_kernel(phi, lam: float, n: int, omega, z):
-    """Composition-defect kernel K^n(omega, z) for candidate derivative lam."""
+    """Composition-defect kernel K^n(omega, z) for candidate derivative
+    lam; a power or value past the float range is refused, naming n."""
     if not lam > 0:
         raise ValueError("lam must be positive")
     if n < 1:
         raise ValueError("kernel power must be a positive integer")
     base, top = _defect_sums(phi, omega, z)
-    value = (top ** n - lam ** (-float(n)) * base ** n) / base ** n
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = (top ** n - np.power(lam, -float(n)) * base ** n) / base ** n
+    if not np.isfinite(value).all():
+        raise ValueError(f"K^n with n = {n} leaves the float range")
     if value.ndim == 0:
         return complex(value)
     return value

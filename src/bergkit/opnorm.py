@@ -34,7 +34,7 @@ from .kernels import Weight, bergman_kernel, psd_check
 from .linalg import jacobi_eigh, pivoted_cholesky, solve_lower_triangular
 from .symbols import (DEFAULT_GRID, AngularDerivativeEstimate, SampleGrid,
                       Symbol, angular_derivative_estimate, angular_trace,
-                      iterate_images, require_half_plane)
+                      iterate_images, require_half_plane, require_image)
 
 __all__ = [
     "NormEstimate",
@@ -118,7 +118,7 @@ def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
         raise ValueError("need at least one point")
     if len(set(pts.tolist())) != pts.size:
         raise ValueError("points must be distinct")
-    images = np.array([require_half_plane(phi(pts), pts)
+    images = np.array([require_image(phi, pts)
                        for phi in phis]).reshape(-1, pts.size)
     symbols = np.arange(len(images))
     sizes = _prefix_sizes(pts.size)
@@ -167,7 +167,7 @@ def psd_boundedness_certificate(weight: Weight, phi: Symbol, lam: float,
     if pts.ndim != 2:
         raise ValueError(f"need a (B, n) list of same-size point sets, "
                          f"not shape {pts.shape}")
-    images = require_half_plane(phi(pts), pts)
+    images = require_image(phi, pts)
     gram = bergman_kernel(weight, pts[:, None, :], pts[:, :, None])
     target = bergman_kernel(weight, images[:, None, :], images[:, :, None])
     factor = lam ** weight.exponent

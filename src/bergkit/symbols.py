@@ -44,6 +44,7 @@ __all__ = [
     "iterate_images",
     "cayley_conjugate",
     "require_half_plane",
+    "require_image",
     "validate_self_map",
     "angular_derivative_estimate",
     "angular_trace",
@@ -419,7 +420,7 @@ def cayley_conjugate(a, b, c, d) -> CayleyMap:
     radii = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.9999])
     angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     zeta = radii[:, None] * np.exp(1j * angles)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         image = (phi.a * zeta + phi.b) / (phi.c * zeta + phi.d)
     bad = ~np.isfinite(image) | (np.abs(image) >= 1.0)
     if np.any(bad):
@@ -515,8 +516,9 @@ class SampleGrid:
         return cls(**{cls._KEYS[key]: value for key, value in values.items()})
 
 
-_GRID = Block("grid", {"aperture": REAL, "r_min": REAL, "r_max": REAL,
-                       "radial": INTEGER, "angular": INTEGER})
+# in the order of the fields of --grid
+_GRID = Block("grid", {"r_min": REAL, "r_max": REAL, "radial": INTEGER,
+                       "angular": INTEGER, "aperture": REAL})
 DEFAULT_GRID = SampleGrid()
 
 
@@ -551,6 +553,16 @@ def require_half_plane(values, points=None) -> np.ndarray:
     raise HalfPlaneError(message, witness)
 
 
+def require_image(phi: Symbol, points) -> np.ndarray:
+    """phi(points), once every image is checked to lie in H, as
+    :func:`require_half_plane` checks images.  Floating-point errors of
+    the evaluation are ignored: an image they spoil is inf, nan or 0, so
+    it is refused with the point it came from."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        image = phi(points)
+    return require_half_plane(image, points)
+
+
 def validate_self_map(phi: Symbol, grid: SampleGrid = DEFAULT_GRID) -> None:
     """Check that phi maps H into H, or raise :class:`HalfPlaneError` with
     the reason and a witness point.
@@ -581,16 +593,13 @@ def validate_self_map(phi: Symbol, grid: SampleGrid = DEFAULT_GRID) -> None:
             return
         probe = np.exp(1j * (math.pi / 2) * 0.999999)
         try:
-            require_half_plane(probe ** phi.p, probe)
+            require_image(phi, probe)
             witness = None
         except HalfPlaneError as exc:
             witness = exc.witness
         raise HalfPlaneError("exponent must lie in (0, 1]", witness)
-    pts = grid.flat_points()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        image = phi(pts)
     try:
-        require_half_plane(image, pts)
+        require_image(phi, grid.flat_points())
     except HalfPlaneError as exc:
         raise HalfPlaneError("image leaves the half-plane at a sample point",
                              exc.witness) from None
@@ -644,7 +653,8 @@ def angular_derivative_estimate(phi: Symbol,
     divergent when it is strictly increasing across the last five shells
     and grows by a factor >= 1.5 over that window (sqrt-type growth clears
     this easily on a three-decade grid, while convergent ratios plateau);
-    it is called finite when the window growth stays within 5%.
+    it is called finite when the window growth stays within 5%.  A ratio
+    past the float range is refused with a ValueError.
 
     Only the sup-ratio criterion is tested; that the point at infinity is
     actually fixed along every non-tangential sequence is not certified
@@ -653,10 +663,11 @@ def angular_derivative_estimate(phi: Symbol,
     if grid.r_max / grid.r_min < 1e3:
         raise ValueError("grid must span at least a factor 1e3 in radius")
     pts = grid.points()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        image = require_half_plane(phi(pts), pts)
-    shell_max, verdict = angular_trace(pts, image)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        shell_max, verdict = angular_trace(pts, require_image(phi, pts))
     sup_ratio = float(shell_max.max())
+    if not math.isfinite(sup_ratio):
+        raise ValueError("Re z / Re phi(z) leaves the float range on the grid")
     lambda_hat = math.inf if verdict == "divergent" else sup_ratio
     known = phi.known_lambda
     rel_error = None

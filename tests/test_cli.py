@@ -336,24 +336,37 @@ class TestGridFlag:
         assert _without_timestamp(texts[0]) == _without_timestamp(texts[1])
 
     @pytest.mark.parametrize("grid,message", [
-        # two numpy RuntimeWarnings, then "leaves the half-plane at inf-infj"
-        ("1,inf,40,9,1", "--grid: need 0 < r_min < r_max < inf"),
-        # "invalid literal for int() with base 10: '40.5'"
-        ("1,1e6,40.5,9,1", "--grid shells: need an integer, not '40.5'"),
-        ("1,1e6,40,9,wide", "--grid aperture: need a number, not 'wide'"),
-        ("1,1e6,40,9,2", "--grid: aperture must lie in (0, pi/2)"),
-        # "Maximum allowed size exceeded", from numpy
+        # the refusals of a config grid block, after the flag's name; each
+        # read "--grid: need 0 < r_min < r_max < inf", "--grid shells: need
+        # an integer, not '40.5'" and so on before --grid was translated
+        # into a grid block
+        ("1,inf,40,9,1",
+         "argument --grid: grid key 'r_max': need a finite JSON number, "
+         "not inf"),
+        ("1,1e6,40.5,9,1",
+         "argument --grid: grid key 'radial': need an integer, not '40.5'"),
+        ("1,1e6,40,9,wide",
+         "argument --grid: grid key 'aperture': need a number, not 'wide'"),
+        ("1,1e6,40,9,2", "argument --grid: aperture must lie in (0, pi/2)"),
         ("1,1e6,40,100000000000000000000000000000,1",
-         "--grid angles: need an integer in [0, 2**63), not "
-         "'100000000000000000000000000000'"),
+         "argument --grid: grid key 'angular': need a JSON integer in "
+         "[0, 2**63), not 100000000000000000000000000000"),
         ("1,1e6,9223372036854775808,9,1",
-         "--grid shells: need an integer in [0, 2**63), not "
-         "'9223372036854775808'"),
-        # "need at least two radial shells", from SampleGrid
+         "argument --grid: grid key 'radial': need a JSON integer in "
+         "[0, 2**63), not 9223372036854775808"),
         ("1,1e6,-3,9,1",
-         "--grid shells: need an integer in [0, 2**63), not '-3'"),
+         "argument --grid: grid key 'radial': need a JSON integer in "
+         "[0, 2**63), not -3"),
+        # 4_0 ran as 40
+        ("1,1e6,4_0,9,1",
+         "argument --grid: grid key 'radial': need an integer, not '4_0'"),
+        ("1,1e6,40,9", "argument --grid: grid takes the fields r_min,r_max,"
+                       "radial,angular,aperture, not '1,1e6,40,9'"),
+        ("1,1e6,40,,1",
+         "argument --grid: grid key 'angular': need an integer, not ''"),
     ], ids=["inf-r_max", "fractional-shells", "word-aperture", "aperture",
-            "huge-angles", "2**63-shells", "negative-shells"])
+            "huge-angles", "2**63-shells", "negative-shells",
+            "underscore-shells", "four-fields", "empty-angles"])
     def test_grid_errors_name_the_flag(self, capsys, grid, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -373,14 +386,15 @@ class TestGridFlag:
         # non-finite entries", interp: "cannot convert float infinity to
         # integer", spectral: a JSON error) and nan as "alpha must exceed
         # -1"; a separate "-inf" token was taken for an option ("expected
-        # one argument")
+        # one argument"); the refusal, "need a finite number, not 'inf'"
+        # before, is now that of a config alphas item
         for flag in ([f"--alpha={alpha}"], ["--alpha", alpha]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert main(command + flag) == 1
             assert capsys.readouterr() == (
-                "", f"error: argument --alpha: need a finite number, "
-                    f"not {alpha!r}\n")
+                "", f"error: argument --alpha: need a finite JSON number, "
+                    f"not {float(alpha)!r}\n")
 
     @pytest.mark.parametrize("command,message", [
         (["norm", "--symbol", "affine:2,1"],
@@ -395,28 +409,32 @@ class TestGridFlag:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("symbol,message", [
-        # "rejected: translation leaves the half-plane (Re b < 0)"
-        ("affine:2,nan", "affine coefficient 'b' is not finite: (nan+0j)"),
-        # "symbol leaves the half-plane at z = 0.5-0.866025j"
-        ("affine:inf,0", "affine coefficient 'a' is not finite: inf"),
-        # after a numpy RuntimeWarning
-        ("power:nan", "power coefficient 'p' is not finite: nan"),
-        ("cayley:1,0,0,inf", "cayley coefficient 'd' is not finite: "
-                             "(inf+0j)"),
+        # each read "<kind> coefficient '<key>' is not finite: <value>"
+        # before the text was read as its descriptor
+        ("affine:2,nan", "affine descriptor key 'b': need a finite JSON "
+                         "number, not nan"),
+        ("affine:inf,0", "affine descriptor key 'a': need a finite JSON "
+                         "number, not inf"),
+        ("power:nan", "power descriptor key 'p': need a finite JSON number, "
+                      "not nan"),
+        ("cayley:1,0,0,inf", "cayley descriptor key 'd': need a finite JSON "
+                             "number, not inf"),
     ], ids=["affine-nan-b", "affine-inf-a", "power-nan", "cayley-inf-d"])
     def test_non_finite_coefficients_are_refused(self, capsys, symbol,
                                                  message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["angular", "--symbol", symbol]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == (
+            "", f"error: argument --symbol: {message}\n")
 
     def test_grid_syntax_error(self, capsys):
+        # "error: grid syntax is r_min,r_max,shells,angles,aperture" before
         assert main(["angular", "--symbol", "affine:2,1",
                      "--grid", "1,2,3"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: grid syntax is ")
-        assert captured.out == ""
+        assert capsys.readouterr() == (
+            "", "error: argument --grid: grid takes the fields r_min,r_max,"
+                "radial,angular,aperture, not '1,2,3'\n")
 
     @pytest.mark.parametrize("symbol, verdict", [("affine:2,0", "finite"),
                                                  ("affine:2,1", "inconclusive")])
@@ -462,23 +480,29 @@ class TestMalformedDescriptors:
     @pytest.mark.parametrize("descriptor, message", MALFORMED_DESCRIPTORS,
                              ids=_DESCRIPTOR_IDS)
     def test_symbol_flag(self, tmp_path, capsys, descriptor, message):
+        # the flag is named before the message since --symbol text is read
+        # as its descriptor
         out = tmp_path / "out.json"
         assert main(["angular", "--symbol", "json:" + json.dumps(descriptor),
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (capsys.readouterr().err
+                == f"error: argument --symbol: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("descriptor, message", MALFORMED_DESCRIPTORS,
                              ids=_DESCRIPTOR_IDS)
     def test_run_config(self, tmp_path, capsys, descriptor, message):
-        # a string entry of a run-config list is mini-syntax, not JSON
+        # a string entry of a run-config list is mini-syntax, not JSON: it
+        # read "unrecognized symbol 'affine'"; the key and item are named
+        # since the run-config reads its symbols
         if isinstance(descriptor, str):
-            message = f"unrecognized symbol {descriptor!r}"
+            message = "affine descriptor takes the fields a,b, not ''"
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"symbols": [descriptor]}))
         out = tmp_path / "out.json"
         assert main(["norm", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: run-config key 'symbols': item 0: {message}\n")
         assert not out.exists()
 
 
@@ -552,8 +576,20 @@ class TestOtherCommands:
         (["--kernel", "K:2", "--trials", "0"], "K:<n> kernels need --symbol"),
         (["--kernel", "K:2", "--symbol", "power:0.5"],
          "symbol has no finite angular derivative"),
+        # K:3_0 ran as K:30; n is a count, as --seed is
+        (["--kernel", "K:3_0", "--symbol", "affine:2,1", "--trials", "1"],
+         "K:<n> kernels need an integer n >= 1, not 'K:3_0'"),
+        (["--kernel", "K:1e1", "--symbol", "affine:2,1", "--trials", "1"],
+         "K:<n> kernels need an integer n >= 1, not 'K:1e1'"),
+        # lam = 0.5 ended in "(34, 'Numerical result out of range')" and
+        # lam = 2 in "matrix has non-finite entries", after numpy warnings
+        (["--kernel", "K:2000", "--symbol", "affine:2,1", "--points", "3",
+          "--trials", "1"], "K^n with n = 2000 leaves the float range"),
+        (["--kernel", "K:2000", "--symbol", "affine:0.5,1", "--points", "3",
+          "--trials", "1"], "K^n with n = 2000 leaves the float range"),
     ], ids=["negative-trials", "zero-trials", "zero-points", "bogus-kernel",
-            "K0", "K2-without-symbol", "K2-unbounded-symbol"])
+            "K0", "K2-without-symbol", "K2-unbounded-symbol", "K3_0", "K1e1",
+            "K2000-lam-half", "K2000-lam-2"])
     def test_psd_input_checks(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.json"
         assert main(["psd", *argv, "--out", str(out)]) == 1
@@ -606,9 +642,10 @@ class TestOtherCommands:
     def test_laplace_malformed_json_descriptor(self, tmp_path, capsys, descr,
                                                message):
         out = tmp_path / "out.json"
+        # "error: --f-json: ..." before --f-json was read by argparse
         assert main(["laplace", "--f-json", descr, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --f-json: " + message)
+        assert err.startswith("error: argument --f-json: " + message)
         assert not out.exists()
 
     @pytest.mark.parametrize("c,s", [(1, [1, 0]), (2, 1.5)],
@@ -693,17 +730,21 @@ class TestOtherCommands:
         assert json.dumps(together["rows"]) == json.dumps(separate)
 
     @pytest.mark.parametrize("f,message", [
-        ("nan*t*exp(-t)", "mode coefficient 'c' is not finite: (nan+0j)"),
-        ("t*exp(-inf*t)", "mode coefficient 's' is not finite: (inf+0j)"),
+        ("nan*t*exp(-t)", "item 0: mode key 'c': need a finite JSON number, "
+                          "not nan"),
+        ("t*exp(-inf*t)", "item 0: mode key 's': need a finite JSON number, "
+                          "not inf"),
     ], ids=["nan-c", "inf-s"])
     def test_laplace_non_finite_mode_is_refused(self, tmp_path, capsys, f,
                                                 message):
-        # each used to end in "the norm closed form of mode 0 ... overflows"
+        # each used to end in "the norm closed form of mode 0 ... overflows",
+        # and then read "mode coefficient 'c' is not finite: (nan+0j)"
+        # before --f was read as its --f-json list
         out = tmp_path / "out.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["laplace", "--f", f, "--out", str(out)]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: argument --f: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["-1e-5", "-2.5E-1", "-.5e0", "-3e-1"])

@@ -253,12 +253,15 @@ def test_wrong_kind_is_refused_naming_the_key(tmp_path_factory, data):
     ({"symbols": "affine:2,0"},
      "run-config key 'symbols': need a JSON list, not 'affine:2,0'"),
     ({"symbols": [{"kind": "power", "p": math.nan}]},
-     "power descriptor key 'p': need a finite JSON number, not nan"),
+     "run-config key 'symbols': item 0: power descriptor key 'p': need a "
+     "finite JSON number, not nan"),
     ({"symbols": [{"kind": "affine", "a": 1e400, "b": 0}]},
-     "affine descriptor key 'a': need a finite JSON number, not inf"),
+     "run-config key 'symbols': item 0: affine descriptor key 'a': need a "
+     "finite JSON number, not inf"),
     ({"symbols": [{"kind": "moebius", "a": [1, 1e400], "b": 0, "c": 0,
                    "d": 1}]},
-     "moebius descriptor key 'a': need a finite JSON number, not inf"),
+     "run-config key 'symbols': item 0: moebius descriptor key 'a': need a "
+     "finite JSON number, not inf"),
 ], ids=["grid", "grid-radial", "grid-angular", "grid-r_max-1e400",
         "quadrature", "quadrature-n_y", "quadrature-list", "quadrature-0",
         "quadrature-null", "alphas-bool", "alphas-string", "seed-fraction",
@@ -299,13 +302,18 @@ def test_integer_out_of_range_is_refused(tmp_path, argv, config, message):
     assert (code, err, payload) == (1, f"error: {message}\n", None)
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**63), "7.5"])
-def test_seed_flag_out_of_range_is_refused(tmp_path, seed):
+@pytest.mark.parametrize("seed,message", [
+    ("-1", "need a JSON integer in [0, 2**63), not -1"),
+    (str(2**63), "need a JSON integer in [0, 2**63), not 9223372036854775808"),
+    ("7.5", "need an integer, not '7.5'"),
+], ids=["-1", str(2**63), "7.5"])
+def test_seed_flag_out_of_range_is_refused(tmp_path, seed, message):
+    # each read "need an integer in [0, 2**63), not '<seed>'" before --seed
+    # was read as a config seed is
     code, err, payload = run(["psd", "--trials", "1", "--seed", seed],
                              tmp_path)
-    assert (code, err, payload) == (
-        1, f"error: argument --seed: need an integer in [0, 2**63), not "
-           f"{seed!r}\n", None)
+    assert (code, err, payload) == (1, f"error: argument --seed: {message}\n",
+                                    None)
 
 
 def test_largest_seed_is_accepted(tmp_path):

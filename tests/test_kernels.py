@@ -256,6 +256,15 @@ class TestDefectKernel:
         with pytest.raises(ValueError):
             defect_kernel(identity(), 1.0, 0, 1, 1)
 
+    def test_power_past_the_float_range_names_n(self):
+        # lam^-n of a Python float raised OverflowError, and the powers of
+        # top and base went inf and nan with numpy warnings
+        pts = [1.0 + 1j, 2.0, 5.0 - 2j]
+        with pytest.raises(ValueError, match=r"^K\^n with n = 700 leaves"):
+            defect_kernel_matrix(Affine(0.5, 1.0), 2.0, 700, pts)
+        with pytest.raises(ValueError, match=r"^K\^n with n = 1100 leaves"):
+            defect_kernel(Affine(2.0, 1.0), 0.5, 1100, 1.0, 1.0)
+
     @pytest.mark.parametrize("phi", [
         Affine(1, 1),
         Affine(2, 1),
