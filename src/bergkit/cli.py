@@ -46,7 +46,7 @@ class CliError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# flag text as the JSON value of its run-config key (--f: of --f-json),
+# flag text as the JSON value of its run-config key (--f: a row's f list),
 # which read_json then checks as it checks that key's value
 
 _TOKENS = {REAL: (float, "a number"), INTEGER: (int, "an integer"),
@@ -146,8 +146,10 @@ _TERM_RE = re.compile(
 
 
 def _modes(text: str) -> list:
-    """``--f`` text, c*t^b*exp(-s*t) terms joined by top-level '+' (a minus
-    sign belongs to its coefficient), as the ``--f-json`` list of modes."""
+    """``--f`` text as its list of modes: ``json:<list>``, or c*t^b*exp(-s*t)
+    terms joined by top-level '+' (a minus sign belongs to its coefficient)."""
+    if text.startswith("json:"):
+        return json.loads(text[len("json:"):])
     modes = []
     for chunk in _split_top(text.replace(" ", ""), "+"):
         match = _TERM_RE.match(chunk)
@@ -161,9 +163,18 @@ def _modes(text: str) -> list:
     return modes
 
 
-def parse_halfline(text: str) -> HalfLineFunction:
-    """The function ``--f`` text names, read as its ``--f-json`` list is."""
-    return HalfLineFunction.from_dict(_modes(text))
+def _kernel(text: str) -> tuple:
+    """``--kernel`` text as (text, n): ``gram`` and ``nevanlinna`` with n
+    None, ``K:<n>`` with its count n >= 1, read as ``--seed`` is."""
+    if text in ("gram", "nevanlinna"):
+        return text, None
+    try:
+        n = read_json(_token(text[2:], INTEGER), INTEGER)
+    except ValueError:
+        n = 0
+    if text.startswith("K:") and n >= 1:
+        return text, n
+    raise ValueError(f"unknown kernel {text!r} (gram | K:<n> | nevanlinna)")
 
 
 def _flag(kind, translate=None):
@@ -334,26 +345,19 @@ def _rel_gap(bound, exact):
 
 def _kernel_builder(args):
     """``(alpha, points) -> matrix`` for ``--kernel``, settled once per op:
-    the kernel syntax, its need for ``--symbol`` and, for K:<n>, the
+    its symbols (none for gram, one for the others) and, for K:<n>, the
     angular derivative lam (estimated when the symbol has no closed
     form)."""
-    kind = args.kernel
-    if kind == "gram":
+    text, n = args.kernel
+    need = 0 if text == "gram" else 1
+    if len(args.symbols) != need:
+        raise CliError(f"--kernel {text} takes {('no', 'one')[need]} "
+                       f"symbol, not {len(args.symbols)}")
+    if text == "gram":
         return lambda alpha, pts: gram_matrix(Weight(alpha), pts)
-    defect = kind.startswith("K:")
-    if not (defect or kind == "nevanlinna"):
-        raise CliError(f"unknown kernel {kind!r} (gram | K:<n> | nevanlinna)")
-    if not args.symbols:
-        raise CliError(f"{'K:<n>' if defect else kind} kernels need --symbol")
     _, sym = args.symbols[0]
-    if not defect:
+    if n is None:
         return lambda alpha, pts: nevanlinna_kernel(sym, pts)
-    try:  # a count, as --seed is read
-        n = read_json(_token(kind[2:], INTEGER), INTEGER)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise CliError(f"K:<n> kernels need an integer n >= 1, not {kind!r}")
     lam = sym.known_lambda
     if lam is None:
         lam = angular_derivative_estimate(sym, args.grid).lambda_hat
@@ -379,7 +383,7 @@ def _cmd_psd(args) -> int:
                  "points": [[p.real, p.imag] for p in pts],
                  **verdict.to_dict()}
                 for (alpha, trial, pts, _), verdict in zip(cells, checked)]
-    _emit({"kernel": args.kernel, "grid": grid.to_dict(),
+    _emit({"kernel": args.kernel[0], "grid": grid.to_dict(),
            "trials": args.trials,
            "failures": sum(not verdict.is_psd for verdict in checked),
            "verdicts": verdicts}, args)
@@ -397,12 +401,9 @@ def _cmd_angular(args) -> int:
 
 
 def _cmd_laplace(args) -> int:
-    func = args.f if args.f_json is None else args.f_json
-    if func is None:
-        raise CliError("laplace needs --f or --f-json")
-    results = isometry_check([Weight(alpha) for alpha in args.alphas], func,
+    results = isometry_check([Weight(alpha) for alpha in args.alphas], args.f,
                              args.quadrature)
-    rows = [{"alpha": alpha, "f": func.to_dict(), **res.to_dict()}
+    rows = [{"alpha": alpha, "f": args.f.to_dict(), **res.to_dict()}
             for alpha, res in zip(args.alphas, results)]
     _emit({"rows": rows}, args, args.format)
     return EXIT_OK
@@ -492,10 +493,10 @@ def _build_parser() -> _Parser:
 
     p = _subcommand(sub, "psd", _cmd_psd, "positivity certificates",
                     ("symbols", "alphas", "grid"))
-    p.add_argument("--kernel", default="gram",
+    p.add_argument("--kernel", type=_flag(_kernel), default="gram",
                    help="gram | K:<n> | nevanlinna")
-    p.add_argument("--points", type=int, default=8)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--points", type=_flag(INTEGER), default=8)
+    p.add_argument("--trials", type=_flag(INTEGER), default=100)
 
     _subcommand(sub, "angular", _cmd_angular, "angular derivative estimates",
                 ("symbols", "grid", "format"))
@@ -503,10 +504,7 @@ def _build_parser() -> _Parser:
     p = _subcommand(sub, "laplace", _cmd_laplace, "Laplace isometry checks",
                     ("alphas", "quadrature", "format"))
     p.add_argument("--f", type=_flag(HalfLineFunction.from_dict, _modes),
-                   help='e.g. "t*exp(-t)+2*t^2*exp(-3*t)"')
-    p.add_argument("--f-json",
-                   type=_flag(HalfLineFunction.from_dict, json.loads),
-                   help="JSON list of {c, beta, s} terms")
+                   required=True, help='e.g. "t*exp(-t)" or json:<mode list>')
 
     _subcommand(sub, "interp", _cmd_interp, "dyadic interpolation data",
                 ("alphas", "format"), alphas=[1.0])
@@ -514,7 +512,7 @@ def _build_parser() -> _Parser:
     p = _subcommand(sub, "spectral", _cmd_spectral,
                     "spectral radius estimates",
                     ("symbols", "alphas", "grid", "format"))
-    p.add_argument("--iterations", type=int, default=8)
+    p.add_argument("--iterations", type=_flag(INTEGER), default=8)
 
     _subcommand(sub, "report", _cmd_report, "run the acceptance suite", ())
     return parser

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import Weight
-from .laplace import HalfLineFunction, weighted_norm_squared
+from .laplace import HalfLineFunction, _gamma, weighted_norm_squared
 
 __all__ = [
     "InterpolationData",
@@ -69,13 +69,16 @@ def interp_params(alpha: float) -> InterpolationData:
     dyadic = alpha == low
     theta = 0.0 if dyadic else (alpha - low) / (high - low)
     hardy = n == 0 and not dyadic
-    mu_const = math.gamma(1.0 + alpha) / 2.0 ** alpha
+
+    def source():
+        return f"the weight alpha = {alpha:g}"
+    mu_const = _gamma(1.0 + alpha, source) / 2.0 ** alpha
     if hardy:
         dw_const = None
         ratio = None
     else:
-        dw_const = (math.gamma(1.0 + low) ** (1.0 - theta)
-                    * math.gamma(1.0 + high) ** theta) / 2.0 ** alpha
+        dw_const = (_gamma(1.0 + low, source) ** (1.0 - theta)
+                    * _gamma(1.0 + high, source) ** theta) / 2.0 ** alpha
         ratio = dw_const / mu_const
     return InterpolationData(alpha, n, low, high, theta, mu_const, dw_const,
                              ratio, dyadic, hardy)

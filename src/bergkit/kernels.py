@@ -59,6 +59,10 @@ class Weight:
                              f"{self.alpha}")
         if not self.alpha > -1.0:
             raise ValueError("weight parameter must satisfy alpha > -1")
+        # 2.0 ** alpha raises OverflowError from alpha = 1024 on
+        if not (self.alpha < 1024 and self.norm_const < math.inf):
+            raise ValueError(f"weight parameter alpha = {self.alpha:g} puts "
+                             "2^alpha (1 + alpha) past the float range")
 
     @property
     def norm_const(self) -> float:
@@ -101,13 +105,17 @@ def bergman_kernel(weight: Weight, omega, z):
     points, broadcast against each other.
 
     This is the one place the kernel formula is written: Gram matrices
-    are ``bergman_kernel(weight, pts[None, :], pts[:, None])``.
+    are ``bergman_kernel(weight, pts[None, :], pts[:, None])``.  A power
+    past the float range gives k = 0; a value past it is refused.
     """
     omega = require_half_plane(omega)
     z = require_half_plane(z)
-    with np.errstate(over="ignore"):  # a power past the range: k is 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         value = _shifted_power(np.conj(omega), z, weight.exponent)
-    np.divide(weight.norm_const, value, out=value)
+        np.divide(weight.norm_const, value, out=value)
+    if not np.isfinite(value).all():
+        raise ValueError(f"k_w(z) at alpha = {weight.alpha:g} leaves the "
+                         "float range")
     if value.ndim == 0:
         return complex(value)
     return value

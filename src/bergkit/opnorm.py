@@ -126,7 +126,12 @@ def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
     kept_counts = []  # pivots kept on the full point set, per weight
     for j, weight in enumerate(weights):
         gram = bergman_kernel(weight, pts[None, :], pts[:, None])
-        scale = 1.0 / np.sqrt(gram.diagonal().real)
+        diagonal = gram.diagonal().real
+        if not (diagonal > 0).all():  # k_z(z) underflowed
+            raise ValueError(f"Gram diagonal k_z(z) at alpha = "
+                             f"{weight.alpha:g} is not positive at z = "
+                             f"{pts[~(diagonal > 0)][0]:g}")
+        scale = 1.0 / np.sqrt(diagonal)
         gn = gram * np.outer(scale, scale)
         hn = (bergman_kernel(weight, images[:, None, :], images[:, :, None])
               * np.outer(scale, scale))
@@ -222,7 +227,8 @@ def _iterate_sup_ratios(est: AngularDerivativeEstimate,
                         max_iter: int) -> list:
     """sup_grid Re z / Re phi^n(z) for n = 1, 2, ..., max_iter, ended by
     inf at the first divergent iterate unless phi reads finite.  An
-    iterate refused by :func:`iterate_images` raises once it is reached.
+    iterate refused by :func:`iterate_images`, or whose ratio leaves the
+    float range, raises once it is reached.
     """
     if est.verdict == "divergent":
         return [math.inf]
@@ -233,6 +239,9 @@ def _iterate_sup_ratios(est: AngularDerivativeEstimate,
     for sup, verdict in zip(shell_max.max(axis=-1).tolist(), verdicts):
         if verdict == "divergent" and est.verdict != "finite":
             return sups + [math.inf]
+        if not math.isfinite(sup):  # of phi^n, n = len(sups) + 1
+            raise ValueError(f"Re z / Re phi^{len(sups) + 1}(z) leaves the "
+                             "float range on the grid")
         sups.append(sup)
     if error is not None:
         raise error

@@ -663,8 +663,7 @@ def angular_derivative_estimate(phi: Symbol,
     if grid.r_max / grid.r_min < 1e3:
         raise ValueError("grid must span at least a factor 1e3 in radius")
     pts = grid.points()
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        shell_max, verdict = angular_trace(pts, require_image(phi, pts))
+    shell_max, verdict = angular_trace(pts, require_image(phi, pts))
     sup_ratio = float(shell_max.max())
     if not math.isfinite(sup_ratio):
         raise ValueError("Re z / Re phi(z) leaves the float range on the grid")
@@ -687,18 +686,20 @@ def angular_trace(points: np.ndarray, images: np.ndarray) -> tuple:
     of Re z / Re phi(z) on each shell, and its verdict ``divergent``,
     ``finite`` or ``inconclusive`` by the rule of
     :func:`angular_derivative_estimate`: one str, or a list per stack.
+    Float errors are ignored: callers refuse a maximum past the range.
     """
-    shell_max = (points.real / images.real).max(axis=-1)
     w = _DIVERGENCE_WINDOW
-    if shell_max.shape[-1] >= w + 1:
-        window = shell_max[..., -(w + 1):]
-        growth = window[..., -1] / window[..., 0]
-        divergent = (np.all(np.diff(window) > 0.0, axis=-1)
-                     & (growth >= _DIVERGENCE_GROWTH))
-        finite = growth <= _PLATEAU_GROWTH
-    else:
-        spread = shell_max.max(axis=-1) / shell_max.min(axis=-1)
-        divergent, finite = False, spread <= _PLATEAU_GROWTH
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        shell_max = (points.real / images.real).max(axis=-1)
+        if shell_max.shape[-1] >= w + 1:
+            window = shell_max[..., -(w + 1):]
+            growth = window[..., -1] / window[..., 0]
+            divergent = (np.all(np.diff(window) > 0.0, axis=-1)
+                         & (growth >= _DIVERGENCE_GROWTH))
+            finite = growth <= _PLATEAU_GROWTH
+        else:
+            spread = shell_max.max(axis=-1) / shell_max.min(axis=-1)
+            divergent, finite = False, spread <= _PLATEAU_GROWTH
     verdict = np.where(divergent, "divergent",
                        np.where(finite, "finite", "inconclusive"))
     return shell_max, verdict.tolist()

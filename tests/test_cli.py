@@ -11,13 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bergkit
-from bergkit.cli import (CliError, _apply_config, _build_parser, main,
-                        parse_halfline, parse_symbol)
+from bergkit.cli import (CliError, _apply_config, _build_parser, _flag, main,
+                        parse_symbol)
 from bergkit.kernels import nevanlinna_kernel, psd_check
 from bergkit.laplace import HalfLineFunction
 from bergkit.space import _cached_scheme
-from bergkit.symbols import (Affine, CayleyMap, Compose, Moebius, PowerMap,
-                             SampleGrid, symbol_from_dict)
+from bergkit.symbols import (STRING, Affine, CayleyMap, Compose, Moebius,
+                             PowerMap, SampleGrid, symbol_from_dict)
 from test_opnorm import _SYMBOLS
 
 
@@ -50,6 +50,11 @@ class TestParseSymbol:
     def test_rejects_malformed(self, bad):
         with pytest.raises((CliError, ValueError)):
             parse_symbol(bad)
+
+
+def parse_halfline(text):
+    """The function ``--f`` text names, as ``laplace`` reads the flag."""
+    return _build_parser().parse_args(["laplace", "--f", text]).f
 
 
 class TestParseHalfline:
@@ -567,29 +572,50 @@ class TestOtherCommands:
         assert main(["psd", "--kernel", "K:2"]) == 1
 
     @pytest.mark.parametrize("argv,message", [
-        (["--trials", "-3"], "--trials must be at least 1"),
+        (["--trials", "-3"], "argument --trials: need a JSON integer in "
+                             "[0, 2**63), not -3"),
         (["--trials", "0"], "--trials must be at least 1"),
         (["--points", "0"], "--points must be at least 1"),
-        (["--kernel", "bogus", "--trials", "0"], "unknown kernel 'bogus'"),
+        # each count read "invalid int value" before it was read as --seed is
+        (["--points", "1_0", "--trials", "1"],
+         "argument --points: need an integer, not '1_0'"),
+        (["--trials", "2.0"], "argument --trials: need an integer, not '2.0'"),
+        (["--kernel", "bogus", "--trials", "0"],
+         "argument --kernel: unknown kernel 'bogus' "
+         "(gram | K:<n> | nevanlinna)"),
+        # read "K:<n> kernels need an integer n >= 1, not 'K:0'" after the
+        # symbol was checked
         (["--kernel", "K:0", "--symbol", "affine:2,1", "--trials", "0"],
-         "K:<n> kernels need an integer n >= 1"),
-        (["--kernel", "K:2", "--trials", "0"], "K:<n> kernels need --symbol"),
+         "argument --kernel: unknown kernel 'K:0'"),
+        # read "K:<n> kernels need --symbol"
+        (["--kernel", "K:2", "--trials", "0"],
+         "--kernel K:2 takes one symbol, not 0"),
+        (["--kernel", "nevanlinna"], "--kernel nevanlinna takes one symbol, "
+                                     "not 0"),
+        # each used the first symbol, or none, and dropped the rest
+        (["--kernel", "K:2", "--symbol", "affine:2,1", "--symbol", "power:0.5",
+          "--points", "3", "--trials", "1"],
+         "--kernel K:2 takes one symbol, not 2"),
+        (["--kernel", "gram", "--symbol", "power:0.5"],
+         "--kernel gram takes no symbol, not 1"),
         (["--kernel", "K:2", "--symbol", "power:0.5"],
          "symbol has no finite angular derivative"),
         # K:3_0 ran as K:30; n is a count, as --seed is
         (["--kernel", "K:3_0", "--symbol", "affine:2,1", "--trials", "1"],
-         "K:<n> kernels need an integer n >= 1, not 'K:3_0'"),
+         "argument --kernel: unknown kernel 'K:3_0'"),
         (["--kernel", "K:1e1", "--symbol", "affine:2,1", "--trials", "1"],
-         "K:<n> kernels need an integer n >= 1, not 'K:1e1'"),
+         "argument --kernel: unknown kernel 'K:1e1'"),
         # lam = 0.5 ended in "(34, 'Numerical result out of range')" and
         # lam = 2 in "matrix has non-finite entries", after numpy warnings
         (["--kernel", "K:2000", "--symbol", "affine:2,1", "--points", "3",
           "--trials", "1"], "K^n with n = 2000 leaves the float range"),
         (["--kernel", "K:2000", "--symbol", "affine:0.5,1", "--points", "3",
           "--trials", "1"], "K^n with n = 2000 leaves the float range"),
-    ], ids=["negative-trials", "zero-trials", "zero-points", "bogus-kernel",
-            "K0", "K2-without-symbol", "K2-unbounded-symbol", "K3_0", "K1e1",
-            "K2000-lam-half", "K2000-lam-2"])
+    ], ids=["negative-trials", "zero-trials", "zero-points", "points-1_0",
+            "trials-2.0", "bogus-kernel", "K0", "K2-without-symbol",
+            "nevanlinna-without-symbol", "K2-two-symbols", "gram-with-symbol",
+            "K2-unbounded-symbol", "K3_0", "K1e1", "K2000-lam-half",
+            "K2000-lam-2"])
     def test_psd_input_checks(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.json"
         assert main(["psd", *argv, "--out", str(out)]) == 1
@@ -616,7 +642,7 @@ class TestOtherCommands:
 
     def test_laplace_json_descriptor(self, tmp_path):
         descr = json.dumps([{"c": [1.0, 0.0], "beta": 2.0, "s": [1.0, 0.0]}])
-        code, data = run_json(tmp_path, ["laplace", "--f-json", descr,
+        code, data = run_json(tmp_path, ["laplace", "--f", "json:" + descr,
                                          "--alpha", "1"])
         assert code == 0
         assert data["rows"][0]["rhs"] == pytest.approx(0.125)
@@ -642,10 +668,11 @@ class TestOtherCommands:
     def test_laplace_malformed_json_descriptor(self, tmp_path, capsys, descr,
                                                message):
         out = tmp_path / "out.json"
-        # "error: --f-json: ..." before --f-json was read by argparse
-        assert main(["laplace", "--f-json", descr, "--out", str(out)]) == 1
+        # "error: argument --f-json: ..." before the list was --f json:
+        assert main(["laplace", "--f", "json:" + descr,
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: argument --f-json: " + message)
+        assert err.startswith("error: argument --f: " + message)
         assert not out.exists()
 
     @pytest.mark.parametrize("c,s", [(1, [1, 0]), (2, 1.5)],
@@ -654,8 +681,8 @@ class TestOtherCommands:
         # a complex value is [re, im] or a bare number, in every JSON input
         # ({"c": 1} used to be refused here alone)
         def rows(mode):
-            return run_json(tmp_path, ["laplace", "--f-json",
-                                       json.dumps([mode])])[1]["rows"]
+            argv = ["laplace", "--f", "json:" + json.dumps([mode])]
+            return run_json(tmp_path, argv)[1]["rows"]
         pair = rows({"c": [c, 0], "beta": 1, "s": s if isinstance(s, list)
                      else [s, 0]})
         assert rows({"c": c, "beta": 1, "s": s}) == pair
@@ -663,7 +690,7 @@ class TestOtherCommands:
 
     def test_laplace_empty_json_descriptor_is_the_zero_function(self,
                                                                 tmp_path):
-        code, data = run_json(tmp_path, ["laplace", "--f-json", "[]"])
+        code, data = run_json(tmp_path, ["laplace", "--f", "json:[]"])
         assert code == 0
         row = data["rows"][0]
         assert row["f"] == [] and row["rhs"] == 0.0 and row["gap"] == 0.0
@@ -739,7 +766,7 @@ class TestOtherCommands:
                                                 message):
         # each used to end in "the norm closed form of mode 0 ... overflows",
         # and then read "mode coefficient 'c' is not finite: (nan+0j)"
-        # before --f was read as its --f-json list
+        # before --f was read as its list of modes
         out = tmp_path / "out.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -759,6 +786,53 @@ class TestOtherCommands:
         row = data["rows"][0]
         assert row["theta"] == pytest.approx(0.5)
         assert row["ratio"] == pytest.approx(2 ** 0.5)
+
+    @pytest.mark.parametrize("argv,message", [
+        # each warned and then read "matrix has non-finite entries"
+        (["norm", "--symbol", "affine:1e-160,0"],
+         "k_w(z) at alpha = 0 leaves the float range"),
+        (["psd", "--alpha", "500", "--points", "3", "--trials", "1"],
+         "k_w(z) at alpha = 500 leaves the float range"),
+        (["norm", "--symbol", "affine:2,1", "--alpha", "70"],
+         "Gram diagonal k_z(z) at alpha = 70 is not positive at z = "
+         "10000+0j"),
+        # warned and exited 0 with "value": null
+        (["spectral", "--symbol", "affine:1e-103,0", "--iterations", "3"],
+         "Re z / Re phi^3(z) leaves the float range on the grid"),
+        # warned and then read "symbol leaves the half-plane at z =
+        # 0.5-0.866025j", for phi^3, whose images underflow to 0
+        (["spectral", "--symbol", "affine:1e-160,0", "--iterations", "3"],
+         "Re z / Re phi^2(z) leaves the float range on the grid"),
+        # read "math range error"
+        (["interp", "--alpha", "126"],
+         "Gamma(255) of the weight alpha = 126 overflows"),
+        # read "(34, 'Numerical result out of range')"
+        (["norm", "--symbol", "affine:2,1", "--alpha", "1100"],
+         "weight parameter alpha = 1100 puts 2^alpha (1 + alpha) past the "
+         "float range"),
+    ], ids=["kernel-underflow", "kernel-nan", "gram-diagonal", "iterate-3",
+            "iterate-2", "interp-gamma", "weight-const"])
+    def test_float_range_is_refused_by_name(self, tmp_path, capsys, argv,
+                                            message):
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--symbol", "affine:2,1", "--alpha", "69"],
+        ["interp", "--alpha", "125"],
+        ["spectral", "--symbol", "affine:1e-103,0", "--iterations", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_float_range_edges_run(self, tmp_path, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_json(tmp_path, argv)
+        assert code == 0
 
     def test_spectral(self, tmp_path):
         code, data = run_json(tmp_path, ["spectral", "--symbol", "affine:2,1",
@@ -1053,7 +1127,7 @@ INPUTS = {
 # flags that are a command's own, not shared inputs
 OWN_FLAGS = {"norm": {"--require-bounded"},
              "psd": {"--kernel", "--points", "--trials"},
-             "laplace": {"--f", "--f-json"}, "spectral": {"--iterations"}}
+             "laplace": {"--f"}, "spectral": {"--iterations"}}
 # the least each command needs besides the input under test
 BASE = {"psd": ["--trials", "1", "--points", "2"],
         "laplace": ["--f", "t*exp(-t)"], "spectral": ["--iterations", "1"]}
@@ -1076,7 +1150,8 @@ class TestInputsByCommand:
 
     def test_flag_and_key_counts(self):
         # seven flags that did nothing went: 53 -> 46 settable flags, and
-        # 49 -> 33 (command, run-config key) pairs
+        # 49 -> 33 (command, run-config key) pairs; --f-json, a second flag
+        # for --f, went: 46 -> 45
         sub = _build_parser()._subparsers._group_actions[0]
         flags = {name: {flag for action in parser._actions
                         for flag in action.option_strings} - {"-h", "--help"}
@@ -1086,7 +1161,19 @@ class TestInputsByCommand:
                       if INPUTS[key][0]}
             assert flags[command] == (shared | {"--config"}
                                       | OWN_FLAGS.get(command, set()))
-        assert sum(map(len, flags.values())) == 46
+        assert sum(map(len, flags.values())) == 45
+
+    def test_every_value_flag_is_read_by_read_json(self):
+        # --kernel, --points, --trials and --iterations were read by
+        # argparse's str and int, not as their kind; --config is a path
+        reader = _flag(STRING).__qualname__
+        sub = _build_parser()._subparsers._group_actions[0]
+        unread = [(name, action.option_strings)
+                  for name, parser in sub.choices.items()
+                  for action in parser._actions
+                  if action.nargs != 0 and action.dest != "config"
+                  and getattr(action.type, "__qualname__", None) != reader]
+        assert unread == []
         assert sum(len(reads) + 2 for reads in READS.values()) == 33
 
     @pytest.mark.parametrize("command,key,source", CASES,
@@ -1123,6 +1210,8 @@ class TestInputsByCommand:
         ["report", "--grid", "1,1e5,20,5,0.5"],
         ["psd", "--format", "json"],
         ["report", "--format", "json"],
+        # here --f was the flag ignored: --f-json won over it
+        ["laplace", "--f", "t*exp(-t)", "--f-json", "[]"],
     ], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
     def test_former_no_op_flags_are_refused(self, tmp_path, capsys, argv):
         # each used to be parsed and then ignored, with exit 0

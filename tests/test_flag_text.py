@@ -1,6 +1,6 @@
 """Each flag is the text form of its run-config key: ``--symbol`` text is
 read as the descriptor it spells, ``--grid`` as a ``grid`` block and
-``--f`` as the ``--f-json`` list of its modes.  A flag and its config
+``--f`` as the ``--f json:`` list of its modes.  A flag and its config
 value give the same result, or the same refusal after the name of the
 flag or the key."""
 
@@ -185,7 +185,7 @@ def test_grid_text_is_its_block(tmp_path_factory, r_min, r_max, radial,
 
 
 # ---------------------------------------------------------------------------
-# --f text and its --f-json list
+# --f text and its json: list
 
 _MODE_FLOATS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
     [0.0, -0.0, 1.0, 1e300, float("inf"), float("nan")]))
@@ -206,11 +206,11 @@ def test_f_text_is_its_f_json(tmp_path_factory, modes):
                           "s": [s.real, s.imag]} for c, beta, s in modes])
     tmp_path = tmp_path_factory.mktemp("f")
     flag = run(["laplace", "--f", text], tmp_path, _QUADRATURE)
-    listed = run(["laplace", "--f-json", listed], tmp_path, _QUADRATURE)
+    listed = run(["laplace", "--f", "json:" + listed], tmp_path, _QUADRATURE)
     assert flag[0] == listed[0]
     if flag[0] == 0:
         assert flag[2] == listed[2]
     else:
         # "t^nan" is no term of the syntax, and is refused as such
         refusal(flag[1], "argument --f: ")
-        refusal(listed[1], "argument --f-json: ")
+        refusal(listed[1], "argument --f: ")

@@ -45,6 +45,15 @@ class TestInterpParams:
         with pytest.raises(ValueError):
             interp_params(-1.0)
 
+    @pytest.mark.parametrize("alpha,gamma", [(126.0, 255), (171.0, 172)])
+    def test_gamma_past_the_float_range_names_the_weight(self, alpha, gamma):
+        # math.gamma raised "math range error"
+        with pytest.raises(OverflowError, match=(
+                rf"Gamma\({gamma}\) of the weight alpha = {alpha:g} "
+                "overflows")):
+            interp_params(alpha)
+        assert interp_params(125.0).weight_const_dw > 0
+
     def test_bracketing_over_range(self):
         rng = np.random.default_rng(1)
         for alpha in rng.uniform(-0.99, 14.0, 1000):

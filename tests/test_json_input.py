@@ -1,8 +1,8 @@
 """Every JSON input goes through ``symbols.read_json``: symbol descriptors,
 the run-config and its ``grid`` and ``quadrature`` blocks, and
-``--f-json``.  What the program writes reads back to an equal object, and
-a value of the wrong kind is refused with an ``error:`` naming its block
-and key."""
+``--f json:`` lists.  What the program writes reads back to an equal
+object, and a value of the wrong kind is refused with an ``error:`` naming
+its block and key."""
 
 import contextlib
 import io
@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergkit.cli import main, parse_halfline, parse_symbol
+from bergkit.cli import main, parse_symbol
 from bergkit.laplace import HalfLineFunction
 from bergkit.symbols import (REAL, Affine, CayleyMap, Compose, Moebius,
                              PowerMap, SampleGrid, read_json,
                              symbol_from_dict)
+from test_cli import parse_halfline
 
 
 def run(argv, tmp_path):
@@ -182,7 +183,7 @@ def _argv(block, key, value, tmp_path):
         return ["angular", "--symbol", "json:" + json.dumps(descriptor)]
     if block == "mode":
         mode = dict({"c": [1, 0], "beta": 1, "s": [1, 0]}, **{key: value})
-        return ["laplace", "--f-json", json.dumps([mode])]
+        return ["laplace", "--f", "json:" + json.dumps([mode])]
     config = {"grid": {"grid": {key: value}},
               "quadrature": {"quadrature": {key: value}},
               "run-config": {key: value}}[block]

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +48,15 @@ class TestWeight:
                                  f"{alpha}"):
             Weight(alpha)
 
+    @pytest.mark.parametrize("alpha", [1023.5, 1100.0, 1e300])
+    def test_rejects_alpha_past_the_norm_const_range(self, alpha):
+        # 2.0 ** alpha raised "(34, 'Numerical result out of range')" at
+        # 1100 and 1e300, and 2^alpha (1 + alpha) was inf at 1023.5
+        with pytest.raises(ValueError, match=re.escape(
+                f"alpha = {alpha:g} puts 2^alpha (1 + alpha) past")):
+            Weight(alpha)
+        assert math.isfinite(Weight(1013.0).norm_const)
+
     def test_norm_const_positive(self):
         for alpha in (-0.99, -0.5, 0.0, 3.7, 12.0):
             assert Weight(alpha).norm_const > 0
@@ -60,6 +71,16 @@ class TestBergmanKernel:
     def test_rejects_outside_domain(self):
         with pytest.raises(ValueError):
             bergman_kernel(Weight(0.0), -1, 1)
+
+    def test_value_past_the_float_range_is_refused(self):
+        # (2e-160)^2 underflows to 0: the divide warned and gave inf; a
+        # power past the range still gives k = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    r"k_w\(z\) at alpha = 0 leaves the float range")):
+                bergman_kernel(Weight(0.0), [1.0, 1e-160], [1.0, 2e-160])
+            assert bergman_kernel(Weight(70.0), 1e4, 1e4) == 0
 
     def test_kernel_function_matches(self):
         k = kernel_function(Weight(0.5), 2 + 1j)
@@ -173,11 +194,15 @@ class TestGramMatrix:
 
     def test_psd_check_refuses_non_finite_gram(self):
         # kernels at points near 0 overflow; the verdict used to come back
-        # with an inf threshold instead of an error
+        # with an inf threshold instead of an error.  gram_matrix refuses
+        # them itself, so the matrix is the kernel formula written out.
         grid = SampleGrid(r_min=1e-300, r_max=1, aperture=1)
         pts = grid.sample_points(8, np.random.default_rng(0))
+        w = Weight(6)
+        with pytest.raises(ValueError, match="k_w.z. at alpha = 6 leaves"):
+            gram_matrix(w, pts)
         with np.errstate(all="ignore"):
-            gram = gram_matrix(Weight(6), pts)
+            gram = w.norm_const / (pts[:, None] + np.conj(pts)) ** w.exponent
             assert not np.all(np.isfinite(gram))
             with pytest.raises(ValueError, match="non-finite"):
                 psd_check([gram])

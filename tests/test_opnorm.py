@@ -110,9 +110,11 @@ class TestGramEstimate:
 
     def test_non_finite_gram_refused(self):
         # the diagonal at 1e160 underflows, so normalization is not finite;
-        # the estimate used to come back as NaN
-        with np.errstate(all="ignore"), pytest.raises(ValueError,
-                                                      match="non-finite"):
+        # the estimate used to come back as NaN, and then read "matrix has
+        # non-finite entries"
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"Gram diagonal k_z\(z\) at alpha = 0 is "
+                                  r"not positive at z = 1e\+160\+0j"):
             gram_norm_estimate([Weight(0)], [Affine(2, 1)], [1.0, 1e160])
 
     def test_input_validation(self):
@@ -129,6 +131,19 @@ class TestGramEstimate:
                 HalfPlaneError, match="symbol leaves the half-plane at z = 1e"):
             gram_norm_estimate([Weight(0.0)], [identity(), Affine(1e300, 0)],
                                [1.0, 1e10])
+
+    def test_gram_diagonal_past_the_float_range_is_refused(self):
+        # (2e4)^72 overflows, so k_z(z) read 0 at z = 1e4 and the diagonal
+        # scaling divided by its root
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(gram_norm_estimate([Weight(69.0)], [Affine(2, 1)],
+                                          [1.0, 1e4])) == 1
+            with pytest.raises(ValueError, match=(
+                    r"Gram diagonal k_z\(z\) at alpha = 70 is not positive "
+                    r"at z = 10000\+0j")):
+                gram_norm_estimate([Weight(69.0), Weight(70.0)],
+                                   [Affine(2, 1)], [1.0, 1e4])
 
     def test_no_symbols_gives_no_cells(self):
         assert gram_norm_estimate([Weight(0.0), Weight(1.0)], [],
@@ -540,7 +555,10 @@ class TestBatchedVerdict:
         assert report.verdict == "BOUNDED"
         with np.errstate(all="ignore"):
             for weights in ([good, bad], [bad, good]):
-                with pytest.raises(ValueError, match="non-finite"):
+                # read "matrix has non-finite entries" before the kernel
+                # refused a value past the float range itself
+                with pytest.raises(ValueError, match=r"k_w\(z\) at alpha = 0 "
+                                                     "leaves the float range"):
                     boundedness_verdict(weights, [Affine(2, 1), PowerMap(0.5)],
                                         grid)
 
