@@ -78,8 +78,9 @@ class Weight:
         return (2.0 + self.alpha) / 2.0
 
 
-def _shifted_power(shift, z, p) -> np.ndarray:
-    """``(shift + z) ** float(p)`` as a new complex array, bit for bit.
+def _shifted_power(shift, z, p, out=None) -> np.ndarray:
+    """``(shift + z) ** float(p)`` as a new complex array, bit for bit, or
+    written into ``out``, a complex array of its shape, when one is given.
 
     This is the one place a complex base is raised to a real power.  The
     sum is formed once and the power is taken in place on it, so 0-d
@@ -90,7 +91,7 @@ def _shifted_power(shift, z, p) -> np.ndarray:
     here skip its per-element call and a full-size temporary.
     """
     p = float(p)
-    w = np.asarray(np.add(shift, z), dtype=complex)
+    w = np.asarray(np.add(shift, z, out=out), dtype=complex)
     if p.is_integer():
         return np.power(w, p, out=w)
     if p == 0.5 and w.ndim:

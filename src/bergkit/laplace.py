@@ -30,7 +30,7 @@ import numpy as np
 
 from .kernels import Weight, _shifted_power
 from .space import (KernelCombination, QuadratureScheme, default_scheme,
-                    weighted_integral)
+                    nested_integrals)
 from .symbols import (COMPLEX, REAL, Block, _set_finite, read_json,
                       require_half_plane)
 
@@ -141,8 +141,9 @@ def _sum_modes(modes, z, total) -> None:
     not finite after the redo reports under the caller's ``errstate``.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mode = None  # one buffer for every mode: fewer fresh pages
         for coeff, shift, p in modes:
-            mode = _shifted_power(shift, z, p)
+            mode = _shifted_power(shift, z, p, out=mode)
             np.divide(coeff, mode, out=mode)
             total += mode
     bad = ~np.isfinite(total)
@@ -289,7 +290,10 @@ class IsometryResult:
 
     ``lhs_closed_form`` is available when L f is a kernel combination
     (every mode has beta = 1 + alpha); ``gap`` uses the closed form when
-    present, else the quadrature value.
+    present, else the quadrature value.  ``quadrature_error_estimate`` is
+    |lhs_quadrature - its sum at x step 2h|, relative to ``rhs`` as
+    ``quadrature_gap`` is: the error of the coarser sum, which bounds that
+    of ``lhs_quadrature`` while the y rule is the finer of the two.
     """
 
     lhs_quadrature: float
@@ -297,12 +301,14 @@ class IsometryResult:
     rhs: float
     gap: float
     quadrature_gap: float
+    quadrature_error_estimate: float
 
     def to_dict(self) -> dict:
         return {"lhs_quadrature": self.lhs_quadrature,
                 "lhs_closed_form": self.lhs_closed_form,
                 "rhs": self.rhs, "gap": self.gap,
-                "quadrature_gap": self.quadrature_gap}
+                "quadrature_gap": self.quadrature_gap,
+                "quadrature_error_estimate": self.quadrature_error_estimate}
 
 
 def isometry_check(weights: Sequence[Weight], f: HalfLineFunction,
@@ -312,17 +318,22 @@ def isometry_check(weights: Sequence[Weight], f: HalfLineFunction,
     half-line norm, one :class:`IsometryResult` per weight.
 
     L f does not depend on alpha, so it is evaluated on the quadrature grid
-    once and shared by both sides of the pairing and by every weight.
+    once and shared by both sides of the pairing, by every weight and by
+    the nested sum at step 2h.
     """
     rhs_values = [mu_alpha_norm(w, f) for w in weights]
     scheme = scheme or default_scheme()
     with np.errstate(invalid="ignore", over="ignore"):
-        density = laplace_eval(f, scheme.z)
-        density *= density.conj()
+        transform = laplace_eval(f, scheme.z)
+        # |L f|^2 in place, in the real half of the transform's buffer: a
+        # large grid then takes no further grid-sized allocation here
+        density = np.square(transform.real, out=transform.real)
+        density += np.square(transform.imag, out=transform.imag)
 
     results = []
     for w, rhs in zip(weights, rhs_values):
-        lhs_quad = weighted_integral(w, density, scheme).real
+        lhs_quad, lhs_2h = (value.real for value in
+                            nested_integrals(w, density, scheme))
         lhs_closed = None
         if f.terms and all(abs(term.beta - (1.0 + w.alpha)) <= 1e-12
                            for term in f.terms):
@@ -338,5 +349,6 @@ def isometry_check(weights: Sequence[Weight], f: HalfLineFunction,
         best = lhs_closed if lhs_closed is not None else lhs_quad
         gap = abs(best - rhs) / denom
         results.append(IsometryResult(lhs_quad, lhs_closed, rhs, gap,
-                                      quadrature_gap))
+                                      quadrature_gap,
+                                      abs(lhs_quad - lhs_2h) / denom))
     return results

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -60,11 +60,34 @@ class NormEstimate:
     trace: tuple
 
 
+def _power(base: float, exponent: float, weight: Weight,
+           source: Callable[[], str]) -> float:
+    """``base ** exponent``, or a ValueError naming ``source()`` and alpha
+    where the power leaves the float range."""
+    try:
+        return float(base) ** exponent  # a numpy float would give inf
+    except OverflowError:
+        raise ValueError(f"{source()} at alpha = {weight.alpha:g} leaves "
+                         "the float range") from None
+
+
+def _gram_diagonal(weight: Weight, gram: np.ndarray,
+                   pts: np.ndarray) -> np.ndarray:
+    """The diagonal k_z(z) of a Gram matrix, or of a stack of them with
+    their points ``pts``, refused where it underflowed to 0."""
+    diagonal = gram.diagonal(axis1=-2, axis2=-1).real
+    if not (diagonal > 0).all():
+        raise ValueError(f"Gram diagonal k_z(z) at alpha = {weight.alpha:g} "
+                         f"is not positive at z = {pts[~(diagonal > 0)][0]:g}")
+    return diagonal
+
+
 def norm_theoretical(weight: Weight, lam: float) -> float:
     """Exact operator norm lam^((2+alpha)/2) for angular derivative lam."""
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError("need a finite positive angular derivative")
-    return lam ** weight.half_exponent
+    return _power(lam, weight.half_exponent, weight,
+                  lambda: f"the norm lam^((2+alpha)/2) for lam = {lam:g}")
 
 
 def kernel_ratio_bound(weight: Weight,
@@ -78,7 +101,8 @@ def kernel_ratio_bound(weight: Weight,
     """
     if est.verdict == "divergent":
         return math.inf
-    return est.sup_ratio ** weight.half_exponent
+    return _power(est.sup_ratio, weight.half_exponent, weight,
+                  lambda: f"the kernel-ratio bound for {est.phi!r}")
 
 
 def _prefix_sizes(count: int) -> list:
@@ -126,12 +150,7 @@ def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
     kept_counts = []  # pivots kept on the full point set, per weight
     for j, weight in enumerate(weights):
         gram = bergman_kernel(weight, pts[None, :], pts[:, None])
-        diagonal = gram.diagonal().real
-        if not (diagonal > 0).all():  # k_z(z) underflowed
-            raise ValueError(f"Gram diagonal k_z(z) at alpha = "
-                             f"{weight.alpha:g} is not positive at z = "
-                             f"{pts[~(diagonal > 0)][0]:g}")
-        scale = 1.0 / np.sqrt(diagonal)
+        scale = 1.0 / np.sqrt(_gram_diagonal(weight, gram, pts))
         gn = gram * np.outer(scale, scale)
         hn = (bergman_kernel(weight, images[:, None, :], images[:, :, None])
               * np.outer(scale, scale))
@@ -175,8 +194,9 @@ def psd_boundedness_certificate(weight: Weight, phi: Symbol, lam: float,
     images = require_image(phi, pts)
     gram = bergman_kernel(weight, pts[:, None, :], pts[:, :, None])
     target = bergman_kernel(weight, images[:, None, :], images[:, :, None])
-    factor = lam ** weight.exponent
-    scale = 1.0 / np.sqrt(factor * gram.diagonal(axis1=1, axis2=2).real)
+    factor = _power(lam, weight.exponent, weight,
+                    lambda: f"lam^(2+alpha) for lam = {lam:g}")
+    scale = 1.0 / np.sqrt(factor * _gram_diagonal(weight, gram, pts))
     return psd_check((factor * gram - target)
                      * (scale[:, :, None] * scale[:, None, :]))
 
@@ -216,8 +236,10 @@ def spectral_radius_estimate(weights: Sequence[Weight],
     sups = _iterate_sup_ratios(est, max_iter)
     estimates = []
     for w in weights:
-        per_iterate = tuple((n, sup ** (w.half_exponent / n))
-                            for n, sup in enumerate(sups, 1))
+        per_iterate = tuple(
+            (n, _power(sup, w.half_exponent / n, w, lambda n=n: (
+                f"the spectral estimate of iterate {n} for {est.phi!r}")))
+            for n, sup in enumerate(sups, 1))
         estimates.append(SpectralRadiusEstimate(per_iterate[-1][1],
                                                 per_iterate))
     return estimates
@@ -263,7 +285,8 @@ def essential_norm_lower_bound(weight: Weight,
         raise ValueError("essential norm applies to bounded operators only")
     cutoff = est.grid.far_field_radius
     far = [v for r, v in zip(est.grid.radii(), est.trace) if r >= cutoff]
-    return max(far) ** weight.half_exponent
+    return _power(max(far), weight.half_exponent, weight,
+                  lambda: f"the essential-norm bound for {est.phi!r}")
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,34 @@ The inner product is
     <f, g> = (1/pi) * int_{-inf}^{inf} int_0^{inf} x^alpha f(x+iy)
              conj(g(x+iy)) dx dy.
 
-The half-line x-integral is mapped to (0, 1) by x = u/(1-u) and handled
-with Gauss-Legendre nodes (the x^alpha factor stays in the integrand, so
-every alpha > -1 is treated uniformly and nodes never touch x = 0).  The
-y-integral is truncated at |y| <= y_max and covered by Gauss-Legendre
-panels graded dyadically away from the real axis, where kernel integrands
-peak.  Kernel-type integrands decay like |y|^-(4+2*alpha), which keeps the
-truncation error below the quadrature targets for alpha >= 0.
+It is taken on a tensor rule.  The half-line x-integral uses the
+double-exponential rule of Takahasi and Mori: x = exp(pi/2 sinh t) with
+n_x equispaced t over the fixed window |t| <= 4, so x runs from 2e-19
+to 4e18 and the step h shrinks as n_x grows.  The x^alpha factor stays
+in the integrand, so one node set serves every alpha > -1, and the
+rule converges exponentially in 1/h for the endpoint power x^alpha and
+the algebraic decay of kernel integrands alike (Trefethen and Weideman,
+SIAM Review 56, 2014).  Every other node carries the same rule at step
+2h, which :func:`nested_integrals` sums as well: the two sums differ by
+about the coarser sum's error, an estimate of the finer one's that costs
+no further evaluation.
+
+The y-integral uses Gauss-Legendre panels graded dyadically away from
+the real axis, where kernel integrands peak, up to |y| = y_max.  Past
+y_max one inverted panel y = y_max/s, s in (0, 1), on each side covers
+the tail with twice a panel's nodes, so nothing is cut off.
+
+The default rule (39 x nodes, 256 y nodes, y_max = 32: 9,984 nodes) was
+sized by its measured error, for alpha in [0, 3] and kernel points in the
+sector |arg z| <= pi/4, 0.3 <= |z| <= 8.  There a pairing of kernel
+combinations is within 1e-4 of the product of their terms' scales,
+sum |c_i| ||k_{z_i}|| (3e-5 at worst, for points on opposite edges of
+the sector at |z| = 8, and a few 1e-8 typically), and the norm of a
+Laplace transform of modes t^beta e^(-st) with beta >= alpha/2 + 1,
+0.5 <= Re s <= 3 and |Im s| <= 1 within 1e-6 of its modes' scale.  The y
+rule is sized finer than the x rule, so that the nested estimate bounds
+the error: it did so in each of 3,000 random kernel norms and 3,000
+random transform norms, by a factor of at least 3.
 """
 
 from __future__ import annotations
@@ -31,15 +52,18 @@ __all__ = [
     "QuadratureScheme",
     "default_scheme",
     "inner_product",
-    "weighted_integral",
+    "nested_integrals",
     "KernelCombination",
     "reproducing_check",
     "ReproducingResult",
 ]
 
-DEFAULT_NX = 160
-DEFAULT_NY = 400
-DEFAULT_YMAX = 200.0
+DEFAULT_NX = 39
+DEFAULT_NY = 256
+DEFAULT_YMAX = 32.0
+
+# The x rule's nodes are t = -4, ..., 4 in x = exp(pi/2 sinh t).
+_DE_WINDOW = 4.0
 
 
 def _gauss_legendre(n: int, lo: float, hi: float):
@@ -49,9 +73,10 @@ def _gauss_legendre(n: int, lo: float, hi: float):
 
 
 def _panel_bounds(y_max: float) -> list[float]:
-    bounds = [0.0, 1.0]
-    while bounds[-1] * 2.0 < y_max:
-        bounds.append(bounds[-1] * 2.0)
+    bounds, edge = [0.0], min(1.0, y_max)
+    while edge < y_max:
+        bounds.append(edge)
+        edge *= 2.0
     bounds.append(y_max)
     return bounds
 
@@ -75,21 +100,29 @@ class QuadratureScheme:
             raise ValueError("node counts too small")
         if y_max <= 0:
             raise ValueError("y_max must be positive")
-        u, wu = _gauss_legendre(n_x, 0.0, 1.0)
-        x = u / (1.0 - u)
-        wx = wu / (1.0 - u) ** 2
+        t, h = np.linspace(-_DE_WINDOW, _DE_WINDOW, n_x, retstep=True)
+        x = np.exp(0.5 * math.pi * np.sinh(t))
+        wx = h * 0.5 * math.pi * np.cosh(t) * x
         bounds = _panel_bounds(y_max)
-        per_panel = max(4, int(round(n_y / (2 * (len(bounds) - 1)))))
-        ys, wys = [], []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            nodes, weights = _gauss_legendre(per_panel, lo, hi)
-            ys.append(nodes)
-            wys.append(weights)
-            ys.append(-nodes)
-            wys.append(weights)
-        y = np.concatenate(ys)
-        wy = np.concatenate(wys)
+        # the tail panel counts as two
+        per_panel = max(4, int(round(n_y / (2 * (len(bounds) + 1)))))
+        panels = [_gauss_legendre(per_panel, lo, hi)
+                  for lo, hi in zip(bounds[:-1], bounds[1:])]
+        s, ws = _gauss_legendre(2 * per_panel, 0.0, 1.0)
+        panels.append((y_max / s, y_max / s ** 2 * ws))
+        y = np.concatenate([sign * nodes for nodes, _ in panels
+                            for sign in (1.0, -1.0)])
+        wy = np.concatenate([weights for _, weights in panels
+                             for _ in (1, 2)])
         return cls(x, wx, y, wy, n_x, n_y, y_max)
+
+    @cached_property
+    def x_weights_2h(self) -> np.ndarray:
+        """The x rule at step 2h: twice the weight at every other node,
+        starting from the first, and 0 at the rest."""
+        weights = np.zeros_like(self.x_weights)
+        weights[::2] = 2.0 * self.x_weights[::2]
+        return weights
 
     @cached_property
     def z(self) -> np.ndarray:
@@ -109,16 +142,26 @@ def default_scheme() -> QuadratureScheme:
     return _cached_scheme(DEFAULT_NX, DEFAULT_NY, DEFAULT_YMAX)
 
 
-def weighted_integral(weight: Weight, values: np.ndarray,
-                      scheme: QuadratureScheme) -> complex:
-    """Quadrature approximation of (1/pi) int x^alpha h(z) dx dy, where
-    ``values`` samples h on ``scheme.z``."""
+def nested_integrals(weight: Weight, values: np.ndarray,
+                     scheme: QuadratureScheme) -> tuple[complex, complex]:
+    """Quadrature approximations of (1/pi) int x^alpha h(z) dx dy, where
+    ``values`` samples h on ``scheme.z``: the rule's and the one whose x
+    rule has step 2h, which uses every other x node of the same values."""
     with np.errstate(invalid="ignore", over="ignore"):
-        values = values * scheme.x_nodes[:, None] ** weight.alpha
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand is not finite at a quadrature node")
-    total = scheme.x_weights @ values @ scheme.y_weights
-    return complex(total / math.pi)
+        weighted = values * scheme.x_nodes[:, None] ** weight.alpha
+    bad = ~np.isfinite(weighted)
+    if bad.any():
+        # x^alpha may leave the float range where x^alpha h does not
+        log_x = np.broadcast_to(np.log(scheme.x_nodes)[:, None], bad.shape)
+        with np.errstate(all="ignore"):
+            redone = np.exp(np.log(values[bad].astype(complex))
+                            + weight.alpha * log_x[bad])
+        weighted[bad] = redone if weighted.dtype.kind == "c" else redone.real
+        if not np.all(np.isfinite(weighted)):
+            raise ValueError("integrand is not finite at a quadrature node")
+    profile = weighted @ scheme.y_weights / math.pi
+    return (complex(scheme.x_weights @ profile),
+            complex(scheme.x_weights_2h @ profile))
 
 
 def inner_product(weight: Weight, f: Callable, g: Callable,
@@ -132,7 +175,7 @@ def inner_product(weight: Weight, f: Callable, g: Callable,
     with np.errstate(invalid="ignore", over="ignore"):
         values = np.asarray(f(scheme.z), dtype=complex) * np.conj(
             np.asarray(g(scheme.z), dtype=complex))
-    return weighted_integral(weight, values, scheme)
+    return nested_integrals(weight, values, scheme)[0]
 
 
 @dataclass(frozen=True)

@@ -810,8 +810,12 @@ class TestOtherCommands:
         (["norm", "--symbol", "affine:2,1", "--alpha", "1100"],
          "weight parameter alpha = 1100 puts 2^alpha (1 + alpha) past the "
          "float range"),
+        # read "(34, 'Numerical result out of range')": the norm is 10^351
+        (["spectral", "--symbol", "affine:0.1,0", "--alpha", "700"],
+         "the spectral estimate of iterate 1 for Affine(a=0.1, b=0j) at "
+         "alpha = 700 leaves the float range"),
     ], ids=["kernel-underflow", "kernel-nan", "gram-diagonal", "iterate-3",
-            "iterate-2", "interp-gamma", "weight-const"])
+            "iterate-2", "interp-gamma", "weight-const", "spectral-power"])
     def test_float_range_is_refused_by_name(self, tmp_path, capsys, argv,
                                             message):
         out = tmp_path / "out.json"

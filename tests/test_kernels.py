@@ -161,6 +161,16 @@ class TestShiftedPower:
         result[...] = 0
         assert np.array_equal(shift, kept[0]) and np.array_equal(z, kept[1])
 
+    @pytest.mark.parametrize("p", [2.5, 3.0, 0.5])
+    def test_out_buffer_takes_the_same_bits(self, p):
+        # laplace_eval reuses one buffer for all the modes of a block
+        shift = np.array([[1.0 + 1j], [2.0]])
+        z = np.array([[1.0, 2.0 - 1j]])
+        out = np.full((2, 2), np.nan, dtype=complex)
+        result = _shifted_power(shift, z, p, out=out)
+        assert result is out
+        assert out.tobytes() == _shifted_power(shift, z, p).tobytes()
+
     def test_laplace_eval_leaves_scheme_nodes_alone(self):
         scheme = default_scheme()
         before = scheme.z.copy()

@@ -1,6 +1,7 @@
 """Closed-form transforms and norms, cross-checked by direct numerical
 integration (scipy.quad), which is independent of the Gamma formulas."""
 
+import cmath
 import math
 import re
 import threading
@@ -67,6 +68,12 @@ class TestLaplaceEval:
         assert abs(whole - parts) <= 1e-12 * max(abs(whole), 1e-300)
 
 
+def doubled_scheme():
+    """The scheme of bergbench's doubled config, large enough to be split
+    into row blocks."""
+    return _cached_scheme(320, 800, 400.0)
+
+
 def usable_cpus(count):
     """Patches the CPU count that sets laplace_eval's number of blocks."""
     return mock.patch.object(laplace, "_usable_cpus", return_value=count)
@@ -116,7 +123,8 @@ class TestRowBlocks:
         assert np.asarray(value).tobytes() == self.reference(f, z).tobytes()
 
     def test_blocks_run_on_threads_that_end_with_the_call(self):
-        # 63,360 nodes on 4 CPUs: 3 blocks, two of them on other threads
+        # the doubled scheme's 253,440 nodes on 3 CPUs: 3 blocks, two of
+        # them on other threads (the default scheme is below two blocks)
         f = halfline((1, 1.5, 1.0), (0.5j, 2.25, 2.0))
         threads, original = [], laplace._sum_modes
 
@@ -125,9 +133,9 @@ class TestRowBlocks:
             threads.append(threading.current_thread())
             return original(*args)
 
-        z = default_scheme().z
+        z = doubled_scheme().z
         before = threading.active_count()
-        with usable_cpus(4), mock.patch.object(laplace, "_sum_modes",
+        with usable_cpus(3), mock.patch.object(laplace, "_sum_modes",
                                                sum_modes):
             value = laplace_eval(f, z)
         assert threading.active_count() == before
@@ -135,9 +143,11 @@ class TestRowBlocks:
         assert value.tobytes() == self.reference(f, z).tobytes()
 
     def test_worker_keeps_the_callers_errstate(self):
-        # (1 + z)^83.3 overflows only where |1 + z| > 5.1e3, in the last rows,
-        # which the worker thread takes and redoes in log space; then
-        # isometry_check refuses the first mode's |L f|^2 overflow near 0.
+        # (1 + z)^83.3 overflows only where |1 + z| > 5.1e3: in the last rows,
+        # which the worker thread takes, and on the y tail of every row; each
+        # block redoes those in log space.  Then isometry_check refuses the
+        # first mode's |L f|^2 overflow near 0.  The doubled scheme is split
+        # in two blocks on two CPUs; the default one is not split.
         f = halfline((1e150, 1.0, 1e-4), (1e-150, 82.3, 1.0))
         errors, seen, original = [], [], laplace._sum_modes
 
@@ -150,7 +160,7 @@ class TestRowBlocks:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError) as info, mock.patch.object(
                         laplace, "_sum_modes", sum_modes):
-                    isometry_check([Weight(0.0)], f)
+                    isometry_check([Weight(0.0)], f, doubled_scheme())
             errors.append(str(info.value))
         assert errors == ["integrand is not finite at a quadrature node"] * 2
         # one block on one CPU, two on two, each under isometry_check's state
@@ -177,7 +187,7 @@ class TestRowBlocks:
         with usable_cpus(4), mock.patch.object(threading.Thread, "start",
                                                start):
             with pytest.raises(error, match=message):
-                laplace_eval(halfline(*terms), default_scheme().z)
+                laplace_eval(halfline(*terms), doubled_scheme().z)
         start.assert_not_called()
 
 
@@ -299,6 +309,124 @@ class TestIsometry:
         f = halfline((1, 1.0, 1.0), (2 - 1j, 2.5, 0.5 + 0.25j))
         rebuilt = HalfLineFunction.from_dict(f.to_dict())
         assert rebuilt == f
+
+
+# The accuracy the bergkit.space docstring states for the default rule on
+# Laplace modes c t^beta e^(-st) with alpha in [0, 3], beta >= alpha/2 + 1,
+# 0.5 <= Re s <= 3 and |Im s| <= 1: ||L f||^2 within LAPLACE_RTOL of the
+# scale (sum ||c_i t^beta_i e^(-s_i t)||)^2 of its modes.
+LAPLACE_RTOL = 1e-6
+
+MODE = st.tuples(
+    st.builds(lambda r, a: r * cmath.exp(1j * a), st.floats(0.01, 2.0),
+              st.floats(-math.pi, math.pi)),
+    st.floats(1.0, 3.0),  # beta - alpha/2
+    st.builds(complex, st.floats(0.5, 3.0), st.floats(-1.0, 1.0)))
+
+
+def mode_family(seed, count=30):
+    """``count`` seeded (alpha, f) cases of one and two modes, alternately,
+    on the domain of LAPLACE_RTOL."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        alpha = float(rng.uniform(0.0, 3.0))
+        cases.append((alpha, halfline(*[
+            (complex(rng.normal(), rng.normal()),
+             float(rng.uniform(alpha / 2 + 1.0, alpha / 2 + 3.0)),
+             complex(rng.uniform(0.5, 3.0), rng.uniform(-1.0, 1.0)))
+            for _ in range(1 + i % 2)])))
+    return cases
+
+
+def mode_scale(w, f):
+    return sum(math.sqrt(mu_alpha_norm(w, halfline(
+        (t.c, t.beta, t.s)))) for t in f.terms) ** 2
+
+
+class TestDefaultRuleOnModes:
+    """The default rule against the closed-form half-line norms."""
+
+    def test_seeded_family_gap(self):
+        # 9.5e-6 on the Gauss-Legendre rule cut off at |y| = 200
+        gaps = [isometry_check([Weight(alpha)], f)[0].quadrature_gap
+                for alpha, f in mode_family(1)]
+        assert max(gaps) <= 1e-7
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_nested_estimate_bounds_the_gap(self, seed):
+        for alpha, f in mode_family(seed):
+            result, = isometry_check([Weight(alpha)], f)
+            assert result.quadrature_gap <= result.quadrature_error_estimate
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_nested_estimate_bounds_the_gap_on_kernel_families(self, seed):
+        # every mode has beta = 1 + alpha: L f is a kernel combination, and
+        # its norm has the Gram closed form as well as the half-line one
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            alpha = float(rng.uniform(0.0, 3.0))
+            points = (np.exp(rng.uniform(np.log(0.3), np.log(8.0), 2))
+                      * np.exp(1j * rng.uniform(-np.pi / 4, np.pi / 4, 2)))
+            f = halfline(*[(complex(rng.normal(), rng.normal()), 1.0 + alpha,
+                            p.conjugate()) for p in points])
+            result, = isometry_check([Weight(alpha)], f)
+            assert result.lhs_closed_form is not None
+            error = abs(result.lhs_quadrature - result.lhs_closed_form)
+            assert error / result.rhs <= result.quadrature_error_estimate
+
+    def test_estimate_is_written_in_each_row(self):
+        f = halfline((1, 1.0, 2.0), (1, 2.0, 2.0))
+        fine = isometry_check([Weight(0.0)], f)[0]
+        assert 0.0 < fine.quadrature_gap <= fine.quadrature_error_estimate
+        assert fine.to_dict()["quadrature_error_estimate"] == (
+            fine.quadrature_error_estimate)
+        # the 20-node rule is the default 39-node one at step 2h
+        coarse, = isometry_check([Weight(0.0)], f,
+                                 _cached_scheme(20, 256, 32.0))
+        assert abs(coarse.lhs_quadrature - fine.lhs_quadrature) / fine.rhs == (
+            pytest.approx(fine.quadrature_error_estimate, rel=1e-6))
+
+    @pytest.mark.parametrize("alpha", [20.0, 60.0, 100.0])
+    def test_x_power_past_the_float_range_is_taken_in_log_space(self, alpha):
+        # x^alpha overflows at the largest x nodes (up to 4e18) while
+        # x^alpha |L f|^2 does not, or underflows to 0 with |L f|^2; the
+        # Gauss-Legendre rule refused alpha = 100 as "not finite"
+        f = halfline((1, alpha / 2 + 2.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, = isometry_check([Weight(alpha)], f)
+        assert result.quadrature_gap <= result.quadrature_error_estimate
+        assert result.quadrature_gap <= 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 3.0), st.lists(MODE, min_size=1, max_size=2))
+    def test_property_modes_within_stated_error(self, alpha, modes):
+        w = Weight(alpha)
+        f = halfline(*[(c, alpha / 2 + offset, s) for c, offset, s in modes])
+        result, = isometry_check([w], f)
+        error = abs(result.lhs_quadrature - result.rhs)
+        assert error <= LAPLACE_RTOL * mode_scale(w, f)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(0.0, 3.0), MODE)
+    def test_property_modes_against_mpmath(self, alpha, mode):
+        # ||f||^2 by mpmath's own quadrature on the half-line, apart from
+        # the Gamma closed forms
+        mpmath = pytest.importorskip("mpmath")
+        c, offset, s = mode
+        beta = alpha / 2 + offset
+        w = Weight(alpha)
+        f = halfline((c, beta, s))
+        with mpmath.workdps(20):
+            # |c|^2 outside: quad's tolerance is absolute
+            norm = abs(c) ** 2 * mpmath.quad(
+                lambda t: t ** (2 * beta - alpha - 1)
+                * mpmath.exp(-2 * s.real * t), [0, 1, mpmath.inf])
+            norm *= mpmath.gamma(1 + alpha) / 2 ** alpha
+        result, = isometry_check([w], f)
+        assert abs(result.lhs_quadrature - float(norm)) <= (
+            LAPLACE_RTOL * mode_scale(w, f))
 
 
 class TestIsometryOverWeights:

@@ -256,11 +256,35 @@ class TestCertificate:
                                         np.zeros((3, 0)))
 
     def test_non_finite_certificate_refused(self):
-        # used to give a NaN threshold
-        with np.errstate(all="ignore"), pytest.raises(ValueError,
-                                                      match="non-finite"):
+        # used to give a NaN threshold, then "matrix has non-finite entries":
+        # k_z(z) is 0 at z = 1e200, where (2e200)^2 overflows
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=(
+                r"^Gram diagonal k_z\(z\) at alpha = 0 is not positive at "
+                r"z = 1e\+200\+0j$")):
             psd_boundedness_certificate(Weight(0), Affine(2, 1), 0.5,
                                         [[1.0, 1e200]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gram_diagonal_past_the_float_range_is_refused(self):
+        # (2e4)^72 overflows, so k_z(z) reads 0 at z = 1e4; the scaling
+        # divided by its root and warned before "matrix has non-finite
+        # entries".  The second set of the batch is the one named.
+        assert len(psd_boundedness_certificate(
+            Weight(69), Affine(2, 1), 0.5, [[1.0, 1e4]])) == 1
+        with pytest.raises(ValueError, match=(
+                r"^Gram diagonal k_z\(z\) at alpha = 70 is not positive at "
+                r"z = 10000\+0j$")):
+            psd_boundedness_certificate(Weight(70), Affine(2, 1), 0.5,
+                                        [[1.0, 2.0], [1.0, 1e4]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lam_power_past_the_float_range_is_refused(self):
+        # (1e10)^32 is past 1.8e308; the kernel values are not
+        with pytest.raises(ValueError, match=(
+                r"^lam\^\(2\+alpha\) for lam = 1e\+10 at alpha = 30 leaves "
+                r"the float range$")):
+            psd_boundedness_certificate(Weight(30), Affine(2, 1), 1e10,
+                                        [[1.0, 2.0]])
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
@@ -269,6 +293,28 @@ class TestCertificate:
 
 
 class TestSpectralRadius:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_past_the_float_range_is_refused_by_name(self):
+        # the norm 10^351 used to raise Python's unnamed OverflowError
+        est = angular_derivative_estimate(Affine(0.1, 0))
+        assert spectral_radius_estimate([Weight(600)], est, 2)
+        for call, source in [
+                (lambda w: spectral_radius_estimate([w], est, 2),
+                 "the spectral estimate of iterate 1 for Affine(a=0.1, b=0j)"),
+                (lambda w: kernel_ratio_bound(w, est),
+                 "the kernel-ratio bound for Affine(a=0.1, b=0j)"),
+                (lambda w: essential_norm_lower_bound(w, est),
+                 "the essential-norm bound for Affine(a=0.1, b=0j)"),
+                (lambda w: norm_theoretical(w, 10.0),
+                 "the norm lam^((2+alpha)/2) for lam = 10"),
+                # numpy's power would give inf with a RuntimeWarning
+                (lambda w: norm_theoretical(w, np.float64(10.0)),
+                 "the norm lam^((2+alpha)/2) for lam = 10")]:
+            with pytest.raises(ValueError) as info:
+                call(Weight(700))
+            assert str(info.value) == (
+                f"{source} at alpha = 700 leaves the float range")
+
     def test_affine_matches_norm(self):
         est, = spectral_radius_estimate(
             [Weight(0.0)], angular_derivative_estimate(Affine(2, 1)), 8)

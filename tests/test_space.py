@@ -5,14 +5,28 @@ All expected values come from the kernel reproducing identity
 path being tested.
 """
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergkit.kernels import Weight, bergman_kernel, kernel_function
-from bergkit.space import (KernelCombination, QuadratureScheme,
-                           default_scheme, inner_product, reproducing_check)
+from bergkit.space import (DEFAULT_NX, DEFAULT_NY, DEFAULT_YMAX,
+                           KernelCombination, QuadratureScheme,
+                           default_scheme, inner_product, nested_integrals,
+                           reproducing_check)
 
 QUAD_RTOL = 1e-3  # default-scheme accuracy contract
+# The accuracy the bergkit.space docstring states for the default rule on
+# its domain (alpha in [0, 3], points in |arg z| <= pi/4, 0.3 <= |z| <= 8):
+# a pairing of kernel combinations is within KERNEL_RTOL of the product of
+# their terms' scales, sum |c_i| ||k_{z_i}||.  The norms of random kernel
+# combinations come far closer: within 1.9e-6 of themselves over 3,000.
+KERNEL_RTOL = 1e-4
+FAMILY_RTOL = 1e-5
 
 
 class TestInnerProduct:
@@ -72,23 +86,26 @@ class TestInnerProduct:
 
 
 class TestDoublingConsistency:
-    # The |y| > y_max tail contracts by 2^(2+alpha) per doubling; alpha = 0
-    # sits exactly on the 4x boundary, so the oracle set starts at 0.5.
+    # n_x -> 2 n_x - 1 halves the x rule's step h on the same window, and
+    # n_y, y_max double.  The double-exponential x rule converges like
+    # exp(-c/h), so the error falls by far more than the 4x per doubling an
+    # algebraic rule gives, and reaches rounding level within four doublings.
     @pytest.mark.parametrize("alpha,omega", [
         (0.5, 1.0), (1.0, 1.0), (2.0, 3.0), (2.7, 1 + 0.5j)])
     def test_error_quarters_until_target(self, alpha, omega):
         w = Weight(alpha)
         k = kernel_function(w, omega)
         exact = bergman_kernel(w, omega, omega).real
-        scheme = QuadratureScheme.build(20, 50, 200.0)
+        scheme = QuadratureScheme.build(9, 32, 4.0)
         previous = None
         for _ in range(5):
             err = abs(inner_product(w, k, k, scheme).real - exact) / exact
             if previous is not None and previous > 1e-6:
                 assert err <= previous / 4
             previous = err
-            scheme = QuadratureScheme.build(2 * scheme.n_x, 2 * scheme.n_y,
-                                            2 * scheme.y_max)
+            scheme = QuadratureScheme.build(2 * scheme.n_x - 1,
+                                            2 * scheme.n_y, 2 * scheme.y_max)
+        assert previous <= 1e-12
 
     def test_default_scheme_meets_contract_at_alpha_zero(self):
         w = Weight(0.0)
@@ -109,6 +126,73 @@ class TestErrorEstimate:
         true_coarse_error = abs(coarse.real - 0.25)
         assert estimate == pytest.approx(true_coarse_error, rel=0.6)
         assert abs(value.real - 0.25) < true_coarse_error
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nested_estimate_bounds_the_error_on_kernel_families(self, seed):
+        # ||f||^2 of 30 kernel combinations from the closed Gram form: the
+        # h and 2h sums differ by more than the h sum's true error
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            f = random_combination(rng)
+            values = f(default_scheme().z)
+            fine, coarse = nested_integrals(f.weight, values * values.conj(),
+                                            default_scheme())
+            exact = f.norm_squared()
+            assert abs(fine - exact) <= abs(fine - coarse)
+            assert abs(fine - exact) <= FAMILY_RTOL * exact
+
+    def test_nested_rule_is_every_other_node(self):
+        s = QuadratureScheme.build(9, 16, 4.0)
+        coarse = QuadratureScheme.build(5, 16, 4.0)
+        assert np.array_equal(s.x_nodes[::2], coarse.x_nodes)
+        assert np.allclose(s.x_weights_2h[::2], coarse.x_weights,
+                           rtol=1e-15, atol=0)
+        assert not s.x_weights_2h[1::2].any()
+
+
+def random_combination(rng):
+    """A kernel combination of 1 to 3 points in the sector the default rule
+    is sized for: |arg z| <= pi/4 and 0.3 <= |z| <= 8, alpha in [0, 3]."""
+    w = Weight(float(rng.uniform(0.0, 3.0)))
+    size = int(rng.integers(1, 4))
+    points = (np.exp(rng.uniform(np.log(0.3), np.log(8.0), size))
+              * np.exp(1j * rng.uniform(-np.pi / 4, np.pi / 4, size)))
+    coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return KernelCombination.build(w, coeffs, points)
+
+
+def kernel_norm(w, point):
+    return math.sqrt(bergman_kernel(w, point, point).real)
+
+
+def polar(radii, angle):
+    """Complex numbers r e^(ia) with r and |a| in the given float ranges."""
+    return st.builds(lambda r, a: r * cmath.exp(1j * a), st.floats(*radii),
+                     st.floats(-angle, angle))
+
+
+SECTOR_POINT = polar((0.3, 8.0), math.pi / 4)
+COEFF = polar((0.01, 2.0), math.pi)
+
+
+class TestDefaultRule:
+    """The default rule keeps the accuracy the bergkit.space docstring
+    states, against the closed-form kernel identities."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 3.0), st.lists(st.tuples(COEFF, SECTOR_POINT),
+                                         min_size=1, max_size=3),
+           SECTOR_POINT)
+    def test_property_kernel_combinations_are_reproduced(self, alpha, terms,
+                                                         omega):
+        w = Weight(alpha)
+        coeffs, points = zip(*terms)
+        f = KernelCombination.build(w, coeffs, points)
+        scale = sum(abs(c) * kernel_norm(w, p) for c, p in terms)
+        result = reproducing_check(w, f, omega)
+        assert result.residual <= KERNEL_RTOL * scale * kernel_norm(w, omega)
+        norm = inner_product(w, f, f)
+        assert abs(norm - f.norm_squared()) <= KERNEL_RTOL * scale ** 2
 
 
 class TestKernelCombination:
@@ -202,4 +286,35 @@ class TestSchemeConstruction:
         assert np.all(s.x_nodes > 0)
         assert np.all(s.x_weights > 0)
         assert np.all(s.y_weights > 0)
-        assert np.abs(s.y_nodes).max() <= s.y_max
+        assert np.array_equal(np.sort(s.y_nodes), -np.sort(s.y_nodes)[::-1])
+        # nothing is cut off: the tail panels reach far past y_max
+        assert np.abs(s.y_nodes).max() >= 100 * s.y_max
+        assert (s.n_x, s.n_y, s.y_max) == (DEFAULT_NX, DEFAULT_NY,
+                                           DEFAULT_YMAX)
+        assert s.x_nodes.size * s.y_nodes.size <= 10_000
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.5])
+    def test_factor_rules_against_closed_forms(self, alpha):
+        # int_0^inf x^alpha / (1 + x)^(3 + alpha) dx = B(1 + alpha, 2) for
+        # the x rule (an algebraic decay, as kernel integrands have), and
+        # int_R dy / (1 + y^2)^2 = pi / 2 for the y rule, tail included
+        s = default_scheme()
+        x_sum = s.x_weights @ (s.x_nodes ** alpha
+                               / (1.0 + s.x_nodes) ** (3.0 + alpha))
+        assert x_sum == pytest.approx(1.0 / ((1.0 + alpha) * (2.0 + alpha)),
+                                      rel=1e-9)
+        y_sum = s.y_weights @ (1.0 + s.y_nodes ** 2) ** -2.0
+        assert y_sum == pytest.approx(math.pi / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("y_max", [0.5, 10.0])
+    def test_y_rule_covers_the_line_for_any_y_max(self, y_max):
+        # with y_max < 1 the first panel ran from 1 down to y_max, with
+        # negative weights, and the cut-off dropped |y| > y_max
+        s = QuadratureScheme.build(9, 64, y_max)
+        assert np.all(s.y_weights > 0)
+        y_sum = s.y_weights @ (1.0 + s.y_nodes ** 2) ** -2.0
+        assert y_sum == pytest.approx(math.pi / 2, rel=1e-6)
+
+    def test_doubled_config_stays_within_its_old_node_count(self):
+        s = QuadratureScheme.build(320, 800, 400.0)
+        assert s.x_nodes.size * s.y_nodes.size <= 256_000
