@@ -26,10 +26,10 @@ from .kernels import (Weight, defect_kernel_matrix, gram_matrix,
                       nevanlinna_kernel, psd_check)
 from .laplace import _MODE, HalfLineFunction, isometry_check
 from .opnorm import boundedness_verdict, spectral_radius_estimate
-from .space import DEFAULT_NX, DEFAULT_NY, DEFAULT_YMAX, _cached_scheme
+from .space import QuadratureScheme
 from .symbols import (_DESCRIPTORS, _GRID, COMPLEX, DEFAULT_GRID, INTEGER,
                       REAL, STRING, Block, HalfPlaneError, SampleGrid, Symbol,
-                      _pair, angular_derivative_estimate, identity, read_json,
+                      angular_derivative_estimate, identity, read_json,
                       symbol_from_dict, validate_self_map)
 
 __all__ = ["main", "parse_symbol"]
@@ -64,7 +64,7 @@ def _token(token: str, kind):
         value = convert(token.replace(" ", "") if kind == COMPLEX else token)
     except ValueError:
         raise CliError(f"need {need}, not {token!r}") from None
-    return _pair(value) if kind == COMPLEX else value
+    return [value.real, value.imag] if kind == COMPLEX else value
 
 
 def _fields(block: str, tokens: list, keys: dict) -> dict:
@@ -192,15 +192,6 @@ def _flag(kind, translate=None):
     return read
 
 
-def _scheme(block):
-    """The run-config ``quadrature`` block as the cached scheme it names."""
-    quad = read_json(block, Block("quadrature", {
-        "n_x": INTEGER, "n_y": INTEGER, "y_max": REAL}))
-    return _cached_scheme(quad.get("n_x", DEFAULT_NX),
-                          quad.get("n_y", DEFAULT_NY),
-                          quad.get("y_max", DEFAULT_YMAX))
-
-
 # The inputs subcommands share, by run-config key, in the order they are
 # settled (the grid before the symbols checked on it): the flag, if any,
 # its argparse options (the type reads it by default as one value, or
@@ -217,7 +208,7 @@ _INPUTS = {
         action="append", metavar="SYMBOL",
         help="affine:a,b | moebius:a,b,c,d | power:p | cayley:a,b,c,d | "
              "compose:(s1;s2) | identity | json:<descriptor>"), [_symbol], []),
-    "quadrature": (None, {}, _scheme, None),
+    "quadrature": (None, {}, QuadratureScheme.from_dict, None),
     "format": ("--format", dict(help="json | csv"), FORMATS, "json"),
     "seed": ("--seed", {}, INTEGER, 0),
     "out": ("--out", dict(help="output path (default stdout)"), STRING, None),

@@ -32,7 +32,7 @@ from .kernels import Weight, _shifted_power
 from .space import (KernelCombination, QuadratureScheme, default_scheme,
                     nested_integrals)
 from .symbols import (COMPLEX, REAL, Block, _set_finite, read_json,
-                      require_half_plane)
+                      require_half_plane, write_json)
 
 __all__ = [
     "ExpMonomial",
@@ -63,8 +63,7 @@ class ExpMonomial:
             raise ValueError("decay rate must satisfy Re s > 0")
 
     def to_dict(self) -> dict:
-        return {"c": [self.c.real, self.c.imag], "beta": self.beta,
-                "s": [self.s.real, self.s.imag]}
+        return write_json(self, _MODE.keys)
 
 
 @dataclass(frozen=True)
@@ -304,11 +303,8 @@ class IsometryResult:
     quadrature_error_estimate: float
 
     def to_dict(self) -> dict:
-        return {"lhs_quadrature": self.lhs_quadrature,
-                "lhs_closed_form": self.lhs_closed_form,
-                "rhs": self.rhs, "gap": self.gap,
-                "quadrature_gap": self.quadrature_gap,
-                "quadrature_error_estimate": self.quadrature_error_estimate}
+        return {name: getattr(self, name)
+                for name in self.__dataclass_fields__}
 
 
 def isometry_check(weights: Sequence[Weight], f: HalfLineFunction,

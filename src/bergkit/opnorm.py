@@ -160,7 +160,6 @@ def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
             x = solve_lower_triangular(lower, hk)
             a = solve_lower_triangular(lower, x.conj().swapaxes(1, 2))
             a = a.conj().swapaxes(1, 2)
-            a = 0.5 * (a + a.conj().swapaxes(1, 2))
             eigenvalues, _ = jacobi_eigh(a, compute_vectors=False)
             mu[:, j, column] = eigenvalues[:, -1]
         kept_counts.append(len(kept))
@@ -305,9 +304,10 @@ class BoundednessReport:
 
 
 def default_gram_points(grid: SampleGrid) -> np.ndarray:
-    """Twelve geometric real-axis points for the finite-section bound;
-    capped at 1e4 to keep the Gram solve comfortably conditioned."""
-    hi = min(grid.r_max, 1e4)
+    """Twelve geometric real-axis points for the finite-section bound, from
+    r_min to r_max, capped at 1e4 (1e4 r_min from r_min = 1e4 on) to keep
+    the Gram solve comfortably conditioned."""
+    hi = min(grid.r_max, 1e4 if grid.r_min < 1e4 else 1e4 * grid.r_min)
     return np.geomspace(grid.r_min, hi, 12).astype(complex)
 
 

@@ -47,8 +47,8 @@ class CriterionResult:
     details: dict
 
     def to_dict(self) -> dict:
-        return {"number": self.number, "name": self.name,
-                "passed": self.passed, "details": self.details}
+        return {name: getattr(self, name)
+                for name in self.__dataclass_fields__}
 
 
 def _rng(seed: int, criterion: int) -> np.random.Generator:

@@ -46,7 +46,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import Weight, bergman_kernel, kernel_function
-from .symbols import require_half_plane
+from .symbols import (INTEGER, REAL, Block, read_json, require_half_plane,
+                      write_json)
 
 __all__ = [
     "QuadratureScheme",
@@ -61,6 +62,8 @@ __all__ = [
 DEFAULT_NX = 39
 DEFAULT_NY = 256
 DEFAULT_YMAX = 32.0
+_QUADRATURE = Block("quadrature", {"n_x": INTEGER, "n_y": INTEGER,
+                                  "y_max": REAL})
 
 # The x rule's nodes are t = -4, ..., 4 in x = exp(pi/2 sinh t).
 _DE_WINDOW = 4.0
@@ -115,6 +118,18 @@ class QuadratureScheme:
         wy = np.concatenate([weights for _, weights in panels
                              for _ in (1, 2)])
         return cls(x, wx, y, wy, n_x, n_y, y_max)
+
+    @classmethod
+    def from_dict(cls, data) -> "QuadratureScheme":
+        """The cached scheme a ``quadrature`` block names, read by read_json;
+        a missing key keeps its default.  The keys go in positionally, as
+        ``default_scheme()`` passes them, so both share one cache entry."""
+        given = {"n_x": DEFAULT_NX, "n_y": DEFAULT_NY, "y_max": DEFAULT_YMAX,
+                 **read_json(data, _QUADRATURE)}
+        return _cached_scheme(*given.values())
+
+    def to_dict(self) -> dict:
+        return write_json(self, _QUADRATURE.keys)
 
     @cached_property
     def x_weights_2h(self) -> np.ndarray:

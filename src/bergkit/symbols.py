@@ -50,6 +50,7 @@ __all__ = [
     "angular_trace",
     "symbol_from_dict",
     "read_json",
+    "write_json",
 ]
 
 _COEFF_LIMIT = 1e300
@@ -67,11 +68,6 @@ class HalfPlaneError(ValueError):
 
 class CoefficientOverflow(OverflowError):
     """Composed symbol coefficients exceeded the representable range."""
-
-
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +143,20 @@ def read_json(value, kind):
     raise ValueError(f"need {kind}, not {value!r}")
 
 
+def write_json(obj, keys: dict) -> dict:
+    """The attributes ``keys`` of ``obj`` as the JSON object that read_json
+    reads back: a COMPLEX one as [re, im], a Block one as its to_dict()."""
+    values = {}
+    for key, kind in keys.items():
+        value = getattr(obj, key)
+        if kind is COMPLEX:
+            value = [value.real, value.imag]
+        elif isinstance(kind, Block):
+            value = value.to_dict()
+        values[key] = value
+    return values
+
+
 def _read_at(where: str, value, kind):
     """read_json, with a refusal prefixed by ``where`` the value sits."""
     try:
@@ -180,7 +190,10 @@ class Symbol:
         return None
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """Its family's keys in ``_DESCRIPTORS``, and ``kind``."""
+        descriptor = write_json(self, _DESCRIPTORS[self.kind][1])
+        descriptor["kind"] = self.kind
+        return descriptor
 
 
 class _LinearFractional(Symbol):
@@ -227,9 +240,6 @@ class Affine(_LinearFractional):
     def matrix(self) -> tuple:
         return ((complex(self.a), self.b), (0j, 1 + 0j))
 
-    def to_dict(self) -> dict:
-        return {"kind": "affine", "a": self.a, "b": _pair(self.b)}
-
 
 @dataclass(frozen=True)
 class _Coefficients(_LinearFractional):
@@ -246,10 +256,6 @@ class _Coefficients(_LinearFractional):
         _set_finite(self, complex, "a", "b", "c", "d")
         if self.a * self.d - self.b * self.c == 0:
             raise ValueError(f"{self.kind} map is degenerate (ad - bc = 0)")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "a": _pair(self.a), "b": _pair(self.b),
-                "c": _pair(self.c), "d": _pair(self.d)}
 
 
 @dataclass(frozen=True)
@@ -307,9 +313,6 @@ class PowerMap(Symbol):
             return 1.0
         return None
 
-    def to_dict(self) -> dict:
-        return {"kind": "power", "p": self.p}
-
 
 @dataclass(frozen=True)
 class Compose(Symbol):
@@ -330,10 +333,6 @@ class Compose(Symbol):
         if lf is not None and lg is not None:
             return lf * lg
         return None
-
-    def to_dict(self) -> dict:
-        return {"kind": "compose", "left": self.left.to_dict(),
-                "right": self.right.to_dict()}
 
 
 def identity() -> Affine:
@@ -438,29 +437,25 @@ def cayley_conjugate(a, b, c, d) -> CayleyMap:
 class SampleGrid:
     """Non-tangential point configuration in H.
 
-    Points are r * exp(i*theta) for geometrically spaced radii in
-    [r_min, r_max] and equally spaced angles with |theta| <= aperture,
-    so |Im z| <= tan(aperture) * Re z throughout.
+    Points are r * exp(i*theta) on ``radial`` geometrically spaced radii
+    in [r_min, r_max] and ``angular`` equally spaced angles with
+    |theta| <= aperture, so |Im z| <= tan(aperture) * Re z throughout.
     """
 
     aperture: float = math.pi / 3
     r_min: float = 1.0
     r_max: float = 1e6
-    radial_count: int = 40
-    angular_count: int = 9
-
-    # to_dict key -> field
-    _KEYS = {"aperture": "aperture", "r_min": "r_min", "r_max": "r_max",
-             "radial": "radial_count", "angular": "angular_count"}
+    radial: int = 40
+    angular: int = 9
 
     def __post_init__(self):
         if not 0.0 < self.aperture < math.pi / 2:
             raise ValueError("aperture must lie in (0, pi/2)")
         if not 0.0 < self.r_min < self.r_max < math.inf:
             raise ValueError("need 0 < r_min < r_max < inf")
-        if self.radial_count < 2:
+        if self.radial < 2:
             raise ValueError("need at least two radial shells")
-        if self.angular_count < 1:
+        if self.angular < 1:
             raise ValueError("need at least one angle")
 
     def radii(self) -> np.ndarray:
@@ -468,19 +463,19 @@ class SampleGrid:
         return self._arrays[0]
 
     def angles(self) -> np.ndarray:
-        if self.angular_count == 1:
+        if self.angular == 1:
             return np.array([0.0])
-        return np.linspace(-self.aperture, self.aperture, self.angular_count)
+        return np.linspace(-self.aperture, self.aperture, self.angular)
 
     def points(self) -> np.ndarray:
-        """Grid points, shape (radial_count, angular_count); read-only."""
+        """Grid points, shape (radial, angular); read-only."""
         return self._arrays[1]
 
     @cached_property
     def _arrays(self) -> tuple:
         # Built once per grid and shared by every caller, hence read-only;
         # the cache is not a field, so ==, hash and to_dict ignore it.
-        radii = np.geomspace(self.r_min, self.r_max, self.radial_count)
+        radii = np.geomspace(self.r_min, self.r_max, self.radial)
         points = radii[:, None] * np.exp(1j * self.angles())[None, :]
         radii.flags.writeable = False
         points.flags.writeable = False
@@ -506,14 +501,13 @@ class SampleGrid:
         return pool[np.sort(idx)]
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, name) for key, name in self._KEYS.items()}
+        return write_json(self, _GRID.keys)
 
     @classmethod
     def from_dict(cls, data) -> "SampleGrid":
         """Inverse of ``to_dict``, through :func:`read_json`: a missing key
         keeps the field default."""
-        values = read_json(data, _GRID)
-        return cls(**{cls._KEYS[key]: value for key, value in values.items()})
+        return cls(**read_json(data, _GRID))
 
 
 # in the order of the fields of --grid

@@ -133,6 +133,20 @@ class TestNormCommand:
         assert row["verdict"] == "UNBOUNDED"
         assert row["theoretical"] is None
 
+    @pytest.mark.parametrize("grid", ["1e4,1e8,40,9,1.0",
+                                      "2e4,1e9,40,9,1.0"])
+    def test_grid_from_1e4_out(self, tmp_path, grid):
+        # the Gram points were capped at 1e4 on every grid: twelve equal
+        # points at r_min = 1e4 (exit 1, "points must be distinct"), and
+        # points below r_min past it
+        code, data = run_json(tmp_path, ["norm", "--symbol", "affine:2,1",
+                                         "--alpha", "1", "--grid", grid])
+        assert code == 0
+        row, = data["rows"]
+        assert row["verdict"] == "BOUNDED"
+        assert row["gram_eig"] <= row["theoretical"] * (1 + 1e-9)
+        assert row["gram_eig"] == pytest.approx(row["theoretical"], rel=1e-6)
+
     def test_require_bounded_exit_code(self, tmp_path):
         out = tmp_path / "o.json"
         code = main(["norm", "--symbol", "power:0.5", "--alpha", "0",
@@ -295,7 +309,7 @@ class TestNormCommand:
 
 # a grid and every symbol family of test_opnorm, short grids included
 _GRIDS = st.builds(lambda r_max, shells, angles: SampleGrid(
-                       r_max=r_max, radial_count=shells, angular_count=angles),
+                       r_max=r_max, radial=shells, angular=angles),
                    st.floats(1e3, 1e8), st.integers(2, 60), st.integers(1, 9))
 
 
@@ -309,7 +323,7 @@ class TestAngularTrace:
         # Shell i of the trace has radius radii()[i] of the payload's grid
         # and holds the maximum of Re z / Re phi(z) over that shell's points
         argv = [command, "--grid", ",".join(map(repr, (
-            grid.r_min, grid.r_max, grid.radial_count, grid.angular_count,
+            grid.r_min, grid.r_max, grid.radial, grid.angular,
             grid.aperture)))]
         for phi in phis:
             argv += ["--symbol", "json:" + json.dumps(phi.to_dict())]
@@ -973,8 +987,8 @@ class TestRunConfig:
         code, data = run_json(tmp_path, ["angular", "--symbol", "affine:2,1",
                                          "--config", config])
         assert code == 0
-        assert data["grid"] == SampleGrid(r_max=1e5, radial_count=30,
-                                          angular_count=7).to_dict()
+        assert data["grid"] == SampleGrid(r_max=1e5, radial=30,
+                                          angular=7).to_dict()
         assert data["grid"]["aperture"] == SampleGrid().aperture
 
     def test_non_numeric_grid_value_is_config_error(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Every JSON input goes through ``symbols.read_json``: symbol descriptors,
 the run-config and its ``grid`` and ``quadrature`` blocks, and
 ``--f json:`` lists.  What the program writes reads back to an equal
-object, and a value of the wrong kind is refused with an ``error:`` naming
-its block and key."""
+object, each shape is written from the key table that reads it, and a
+value of the wrong kind is refused with an ``error:`` naming its block
+and key."""
 
 import contextlib
 import io
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from bergkit.cli import main, parse_symbol
 from bergkit.laplace import HalfLineFunction
+from bergkit.space import QuadratureScheme, default_scheme
 from bergkit.symbols import (REAL, Affine, CayleyMap, Compose, Moebius,
                              PowerMap, SampleGrid, read_json,
                              symbol_from_dict)
@@ -118,6 +120,67 @@ def test_grid_round_trip(aperture, r_min, ratio, radial, angular):
     assert SampleGrid.from_dict(grid.to_dict()) == grid
     text = json.dumps(grid.to_dict())
     assert json.dumps(SampleGrid.from_dict(json.loads(text)).to_dict()) == text
+
+
+# JSON values as the writers write them: every key, reals as floats and
+# complex numbers as [re, im]
+_JSON_REALS = st.one_of(st.floats(-1e6, 1e6), st.just(-0.0))
+_JSON_PAIRS = st.tuples(_JSON_REALS, _JSON_REALS).map(list)
+_SMALL_PAIRS = st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)).map(list)
+_LEAF_DESCRIPTORS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("affine"), "a": _JSON_REALS,
+                           "b": _JSON_PAIRS}),
+    st.fixed_dictionaries({"kind": st.just("moebius"), **dict.fromkeys(
+        "abcd", _JSON_PAIRS)}).filter(lambda m: (
+            complex(*m["a"]) * complex(*m["d"])
+            - complex(*m["b"]) * complex(*m["c"]) != 0)),
+    # psi = r zeta + b with |r| + |b| < 1 is a disc self-map
+    st.builds(lambda r, b: {"kind": "cayley", "a": r, "b": b,
+                            "c": [0.0, 0.0], "d": [1.0, 0.0]},
+              _SMALL_PAIRS.filter(lambda r: complex(*r) != 0), _SMALL_PAIRS),
+    st.fixed_dictionaries({"kind": st.just("power"), "p": _JSON_REALS}))
+_GRID_VALUES = st.builds(
+    lambda aperture, r_min, ratio, radial, angular: {
+        "r_min": r_min, "r_max": r_min * ratio, "radial": radial,
+        "angular": angular, "aperture": aperture},
+    st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
+    st.floats(1e-6, 1e3), st.floats(1.001, 1e6), st.integers(2, 60),
+    st.integers(1, 9))
+_SHAPES = {  # shape -> (its JSON values, the reader of one)
+    "symbol": (st.recursive(_LEAF_DESCRIPTORS, lambda inner: (
+        st.fixed_dictionaries({"kind": st.just("compose"), "left": inner,
+                               "right": inner})), max_leaves=4),
+        symbol_from_dict),
+    "grid": (_GRID_VALUES, SampleGrid.from_dict),
+    "modes": (st.lists(st.fixed_dictionaries({
+        "c": _JSON_PAIRS, "beta": _JSON_REALS,
+        "s": st.tuples(st.floats(1e-3, 1e3), _JSON_REALS).map(list)}),
+        max_size=3), HalfLineFunction.from_dict),
+    "quadrature": (st.fixed_dictionaries({
+        "n_x": st.integers(2, 40), "n_y": st.integers(4, 64),
+        "y_max": st.floats(0.5, 64.0)}), QuadratureScheme.from_dict),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_each_json_shape_is_written_as_it_is_read(shape, data):
+    # one key table reads and writes each shape: the writer gives back the
+    # value read, and what it writes reads back to the same object
+    values, read = _SHAPES[shape]
+    value = data.draw(values, label=shape)
+    obj = read(value)
+    assert (json.dumps(obj.to_dict(), sort_keys=True)
+            == json.dumps(value, sort_keys=True))
+    if shape == "quadrature":
+        assert read(obj.to_dict()) is obj  # the cached scheme
+    else:
+        assert read(obj.to_dict()) == obj
+
+
+def test_empty_quadrature_block_is_the_default_scheme():
+    assert QuadratureScheme.from_dict({}) is default_scheme()
 
 
 # ---------------------------------------------------------------------------

@@ -470,7 +470,7 @@ class TestBoundednessVerdict:
                       st.floats(-2.0, 2.0), st.floats(0.25, 3.0))),
         st.floats(0.0, 6.0),
         st.builds(lambda r_max, shells, angles: SampleGrid(
-                      r_max=r_max, radial_count=shells, angular_count=angles),
+                      r_max=r_max, radial=shells, angular=angles),
                   st.floats(1e4, 1e8), st.integers(20, 60),
                   st.integers(1, 9)))
     def test_angular_estimate_reused(self, phi, alpha, grid):
@@ -499,6 +499,21 @@ class TestBoundednessVerdict:
         points = default_gram_points(DEFAULT_GRID)
         assert points.max().real <= 1e4
         assert len(points) == 12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-3.0, 8.0), st.floats(0.01, 10.0))
+    def test_default_gram_points_lie_on_the_grid(self, low, span):
+        grid = SampleGrid(r_min=10.0 ** low, r_max=10.0 ** (low + span))
+        points = default_gram_points(grid)
+        assert points.dtype == complex and np.all(points.imag == 0)
+        x = points.real
+        assert len(x) == 12 and x[0] == grid.r_min and x[-1] <= grid.r_max
+        assert np.all(np.diff(x) >= 0)
+        if grid.r_min < 1e4:  # as before, bit for bit
+            old = np.geomspace(grid.r_min, min(grid.r_max, 1e4), 12)
+            assert x.tobytes() == old.tobytes()
+        else:  # twelve increasing points over at most four decades
+            assert np.all(np.diff(x) > 0) and x[-1] <= 1e4 * grid.r_min
 
 
 # Symbols of every family `bergkit norm` is benchmarked on: bounded affine,
@@ -595,7 +610,7 @@ class TestBatchedVerdict:
         # On this grid the alpha = 0 Gram diagonal overflows at the first
         # point, while alpha = -0.5 stays finite: one refused cell makes
         # the whole call raise instead of returning a NaN row.
-        grid = SampleGrid(r_min=1e-160, radial_count=400, angular_count=3)
+        grid = SampleGrid(r_min=1e-160, radial=400, angular=3)
         good, bad = Weight(-0.5), Weight(0.0)
         report, = boundedness_verdict([good], [Affine(2, 1)], grid)
         assert report.verdict == "BOUNDED"
@@ -686,7 +701,7 @@ _ITERATED = st.one_of(
 _ITERATE_GRIDS = st.sampled_from([
     DEFAULT_GRID, SampleGrid(r_max=1e300),
     # fewer shells than the divergence window: the spread rule
-    SampleGrid(r_max=1e4, radial_count=5, angular_count=3)])
+    SampleGrid(r_max=1e4, radial=5, angular=3)])
 
 
 class TestSpectralIterates:

@@ -216,8 +216,8 @@ class TestSampleGrid:
         assert np.allclose(steps, steps[0])
 
     def test_arrays_cached_read_only_and_not_part_of_the_value(self):
-        grid = SampleGrid(r_max=1e7, radial_count=30, angular_count=5)
-        twin = SampleGrid(r_max=1e7, radial_count=30, angular_count=5)
+        grid = SampleGrid(r_max=1e7, radial=30, angular=5)
+        twin = SampleGrid(r_max=1e7, radial=30, angular=5)
         before = (hash(grid), grid.to_dict())
         assert grid.radii() is grid.radii()
         assert grid.points() is grid.points()
@@ -249,7 +249,7 @@ class TestSampleGrid:
 
     def test_round_trip(self):
         grid = SampleGrid(aperture=1.0, r_min=2.0, r_max=1e5,
-                          radial_count=17, angular_count=5)
+                          radial=17, angular=5)
         assert SampleGrid.from_dict(grid.to_dict()) == grid
 
 
@@ -313,8 +313,8 @@ class TestAngularDerivative:
             assert abs(est.lambda_hat - 1 / a) * a <= ORACLE_RTOL
 
     def test_monotone_refinement(self):
-        base = SampleGrid(radial_count=40, angular_count=9)
-        denser = SampleGrid(radial_count=79, angular_count=17)
+        base = SampleGrid(radial=40, angular=9)
+        denser = SampleGrid(radial=79, angular=17)
         wider = SampleGrid(r_max=1e8)
         for phi in (Affine(2, 1), Affine(1, 5), Moebius(2, 1, 0, 1)):
             sup = angular_derivative_estimate(phi, base).sup_ratio
