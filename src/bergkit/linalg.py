@@ -11,15 +11,16 @@ Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and runs them in the
 round-robin order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985):
 a sweep is n - 1 steps of n/2 disjoint (p, q) planes.  The sweeps run
 on a workspace, built for the matrices still active and again each time
-converged ones leave: two buffers for the stack (two more for the
-vectors), the views of each buffer that a step reads and writes, built
-once, and the step's temporaries.  One step gathers the stack from one
-buffer into the other in the step's layout, then rotates all of its
-planes in every matrix at once, every result written in place: the
-column update and the row update each make two products (by the cosines
-and by the sine pairs) and two sums.  Each matrix keeps its own skip
+converged ones leave: two buffers for the stack, with the eigenvectors
+as rows n..2n-1 of each matrix when they are computed, the views of each
+buffer that a step reads and writes, built once, and the step's
+temporaries.  One step gathers the stack from one buffer into the other
+in the step's layout, then rotates all of its planes in every matrix at
+once, every result written in place: the column update (of the vector
+rows too) and the row update each make two products (by the cosines and
+by the sine pairs) and two sums.  Each matrix keeps its own skip
 threshold and convergence test, so its eigenvalues are the same, bit for
-bit, whether it is solved in a stack of one or among others.
+bit, alone or among others, with its vectors or without.
 """
 
 from __future__ import annotations
@@ -59,15 +60,16 @@ def require_hermitian(matrix, message: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _schedule(n: int) -> tuple:
-    """Index arrays that carry a stack of order-n matrices through one
-    Brent-Luk sweep: identity -> L_0 -> ... -> L_last -> identity, each
-    move as (index permutation, its permutation of the n * n entries).
+def _schedule(n: int, rows: int) -> tuple:
+    """Index arrays that carry a stack of order-n matrices, each with
+    rows - n vector rows below it, through one Brent-Luk sweep: identity
+    -> L_0 -> ... -> L_last -> identity, each move as (index permutation,
+    its gather of the rows * n entries; vector rows move only columns).
 
     Layout L_s lists the planes (p, q), p < q, of round-robin step s at
     positions (2i, 2i + 1); the steps together name every plane once.
     Odd n is padded with a dummy index, and the index paired with it goes
-    last, outside every plane.  Built on first use for each n.
+    last, outside every plane.  Built on first use for each (n, rows).
     """
     m = n + n % 2
     players = list(range(m))
@@ -85,7 +87,8 @@ def _schedule(n: int) -> tuple:
         position = np.empty(n, dtype=np.intp)
         position[current] = np.arange(n)
         move = position[layout]
-        moves.append((move, (move[:, None] * n + move).ravel()))
+        sources = np.concatenate((move, np.arange(n, rows)))
+        moves.append((move, (sources[:, None] * n + move).ravel()))
         current = layout
     return tuple(moves)
 
@@ -118,40 +121,36 @@ def _update(pairs: tuple, cosines, sines, products: tuple) -> None:
 
 
 class _Workspace:
-    """The buffers of the Brent-Luk sweeps on k active order-n matrices.
+    """The buffers of the Brent-Luk sweeps on k active order-n matrices,
+    each with rows - n rows of vectors below it.
 
-    The stack moves between two C-contiguous (k, n, n) buffers, and so do
-    the vectors when they are computed: each move gathers the current
-    buffer into the other one.  The views a step reads and writes in
-    either buffer, and the temporaries it fills, are built here once, so a
-    step allocates nothing: every ufunc gets its output array as its third
-    argument.  ``stack`` and ``vectors``, C-contiguous arrays that the
-    workspace then owns, are its first buffers.
+    The stack moves between two C-contiguous (k, rows, n) buffers: each
+    move gathers the current buffer into the other one.  The views a step
+    reads and writes in either buffer, and the temporaries it fills, are
+    built here once, so a step allocates nothing: every ufunc gets its
+    output array as its third argument.  ``stack``, a C-contiguous array
+    that the workspace then owns, is its first buffer.
     """
 
-    def __init__(self, stack: np.ndarray, vectors, skip: np.ndarray):
-        k, n = stack.shape[:2]
+    def __init__(self, stack: np.ndarray, skip: np.ndarray):
+        k, rows, n = stack.shape
         planes = n // 2
         stride = 2 * n + 2
         end = planes * stride
         self.current = 0
         self.skip = skip
         self.stacks = (stack, np.empty_like(stack))
-        self.flats = tuple(m.reshape(k, n * n) for m in self.stacks)
+        self.flats = tuple(m.reshape(k, rows * n) for m in self.stacks)
         # Per buffer: the (p, q) and (q, p) entries of the planes, the real
         # parts of their (p, p) and (q, q) entries, the imaginary parts of
-        # the diagonal, and the column and the row pairs of the planes.
+        # the diagonal, the column pairs of the planes in all rows and their
+        # row pairs in the matrix rows.
         self.views = tuple(
             (f[:, 1:end:stride], f[:, n:n + end:stride],
              f[:, 0:end:stride].real, f[:, n + 1:n + 1 + end:stride].real,
-             f[:, ::n + 1].imag,
-             _columns(m, k, n, planes), _rows(m, k, n, planes))
+             f[:, :n * n:n + 1].imag,
+             _columns(m, k, rows, planes), _rows(m, k, n, planes))
             for m, f in zip(self.stacks, self.flats))
-        self.vectors = None
-        if vectors is not None:
-            self.vectors = (vectors, np.empty_like(vectors))
-            self.vector_columns = tuple(_columns(m, k, n, planes)
-                                        for m in self.vectors)
         self.r, self.tau, self.t, self.c = np.empty((4, k, planes))
         self.rotate, self.keep = np.empty((2, k, planes), dtype=bool)
         self.ratio = np.empty((k, planes), dtype=complex)
@@ -161,39 +160,36 @@ class _Workspace:
         # the rows, the row update over the columns, with the pairs swapped.
         self.column_factors = (self.c[:, None, :, None], sines[:, None])
         self.row_factors = (self.c[:, :, None, None], sines[:, :, ::-1, None])
-        products = np.empty((2, k, n * 2 * planes), dtype=complex)
+        products = np.empty((2, k * rows * 2 * planes), dtype=complex)
         self.column_products = tuple(
-            _columns(x.reshape(k, n, 2 * planes), k, n, planes)
+            _columns(x.reshape(k, rows, 2 * planes), k, rows, planes)
             for x in products)
         self.row_products = tuple(
-            _rows(x.reshape(k, 2 * planes, n), k, n, planes)
+            _rows(x[:k * 2 * planes * n].reshape(k, 2 * planes, n), k, n,
+                  planes)
             for x in products)
 
-    def sweep(self, moves: tuple) -> tuple:
+    def sweep(self, moves: tuple) -> np.ndarray:
         """One sweep: every move of ``moves`` but the last is followed by a
-        step.  Returns the stack and the vectors (``None`` without), in the
-        buffers the next sweep overwrites."""
-        for move, flat in moves[:-1]:
-            self._move(move, flat)
+        step.  Returns the stack, in the buffer the next sweep
+        overwrites."""
+        for _, flat in moves[:-1]:
+            self._move(flat)
             self._rotate()
-        self._move(*moves[-1])
-        return (self.stacks[self.current],
-                None if self.vectors is None else self.vectors[self.current])
+        self._move(moves[-1][1])
+        return self.stacks[self.current]
 
-    def _move(self, move: np.ndarray, flat: np.ndarray) -> None:
+    def _move(self, flat: np.ndarray) -> None:
         # "clip" because the default "raise" gathers into a temporary
         # first; the schedule's indices are all in range.
         source, self.current = self.current, 1 - self.current
         self.flats[source].take(flat, 1, self.flats[self.current], "clip")
-        if self.vectors is not None:
-            self.vectors[source].take(move, 2, self.vectors[self.current],
-                                      "clip")
 
     def _rotate(self) -> None:
-        """One Brent-Luk step on the current buffers: annihilate entry
+        """One Brent-Luk step on the current buffer: annihilate entry
         (2i, 2i+1) of every matrix k for every plane i, one 2x2 unitary per
         plane.  Planes whose entry is at most ``skip[k, 0]`` get the
-        identity.  The vectors accumulate the columns."""
+        identity.  The vector rows accumulate the columns."""
         apq, aqp, app, aqq, diagonal_imag, columns, rows = (
             self.views[self.current])
         r, tau, t, c, rotate, keep = (self.r, self.tau, self.t, self.c,
@@ -224,9 +220,6 @@ class _Workspace:
         np.multiply(tau, self.ratio, self.sine)
         np.conjugate(self.sine, self.sine_conj)
         _update(columns, *self.column_factors, self.column_products)
-        if self.vectors is not None:
-            _update(self.vector_columns[self.current], *self.column_factors,
-                    self.column_products)
         _update(rows, *self.row_factors, self.row_products)
         np.multiply(apq, keep, apq)
         np.multiply(aqp, keep, aqp)
@@ -254,7 +247,7 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     """
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be at least 0, not {max_sweeps}")
-    a = np.array(matrix, dtype=complex)
+    a = np.array(matrix, dtype=complex, order="C")
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"need a (B, n, n) stack of square matrices, "
                          f"not shape {a.shape}")
@@ -269,43 +262,39 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     scale = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))[1]
     a = np.ldexp(a.view(float), -scale[:, None, None]).view(complex)
     a = 0.5 * (a + a.conj().swapaxes(1, 2))
-    v = (np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
-         if compute_vectors else None)
-
     target = JACOBI_TOL * np.linalg.norm(a, axis=(1, 2))
     # Rotations on entries this small cannot move the off-diagonal mass
     # above the convergence target, so they are skipped.
     skip = target / (2.0 * max(n, 1))
-    active = np.flatnonzero(target > 0.0) if n > 1 else np.empty(0, np.intp)
+    if compute_vectors:  # rows n..2n-1 of each matrix, rotated as V U
+        a = np.concatenate((a, np.broadcast_to(np.eye(n), a.shape)), axis=1)
+
+    active = np.flatnonzero(target > 0.0)
     work = a[active]
-    vectors = v[active] if v is not None else None
     space = None
     diag = np.arange(n)
-    moves = _schedule(n) if n > 1 else ()
+    moves = _schedule(n, a.shape[1])
     for sweep in range(max_sweeps + 1):
-        off = work.copy()
+        off = work[:, :n].copy()
         off[:, diag, diag] = 0.0
         done = np.linalg.norm(off, axis=(1, 2)) <= target[active]
         if done.any():
             a[active[done]] = work[done]
-            if v is not None:
-                v[active[done]] = vectors[done]
-                vectors = vectors[~done]
             active, work, space = active[~done], work[~done], None
         if not active.size or sweep == max_sweeps:
             break
         if space is None:
-            space = _Workspace(work, vectors, skip[active][:, None])
-        work, vectors = space.sweep(moves)
+            space = _Workspace(work, skip[active][:, None])
+        work = space.sweep(moves)
     if active.size:
         raise ConvergenceError(f"{active.size} of {batch} matrices did not "
                                f"converge in {max_sweeps} Jacobi sweeps")
 
-    w = a.diagonal(axis1=1, axis2=2).real
+    w = a[:, :n].diagonal(axis1=1, axis2=2).real
     order = np.argsort(w, axis=1, kind="stable")
     w = np.ldexp(np.take_along_axis(w, order, axis=1), scale[:, None])
-    if v is not None:
-        v = np.take_along_axis(v, order[:, None, :], axis=2)
+    v = (np.take_along_axis(a[:, n:], order[:, None, :], axis=2)
+         if compute_vectors else None)
     return w, v
 
 

@@ -158,8 +158,8 @@ def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
             kept, lower, _ = pivoted_cholesky(gn[:size, :size])
             hk = hn[np.ix_(symbols, kept, kept)]
             x = solve_lower_triangular(lower, hk)
+            # the pencil's conjugate transpose: the same Hermitian part
             a = solve_lower_triangular(lower, x.conj().swapaxes(1, 2))
-            a = a.conj().swapaxes(1, 2)
             eigenvalues, _ = jacobi_eigh(a, compute_vectors=False)
             mu[:, j, column] = eigenvalues[:, -1]
         kept_counts.append(len(kept))
@@ -305,10 +305,14 @@ class BoundednessReport:
 
 def default_gram_points(grid: SampleGrid) -> np.ndarray:
     """Twelve geometric real-axis points for the finite-section bound, from
-    r_min to r_max, capped at 1e4 (1e4 r_min from r_min = 1e4 on) to keep
-    the Gram solve comfortably conditioned."""
-    hi = min(grid.r_max, 1e4 if grid.r_min < 1e4 else 1e4 * grid.r_min)
-    return np.geomspace(grid.r_min, hi, 12).astype(complex)
+    r_min to r_max, capped at 1e4 to keep the Gram solve comfortably
+    conditioned; at 1e4 r_min from r_min = 1e4 on, or where the cap at 1e4
+    leaves fewer than twelve distinct points (r_min just below 1e4)."""
+    points = np.geomspace(grid.r_min, min(grid.r_max, 1e4), 12)
+    if grid.r_min >= 1e4 or len(set(points.tolist())) < 12:
+        points = np.geomspace(grid.r_min, min(grid.r_max, 1e4 * grid.r_min),
+                              12)
+    return points.astype(complex)
 
 
 def boundedness_verdict(weights: Sequence[Weight], phis: Sequence[Symbol],

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -86,12 +86,13 @@ def _panel_bounds(y_max: float) -> list[float]:
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Fixed tensor quadrature rule for the half-plane integral."""
+    """Fixed tensor quadrature rule for the half-plane integral.  Equality
+    and hashing follow ``(n_x, n_y, y_max)``, which build the nodes."""
 
-    x_nodes: np.ndarray
-    x_weights: np.ndarray
-    y_nodes: np.ndarray
-    y_weights: np.ndarray
+    x_nodes: np.ndarray = field(compare=False)
+    x_weights: np.ndarray = field(compare=False)
+    y_nodes: np.ndarray = field(compare=False)
+    y_weights: np.ndarray = field(compare=False)
     n_x: int
     n_y: int
     y_max: float

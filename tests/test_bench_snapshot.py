@@ -179,6 +179,15 @@ def test_layer_code_times_six_spectral_iterates(monkeypatch):
         assert 0 < rho.value < float("inf")
 
 
+def test_layer_code_times_jacobi_with_and_without_vectors(monkeypatch):
+    # the vectors case solves the 12x8x8 stack of the eigenvalues case
+    cases = layer_cases(monkeypatch)
+    w, v = cases["linalg.jacobi_eigh.12x8x8.vectors"]()
+    w_only, none = cases["linalg.jacobi_eigh.12x8x8"]()
+    assert none is None and v.shape == (12, 8, 8)
+    assert w.tobytes() == w_only.tobytes()
+
+
 def test_layer_code_compiles():
     # the child code itself needs numpy and runs only when measuring
     compile(bench_snapshot.LAYER_CODE, "<layer code>", "exec")

@@ -133,12 +133,16 @@ class TestNormCommand:
         assert row["verdict"] == "UNBOUNDED"
         assert row["theoretical"] is None
 
-    @pytest.mark.parametrize("grid", ["1e4,1e8,40,9,1.0",
-                                      "2e4,1e9,40,9,1.0"])
+    @pytest.mark.parametrize("grid", [
+        "1e4,1e8,40,9,1.0", "2e4,1e9,40,9,1.0",
+        # 1, 3 and 15 ulps below 1e4: the first is math.nextafter(1e4, 0)
+        "9999.999999999998,1e8,40,9,1.0", "9999.999999999995,1e8,40,9,1.0",
+        "9999.999999999973,1e8,40,9,1.0"])
     def test_grid_from_1e4_out(self, tmp_path, grid):
         # the Gram points were capped at 1e4 on every grid: twelve equal
         # points at r_min = 1e4 (exit 1, "points must be distinct"), and
-        # points below r_min past it
+        # points below r_min past it; a few ulps below 1e4 the cap left
+        # two to five distinct points (exit 1 too)
         code, data = run_json(tmp_path, ["norm", "--symbol", "affine:2,1",
                                          "--alpha", "1", "--grid", grid])
         assert code == 0

@@ -426,6 +426,18 @@ class TestPsdCheck:
         assert repr(psd_check(stack)) == expected
         assert repr(psd_check(a[:1])) == repr(psd_check(hermitian_part[:1]))
 
+    def test_transposed_stack_gives_the_verdicts_of_its_copy(self):
+        # a stack whose last axis is not contiguous used to be refused by
+        # numpy ("the last axis must be contiguous"), witnesses included
+        rng = np.random.default_rng(11)
+        b = rng.normal(size=(4, 5, 5)) + 1j * rng.normal(size=(4, 5, 5))
+        shift = np.array([0.0, 3.0, 0.0, 8.0])[:, None, None]
+        a = b @ b.conj().swapaxes(1, 2) - shift * np.eye(5)
+        t = a.transpose(0, 2, 1)
+        verdicts = psd_check(t)
+        assert [v.is_psd for v in verdicts] == [True, False, True, False]
+        assert repr(verdicts) == repr(psd_check(t.copy()))
+
     def test_verdict_round_trips_to_json(self):
         verdict, = psd_check([np.array([[1.0, 2.0], [2.0, 1.0]])])
         data = verdict.to_dict()

@@ -120,7 +120,7 @@ def reference_eigh(stack, compute_vectors):
     work = a[active]
     vectors = v[active] if v is not None else None
     diag = np.arange(n)
-    moves = [move for move, _ in _schedule(n)] if n > 1 else []
+    moves = [move for move, _ in _schedule(n, n)] if n > 1 else []
     for sweep in range(61):
         off = work.copy()
         off[:, diag, diag] = 0.0
@@ -155,15 +155,19 @@ def reference_eigh(stack, compute_vectors):
        st.integers(min_value=0, max_value=10_000),
        st.sampled_from(["complex", "real", "sparse", "diagonal", "zero",
                         "mixed"]),
-       st.sampled_from([1.0, 1e-200, 1e200]), st.booleans())
+       st.sampled_from([1.0, 1e-200, 1e200]), st.booleans(),
+       st.sampled_from(["C", "transposed", "fortran"]))
 def test_jacobi_matches_reference_bitwise(batch, n, seed, kind, scale,
-                                          vectors):
+                                          vectors, layout):
     # The step takes fewer array calls than the reference but puts every
     # entry through the same products and sums in the same order, so the
     # bits agree, signed zeros of skipped planes and real inputs included.
     # Zero and diagonal stacks converge before any step; in a mixed stack
     # the matrices leave at different sweeps, and the step's workspace is
-    # built again for the ones left.
+    # built again for the ones left.  The vectors ride in the stack as
+    # extra rows that only the column update touches, so the eigenvalues
+    # are the same bits with them and without; and a stack whose last
+    # axis is not contiguous is solved as its C-ordered copy.
     rng = np.random.default_rng(seed)
     stack = np.array([random_hermitian(rng, n) for _ in range(batch)])
     if kind == "real":
@@ -182,7 +186,14 @@ def test_jacobi_matches_reference_bitwise(batch, n, seed, kind, scale,
         stack[pick == 0] *= np.eye(n)
         stack[pick == 1] *= ~(pairs | pairs.swapaxes(1, 2))[pick == 1]
     stack *= scale
-    w, v = jacobi_eigh(stack, compute_vectors=vectors)
+    given = {"C": stack,
+             "transposed": np.ascontiguousarray(stack.swapaxes(1, 2)
+                                                ).swapaxes(1, 2),
+             "fortran": np.asfortranarray(stack)}[layout]
+    assert np.array_equal(given, stack)
+    w, v = jacobi_eigh(given, compute_vectors=vectors)
+    w_other, _ = jacobi_eigh(given, compute_vectors=not vectors)
+    assert np.array_equal(w.view(np.uint64), w_other.view(np.uint64))
     if scale == 1.0:
         w_ref, v_ref = reference_eigh(stack, vectors)
     else:

@@ -509,8 +509,8 @@ class TestBoundednessVerdict:
         x = points.real
         assert len(x) == 12 and x[0] == grid.r_min and x[-1] <= grid.r_max
         assert np.all(np.diff(x) >= 0)
-        if grid.r_min < 1e4:  # as before, bit for bit
-            old = np.geomspace(grid.r_min, min(grid.r_max, 1e4), 12)
+        old = np.geomspace(grid.r_min, min(grid.r_max, 1e4), 12)
+        if grid.r_min < 1e4 and len(set(old.tolist())) == 12:  # as before
             assert x.tobytes() == old.tobytes()
         else:  # twelve increasing points over at most four decades
             assert np.all(np.diff(x) > 0) and x[-1] <= 1e4 * grid.r_min

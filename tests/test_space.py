@@ -275,6 +275,14 @@ class TestReproducing:
 
 
 class TestSchemeConstruction:
+    def test_equality_and_hash_follow_the_parameters(self):
+        # the node and weight arrays used to take part: == raised
+        # ValueError on two built schemes, and hash raised TypeError
+        a, b = QuadratureScheme.build(), QuadratureScheme.build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert QuadratureScheme.build(40) != a
+        assert QuadratureScheme.from_dict({}) == default_scheme()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             QuadratureScheme.build(1, 400)

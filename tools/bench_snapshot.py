@@ -25,9 +25,11 @@ this file) and records:
 - per-layer timings in one child process, each under its layer's full
   name: ``jacobi_eigh`` (eigenvalues only) on a stack of one matrix of
   order 8, 32 and 64 and on the stacks 12x8x8, 4x16x16 and 5x12x12 that
-  the workloads solve, ``pivoted_cholesky`` at order 8, 32 and 64, one
-  ``angular_derivative_estimate`` on the default grid for an affine map
-  and for a composition of two Moebius maps, one six-iterate
+  the workloads solve, and with its eigenvectors on that 12x8x8 stack
+  (``linalg.jacobi_eigh.12x8x8.vectors``), ``pivoted_cholesky`` at order
+  8, 32 and 64, one ``angular_derivative_estimate`` on the default grid
+  for an affine map and for a composition of two Moebius maps, one
+  six-iterate
   ``spectral_radius_estimate`` at alpha 1 from each of those two
   estimates, one ``boundedness_verdict``
   over the seven ``norm_sweep`` families at one alpha, one
@@ -119,8 +121,11 @@ def spectral(phi):
 cases = {}
 for n in (8, 32, 64):
     cases[f"linalg.jacobi_eigh.n{n}"] = eigenvalues(hermitian(n, n)[None])
-for b, n in ((12, 8), (4, 16), (5, 12)):
-    cases[f"linalg.jacobi_eigh.{b}x{n}x{n}"] = eigenvalues(hermitian(b, n, n))
+stacks = [hermitian(b, n, n) for b, n in ((12, 8), (4, 16), (5, 12))]
+for a in stacks:
+    cases["linalg.jacobi_eigh.{}x{}x{}".format(*a.shape)] = eigenvalues(a)
+# the 12x8x8 stack again, with its eigenvectors
+cases["linalg.jacobi_eigh.12x8x8.vectors"] = lambda a=stacks[0]: jacobi_eigh(a)
 for n in (8, 32, 64):
     h = hermitian(n, n)
     cases[f"linalg.pivoted_cholesky.n{n}"] = lambda g=h @ h: pivoted_cholesky(g)
