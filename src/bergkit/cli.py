@@ -335,10 +335,10 @@ def _rel_gap(bound, exact):
 
 
 def _kernel_builder(args):
-    """``(alpha, points) -> matrix`` for ``--kernel``, settled once per op:
-    its symbols (none for gram, one for the others) and, for K:<n>, the
-    angular derivative lam (estimated when the symbol has no closed
-    form)."""
+    """``(alpha, point sets) -> matrices`` for ``--kernel``, settled once
+    per op: its symbols (none for gram, one for the others) and, for
+    K:<n>, the angular derivative lam (estimated when the symbol has no
+    closed form, and refused unless that estimate reads finite)."""
     text, n = args.kernel
     need = 0 if text == "gram" else 1
     if len(args.symbols) != need:
@@ -351,7 +351,8 @@ def _kernel_builder(args):
         return lambda alpha, pts: nevanlinna_kernel(sym, pts)
     lam = sym.known_lambda
     if lam is None:
-        lam = angular_derivative_estimate(sym, args.grid).lambda_hat
+        est = angular_derivative_estimate(sym, args.grid)
+        lam = est.lambda_hat if est.verdict == "finite" else math.inf
     if not math.isfinite(lam):
         raise CliError("symbol has no finite angular derivative")
     return lambda alpha, pts: defect_kernel_matrix(sym, lam, n, pts)
@@ -364,19 +365,18 @@ def _cmd_psd(args) -> int:
             raise CliError(f"--{flag} must be at least 1, not {count}")
     grid = args.grid
     rng = np.random.default_rng(args.seed)
-    cells = []
-    for alpha in args.alphas:
-        for trial in range(args.trials):
-            pts = grid.sample_points(args.points, rng)
-            cells.append((alpha, trial, pts, build(alpha, pts)))
-    checked = psd_check([matrix for *_, matrix in cells])
+    sets = np.array([[grid.sample_points(args.points, rng)
+                      for _ in range(args.trials)] for _ in args.alphas])
+    checked = iter(psd_check(np.concatenate([
+        build(alpha, pts) for alpha, pts in zip(args.alphas, sets)])))
     verdicts = [{"alpha": alpha, "trial": trial,
                  "points": [[p.real, p.imag] for p in pts],
-                 **verdict.to_dict()}
-                for (alpha, trial, pts, _), verdict in zip(cells, checked)]
+                 **next(checked).to_dict()}
+                for alpha, per_alpha in zip(args.alphas, sets)
+                for trial, pts in enumerate(per_alpha)]
     _emit({"kernel": args.kernel[0], "grid": grid.to_dict(),
            "trials": args.trials,
-           "failures": sum(not verdict.is_psd for verdict in checked),
+           "failures": sum(not row["is_psd"] for row in verdicts),
            "verdicts": verdicts}, args)
     return EXIT_OK
 

@@ -6,8 +6,9 @@ kernels
     k_w(z) = 2^alpha (1 + alpha) / (conj(w) + z)^(2 + alpha),
 
 evaluated with the principal power (the base always has positive real
-part).  This module builds kernel matrices, as plain complex arrays, at
-point configurations: Gram matrices, the Nevanlinna kernel
+part).  This module builds kernel matrices, as complex arrays of shape
+(..., n, n) at points of shape (..., n), one set or a stack of sets:
+Gram matrices, the Nevanlinna kernel
 (psi(z) + conj psi(w))/(z + conj w), and the composition-defect kernels
 
     K^n(w, z) = [ (phi(z) + conj phi(w))^n - lam^{-n} (z + conj w)^n ]
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -127,17 +128,17 @@ def kernel_function(weight: Weight, omega):
     return partial(bergman_kernel, weight, complex(require_half_plane(omega)))
 
 
-def gram_matrix(weight: Weight, points: Sequence[complex]) -> np.ndarray:
-    """Gram matrix <k_{z_j}, k_{z_i}> of Bergman kernels at distinct
-    points: entry (i, j) is ``bergman_kernel(weight, z_j, z_i)``."""
+def gram_matrix(weight: Weight, points) -> np.ndarray:
+    """Gram matrices <k_{z_j}, k_{z_i}> of Bergman kernels, each at a set of
+    distinct points: entry (i, j) is ``bergman_kernel(weight, z_j, z_i)``."""
     pts = require_half_plane(points)
-    if len(set(pts.tolist())) != pts.size:
+    if np.count_nonzero(pts[..., :, None] == pts[..., None, :]) != pts.size:
         raise ValueError("points must be distinct")
-    return bergman_kernel(weight, pts[None, :], pts[:, None])
+    return bergman_kernel(weight, pts[..., None, :], pts[..., :, None])
 
 
-def nevanlinna_kernel(psi, points: Sequence[complex]) -> np.ndarray:
-    """Matrix of (psi(z_i) + conj psi(z_j)) / (z_i + conj z_j).
+def nevanlinna_kernel(psi, points) -> np.ndarray:
+    """Matrices of (psi(z_i) + conj psi(z_j)) / (z_i + conj z_j).
 
     The kernel is positive exactly when Re psi >= 0 on the half-plane, so
     its sampled matrices certify (or refute) positive real part.  ``psi``
@@ -146,8 +147,8 @@ def nevanlinna_kernel(psi, points: Sequence[complex]) -> np.ndarray:
     """
     pts = require_half_plane(points)
     values = np.broadcast_to(np.asarray(psi(pts), dtype=complex), pts.shape)
-    return (values[:, None] + np.conj(values)[None, :]) / (
-        pts[:, None] + np.conj(pts)[None, :])
+    return (values[..., :, None] + np.conj(values)[..., None, :]) / (
+        pts[..., :, None] + np.conj(pts)[..., None, :])
 
 
 def _defect_sums(phi, omega, z):
@@ -177,12 +178,11 @@ def defect_kernel(phi, lam: float, n: int, omega, z):
     return value
 
 
-def defect_kernel_matrix(phi, lam: float, n: int,
-                         points: Sequence[complex]) -> np.ndarray:
-    """Sampled matrix of K^n at a point configuration: entry (i, j) is
+def defect_kernel_matrix(phi, lam: float, n: int, points) -> np.ndarray:
+    """Sampled matrices of K^n at point configurations: entry (i, j) is
     ``K^n(z_j, z_i)``."""
     pts = require_half_plane(points)
-    return defect_kernel(phi, lam, n, pts[None, :], pts[:, None])
+    return defect_kernel(phi, lam, n, pts[..., None, :], pts[..., :, None])
 
 
 def factorization_residual(phi, lam: float, level: int, pairs) -> float:
@@ -243,7 +243,8 @@ class PsdVerdict:
 
 def psd_check(matrices) -> list:
     """One positivity verdict per Hermitian matrix of a stack: a list of
-    same-size matrices or a (B, n, n) array.
+    same-size matrices or a (B, n, n) array, such as a kernel builder gives
+    for a (B, n) stack of point sets.
 
     The smallest eigenvalues come from one batched call of the
     rotation-based solver in ``linalg``, which also checks the stack's

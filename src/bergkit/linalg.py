@@ -45,6 +45,7 @@ class ConvergenceError(ValueError):
 
 HERMITIAN_RTOL = 1e-10
 JACOBI_TOL = 1e-14
+MAX_SWEEPS = 60
 CHOLESKY_DROP_TOL = 1e-12
 
 
@@ -226,7 +227,7 @@ class _Workspace:
         diagonal_imag[...] = 0.0
 
 
-def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
+def jacobi_eigh(matrix, compute_vectors: bool = True):
     """Eigendecomposition of complex Hermitian matrices by cyclic Jacobi
     rotations in Brent-Luk order.
 
@@ -234,10 +235,10 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     is a 2x2 unitary that annihilates one off-diagonal pair; a matrix
     leaves the sweeps once its off-diagonal Frobenius mass is at most
     ``JACOBI_TOL * ||M||_F``, and ``ConvergenceError`` (a ``ValueError``)
-    is raised when ``max_sweeps`` sweeps leave any matrix above that.
-    A negative ``max_sweeps``, and a matrix with an inf or NaN entry, are
-    refused with ``ValueError``; a matrix whose ``||M||_F`` leaves the
-    float range is solved all the same.
+    is raised when ``MAX_SWEEPS`` sweeps leave any matrix above that.
+    A matrix with an inf or NaN entry is refused with ``ValueError``; a
+    matrix whose ``||M||_F`` leaves the float range is solved all the
+    same.
     Eigenvalues are returned in ascending order, shape (B, n);
     the matching unitary eigenvector matrices (columns) are returned when
     ``compute_vectors`` is set, otherwise ``None``.
@@ -245,8 +246,6 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     Residuals satisfy ``||M v - w v|| <= ~1e-13 ||M||`` for every pair,
     far inside the 1e-10 budget the positivity checks rely on.
     """
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be at least 0, not {max_sweeps}")
     a = np.array(matrix, dtype=complex, order="C")
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"need a (B, n, n) stack of square matrices, "
@@ -274,21 +273,21 @@ def jacobi_eigh(matrix, compute_vectors: bool = True, max_sweeps: int = 60):
     space = None
     diag = np.arange(n)
     moves = _schedule(n, a.shape[1])
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(MAX_SWEEPS + 1):
         off = work[:, :n].copy()
         off[:, diag, diag] = 0.0
         done = np.linalg.norm(off, axis=(1, 2)) <= target[active]
         if done.any():
             a[active[done]] = work[done]
             active, work, space = active[~done], work[~done], None
-        if not active.size or sweep == max_sweeps:
+        if not active.size or sweep == MAX_SWEEPS:
             break
         if space is None:
             space = _Workspace(work, skip[active][:, None])
         work = space.sweep(moves)
     if active.size:
         raise ConvergenceError(f"{active.size} of {batch} matrices did not "
-                               f"converge in {max_sweeps} Jacobi sweeps")
+                               f"converge in {MAX_SWEEPS} Jacobi sweeps")
 
     w = a[:, :n].diagonal(axis1=1, axis2=2).real
     order = np.argsort(w, axis=1, kind="stable")

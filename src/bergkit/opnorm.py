@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import Weight, bergman_kernel, psd_check
+from .kernels import Weight, bergman_kernel, gram_matrix, psd_check
 from .linalg import jacobi_eigh, pivoted_cholesky, solve_lower_triangular
 from .symbols import (DEFAULT_GRID, AngularDerivativeEstimate, SampleGrid,
                       Symbol, angular_derivative_estimate, angular_trace,
@@ -140,16 +140,14 @@ def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
     pts = require_half_plane(points)
     if pts.size == 0:
         raise ValueError("need at least one point")
-    if len(set(pts.tolist())) != pts.size:
-        raise ValueError("points must be distinct")
+    grams = [gram_matrix(weight, pts) for weight in weights]
     images = np.array([require_image(phi, pts)
                        for phi in phis]).reshape(-1, pts.size)
     symbols = np.arange(len(images))
     sizes = _prefix_sizes(pts.size)
     mu = np.empty((len(images), len(weights), len(sizes)))
     kept_counts = []  # pivots kept on the full point set, per weight
-    for j, weight in enumerate(weights):
-        gram = bergman_kernel(weight, pts[None, :], pts[:, None])
+    for j, (weight, gram) in enumerate(zip(weights, grams)):
         scale = 1.0 / np.sqrt(_gram_diagonal(weight, gram, pts))
         gn = gram * np.outer(scale, scale)
         hn = (bergman_kernel(weight, images[:, None, :], images[:, :, None])

@@ -135,9 +135,9 @@ def _criterion_4(seed: int) -> CriterionResult:
     builders += [partial(defect_kernel_matrix, phi, lam, n)
                  for phi, lam in AFFINE_CASES for n in (1, 2, 4, 8)]
     for build in builders:
-        matrices = [build(DEFAULT_GRID.sample_points(8, rng))
-                    for _ in range(trials)]
-        for verdict in psd_check(matrices):
+        sets = np.array([DEFAULT_GRID.sample_points(8, rng)
+                         for _ in range(trials)])
+        for verdict in psd_check(build(sets)):
             checks += 1
             if not verdict.is_psd:
                 failures += 1

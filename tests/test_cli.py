@@ -618,6 +618,9 @@ class TestOtherCommands:
          "--kernel gram takes no symbol, not 1"),
         (["--kernel", "K:2", "--symbol", "power:0.5"],
          "symbol has no finite angular derivative"),
+        # ran with the inconclusive estimate lambda_hat = 3.98 as lam
+        (["--kernel", "K:2", "--symbol", "power:0.9"],
+         "symbol has no finite angular derivative"),
         # K:3_0 ran as K:30; n is a count, as --seed is
         (["--kernel", "K:3_0", "--symbol", "affine:2,1", "--trials", "1"],
          "argument --kernel: unknown kernel 'K:3_0'"),
@@ -632,8 +635,8 @@ class TestOtherCommands:
     ], ids=["negative-trials", "zero-trials", "zero-points", "points-1_0",
             "trials-2.0", "bogus-kernel", "K0", "K2-without-symbol",
             "nevanlinna-without-symbol", "K2-two-symbols", "gram-with-symbol",
-            "K2-unbounded-symbol", "K3_0", "K1e1", "K2000-lam-half",
-            "K2000-lam-2"])
+            "K2-unbounded-symbol", "K2-inconclusive-symbol", "K3_0", "K1e1",
+            "K2000-lam-half", "K2000-lam-2"])
     def test_psd_input_checks(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.json"
         assert main(["psd", *argv, "--out", str(out)]) == 1

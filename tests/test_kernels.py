@@ -14,7 +14,8 @@ from bergkit.kernels import (Weight, _shifted_power, bergman_kernel,
 from bergkit.laplace import HalfLineFunction, laplace_eval
 from bergkit.linalg import HERMITIAN_RTOL
 from bergkit.space import default_scheme
-from bergkit.symbols import (DEFAULT_GRID, Affine, Compose, SampleGrid,
+from bergkit.symbols import (DEFAULT_GRID, Affine, CayleyMap, Compose,
+                             HalfPlaneError, Moebius, PowerMap, SampleGrid,
                              identity)
 
 SYMMETRY_RTOL = 1e-12
@@ -336,6 +337,64 @@ class TestFactorization:
             for phi in (Affine(2, 1), Affine(0.5, 2)):
                 residual = factorization_residual(phi, 1 / phi.a, level, pairs)
                 assert residual <= 1e-10
+
+
+_base_symbols = st.one_of(
+    st.builds(Affine, st.floats(0.25, 4.0),
+              st.builds(complex, st.floats(0.0, 3.0), st.floats(-3.0, 3.0))),
+    # ad >= 1 > bc: nonnegative coefficients map H into H
+    st.builds(Moebius, st.floats(1.0, 4.0), st.floats(0.0, 0.9),
+              st.floats(0.0, 0.9), st.floats(1.0, 4.0)),
+    # |a| + |b| < |d|: the disc map sends the disc into itself
+    st.builds(lambda a, b, gap: CayleyMap(a, b, 0, a + b + gap),
+              st.floats(0.1, 1.0), st.floats(0.0, 1.0), st.floats(0.1, 2.0)),
+    st.builds(PowerMap, st.floats(0.1, 1.0)))
+_symbols = st.one_of(_base_symbols,
+                     st.builds(Compose, _base_symbols, _base_symbols))
+
+
+class TestStackedBuilders:
+    """Each builder takes a (B, n) stack of point sets, and each matrix of
+    the (B, n, n) result is, bit for bit, the one-set build of its set."""
+
+    @staticmethod
+    def builders(alpha, phi, n):
+        lam = phi.known_lambda or 1.0
+        return {"gram": lambda pts: gram_matrix(Weight(alpha), pts),
+                "nevanlinna": lambda pts: nevanlinna_kernel(phi, pts),
+                "defect": lambda pts: defect_kernel_matrix(phi, lam, n, pts)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, 6.0), _symbols, st.sampled_from([1, 2, 4, 8]))
+    def test_stack_is_its_one_set_builds(self, batch, size, seed, alpha, phi,
+                                         n):
+        rng = np.random.default_rng(seed)
+        sets = np.array([DEFAULT_GRID.sample_points(size, rng)
+                         for _ in range(batch)])
+        for name, build in self.builders(alpha, phi, n).items():
+            stack = build(sets)
+            assert stack.shape == (batch, size, size), name
+            one_by_one = np.array([build(pts) for pts in sets])
+            assert stack.tobytes() == one_by_one.tobytes(), name
+            # a point shared by two sets is no repeat within either
+            assert build(sets[[0, 0]]).tobytes() == np.array(
+                [one_by_one[0]] * 2).tobytes(), name
+            outside = sets.copy()
+            outside[-1, -1] = -outside[-1, -1].real
+            with pytest.raises(HalfPlaneError, match=r"^point -\d"):
+                build(outside)
+        if size > 1:
+            repeated = sets.copy()
+            repeated[-1, -1] = repeated[-1, 0]
+            with pytest.raises(ValueError, match="^points must be distinct$"):
+                gram_matrix(Weight(alpha), repeated)
+
+    @pytest.mark.parametrize("name", ["gram", "nevanlinna", "defect"])
+    def test_empty_sets_build(self, name):
+        build = self.builders(1.0, Affine(2, 1), 2)[name]
+        assert build([]).shape == (0, 0)
+        assert build(np.empty((3, 0), dtype=complex)).shape == (3, 0, 0)
 
 
 class TestMatrixOps:

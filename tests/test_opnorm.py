@@ -1,5 +1,4 @@
 import cmath
-import functools
 import json
 import math
 import re
@@ -12,7 +11,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bergkit import opnorm, symbols
+from bergkit import linalg, opnorm, symbols
 from bergkit.cli import main
 from bergkit.kernels import Weight
 from bergkit.linalg import ConvergenceError, jacobi_eigh
@@ -625,8 +624,7 @@ class TestBatchedVerdict:
 
     def test_unconverged_cell_refuses_the_call(self):
         # One Jacobi sweep leaves the larger pencils unconverged.
-        with mock.patch.object(opnorm, "jacobi_eigh",
-                               functools.partial(jacobi_eigh, max_sweeps=1)):
+        with mock.patch.object(linalg, "MAX_SWEEPS", 1):
             with pytest.raises(ConvergenceError,
                                match=r"\d+ of \d+ matrices did not converge"):
                 boundedness_verdict([Weight(0.0), Weight(2.0)],
