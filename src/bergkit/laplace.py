@@ -115,8 +115,8 @@ def _gamma(x: float, source: Callable[[], str]) -> float:
         raise OverflowError(f"Gamma({x:g}) of {source()} overflows") from None
 
 
-# A grid is split into row blocks, one per usable CPU, only while every
-# block keeps at least this many entries; smaller arrays start no thread.
+# A grid is split into row blocks, one per usable CPU, of at least this many
+# entries each, and each block is walked in row chunks of at most this many.
 _BLOCK_ENTRIES = 2 ** 14
 
 
@@ -192,19 +192,12 @@ def _run_blocks(work: Callable, blocks: list) -> None:
             raise exc
 
 
-def laplace_eval(f: HalfLineFunction, z):
-    """Closed-form Laplace transform of f at half-plane points: a complex
-    for a scalar ``z``, else a new array of ``z``'s shape.  ``z`` itself
-    is not written to.
-
-    A large ``z`` is split into row blocks, one per usable CPU while each
-    block keeps at least 2**14 entries; numpy releases the GIL in the
-    per-entry ``log``/``exp`` calls.  Every entry goes through the same
-    operations in the same order as on one thread, so the result is the
-    same to the bit.  A power ``(s + z) ** (1 + beta)`` past the float
-    range is taken in log space.
-    """
-    z = require_half_plane(z)
+def _transform(f: HalfLineFunction, rows: int, row_len: int,
+               nodes: Callable, sink: Callable) -> None:
+    """L f on a ``(rows, row_len)`` grid of points of H, chunk by chunk:
+    ``nodes(lo, hi, out)`` gives rows ``lo:hi``, in the chunk buffer ``out``
+    or not, and once they are checked to lie in H, ``sink(lo, hi, values)``
+    takes L f there."""
     modes = []
     for index, term in enumerate(f.terms):
         if term.beta <= -1.0:
@@ -212,18 +205,44 @@ def laplace_eval(f: HalfLineFunction, z):
                 f"transform of t^{term.beta:g} diverges at the origin")
         gamma = _gamma(1.0 + term.beta, lambda: _modes_text(f, index))
         modes.append((term.c * gamma, term.s, 1.0 + term.beta))
-    total = np.zeros(z.shape, dtype=complex)
-    count = min(_usable_cpus(), z.size // _BLOCK_ENTRIES,
-                len(z) if z.ndim else 1)
-    if count > 1:
-        blocks = [(modes, rows, out) for rows, out in
-                  zip(np.array_split(z, count), np.array_split(total, count))]
-    else:
-        blocks = [(modes, z, total)]
-    _run_blocks(_sum_modes, blocks)
-    if total.ndim == 0:
-        return complex(total)
-    return total
+    step = max(1, _BLOCK_ENTRIES // max(row_len, 1))
+
+    def block(start, stop):
+        points = np.empty((min(step, stop - start), row_len), dtype=complex)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            z = require_half_plane(nodes(lo, hi, points[:hi - lo]))
+            total = np.zeros(z.shape, dtype=complex)
+            _sum_modes(modes, z, total)
+            sink(lo, hi, total)
+
+    count = max(1, min(_usable_cpus(), rows * row_len // _BLOCK_ENTRIES, rows))
+    edges = [rows * k // count for k in range(count + 1)]
+    _run_blocks(block, list(zip(edges, edges[1:])))
+
+
+def laplace_eval(f: HalfLineFunction, z):
+    """Closed-form Laplace transform of f at half-plane points: a complex
+    for a scalar ``z``, else a new array of ``z``'s shape.  ``z`` itself
+    is not written to.
+
+    A large ``z`` is split into row blocks, one per usable CPU while each
+    block keeps at least 2**14 entries, summed in row chunks of at most
+    2**14; numpy releases the GIL in the per-entry ``log``/``exp`` calls.
+    Every entry goes through the same operations in the same order as on
+    one thread, so the result is the same to the bit.  A power
+    ``(s + z) ** (1 + beta)`` past the float range is taken in log space.
+    """
+    z = np.asarray(z, dtype=complex)
+    grid = z.reshape(z.shape[0] if z.ndim else 1, math.prod(z.shape[1:]))
+    total = np.empty(grid.shape, dtype=complex)
+    # a 0-d z stays 0-d: numpy's ** takes no square root of a scalar
+    _transform(f, *grid.shape,
+               lambda lo, hi, out: grid[lo:hi] if z.ndim else z,
+               lambda lo, hi, values: np.copyto(total[lo:hi], values))
+    if z.ndim == 0:
+        return complex(total[0, 0])
+    return total.reshape(z.shape)
 
 
 def weighted_norm_squared(f: HalfLineFunction, alpha: float,
@@ -313,23 +332,27 @@ def isometry_check(weights: Sequence[Weight], f: HalfLineFunction,
     """Compare ||L f||^2 computed on the Bergman side with the closed-form
     half-line norm, one :class:`IsometryResult` per weight.
 
-    L f does not depend on alpha, so it is evaluated on the quadrature grid
-    once and shared by both sides of the pairing, by every weight and by
-    the nested sum at step 2h.
+    L f does not depend on alpha, so |L f|^2 is evaluated once, in the
+    chunks of :func:`laplace_eval` and straight into one real grid, and
+    shared by both sides, by every weight and by the sum at step 2h.
     """
     rhs_values = [mu_alpha_norm(w, f) for w in weights]
     scheme = scheme or default_scheme()
+    density = np.empty((len(scheme.x_nodes), len(scheme.y_nodes)))
+
+    def square(lo, hi, values):
+        rows = np.square(values.real, out=density[lo:hi])
+        rows += np.square(values.imag, out=values.imag)
+
     with np.errstate(invalid="ignore", over="ignore"):
-        transform = laplace_eval(f, scheme.z)
-        # |L f|^2 in place, in the real half of the transform's buffer: a
-        # large grid then takes no further grid-sized allocation here
-        density = np.square(transform.real, out=transform.real)
-        density += np.square(transform.imag, out=transform.imag)
+        iy = 1j * scheme.y_nodes  # the nodes are the bits of scheme.z
+        _transform(f, *density.shape, lambda lo, hi, out: np.add(
+            scheme.x_nodes[lo:hi, None], iy, out=out), square)
 
     results = []
-    for w, rhs in zip(weights, rhs_values):
-        lhs_quad, lhs_2h = (value.real for value in
-                            nested_integrals(w, density, scheme))
+    for k, (w, rhs) in enumerate(zip(weights, rhs_values), start=1):
+        lhs_quad, lhs_2h = (value.real for value in nested_integrals(
+            w, density, scheme, overwrite=k == len(weights)))
         lhs_closed = None
         if f.terms and all(abs(term.beta - (1.0 + w.alpha)) <= 1e-12
                            for term in f.terms):

@@ -138,6 +138,8 @@ def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
     estimate does not depend on the cells beside it.
     """
     pts = require_half_plane(points)
+    if pts.ndim != 1:
+        raise ValueError(f"points must be a flat list, not shape {pts.shape}")
     if pts.size == 0:
         raise ValueError("need at least one point")
     grams = [gram_matrix(weight, pts) for weight in weights]

@@ -159,22 +159,36 @@ def default_scheme() -> QuadratureScheme:
 
 
 def nested_integrals(weight: Weight, values: np.ndarray,
-                     scheme: QuadratureScheme) -> tuple[complex, complex]:
+                     scheme: QuadratureScheme, overwrite: bool = False
+                     ) -> tuple[complex, complex]:
     """Quadrature approximations of (1/pi) int x^alpha h(z) dx dy, where
     ``values`` samples h on ``scheme.z``: the rule's and the one whose x
-    rule has step 2h, which uses every other x node of the same values."""
+    rule has step 2h, which uses every other x node of the same values.
+    x^alpha h is formed in chunks of whole rows of at most 2**14 entries,
+    and written over ``values`` with ``overwrite``: then no second array
+    of the grid's size is made."""
+    step = max(1, 2 ** 14 // values.shape[1])
     with np.errstate(invalid="ignore", over="ignore"):
-        weighted = values * scheme.x_nodes[:, None] ** weight.alpha
-    bad = ~np.isfinite(weighted)
-    if bad.any():
-        # x^alpha may leave the float range where x^alpha h does not
-        log_x = np.broadcast_to(np.log(scheme.x_nodes)[:, None], bad.shape)
-        with np.errstate(all="ignore"):
-            redone = np.exp(np.log(values[bad].astype(complex))
-                            + weight.alpha * log_x[bad])
-        weighted[bad] = redone if weighted.dtype.kind == "c" else redone.real
-        if not np.all(np.isfinite(weighted)):
-            raise ValueError("integrand is not finite at a quadrature node")
+        power = scheme.x_nodes[:, None] ** weight.alpha
+        weighted = values if overwrite else np.empty(
+            values.shape, np.result_type(values, power))
+        for rows in (slice(lo, lo + step)
+                     for lo in range(0, len(values), step)):
+            # over values, a chunk is formed apart: the redo reads h
+            chunk = np.multiply(values[rows], power[rows],
+                                out=None if overwrite else weighted[rows])
+            bad = ~np.isfinite(chunk)
+            if bad.any():
+                # x^alpha may leave the float range where x^alpha h does not
+                log_x = np.log(scheme.x_nodes[rows])[bad.nonzero()[0]]
+                with np.errstate(all="ignore"):
+                    redone = np.exp(np.log(values[rows][bad].astype(complex))
+                                    + weight.alpha * log_x)
+                chunk[bad] = redone if chunk.dtype.kind == "c" else redone.real
+                if not np.all(np.isfinite(chunk)):
+                    raise ValueError(
+                        "integrand is not finite at a quadrature node")
+            weighted[rows] = chunk  # no copy where chunk is weighted[rows]
     profile = weighted @ scheme.y_weights / math.pi
     return (complex(scheme.x_weights @ profile),
             complex(scheme.x_weights_2h @ profile))

@@ -5,6 +5,7 @@ gets (the measuring itself runs the benchmark and is not run here)."""
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,11 @@ def test_tier1_runs_the_tests_of_the_checkout(monkeypatch):
 
 def layer_cases(monkeypatch) -> dict:
     """The child's layer cases, built without timing them."""
+    return layer_names(monkeypatch)["cases"]
+
+
+def layer_names(monkeypatch) -> dict:
+    """The names the child's set-up defines, its cases among them."""
     root = PATH.parents[1]
     monkeypatch.chdir(root)
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -159,7 +165,7 @@ def layer_cases(monkeypatch) -> dict:
         if Path(getattr(module, "__file__", None) or "/").parent == (
                 root / "bergbench"):
             del sys.modules[name]
-    return names["cases"]
+    return names
 
 
 def test_layer_code_times_inner_product_on_both_schemes(monkeypatch):
@@ -168,6 +174,33 @@ def test_layer_code_times_inner_product_on_both_schemes(monkeypatch):
     for scheme in ("default", "doubled"):
         value = cases[f"space.inner_product.{scheme}"]()
         assert value.real > 0 and abs(value.imag) < 1e-12 * value.real
+
+
+def test_layer_code_traces_the_peak_of_isometry_check(monkeypatch, capsys):
+    # the doubled-scheme check is timed, and after the timings the child
+    # prints the traced peak of one call, which layer_timings keeps in MB
+    names = layer_names(monkeypatch)
+    result, = names["cases"]["laplace.isometry_check.doubled"]()
+    assert result.quadrature_gap <= 1e-6
+    peak_code = bench_snapshot.LAYER_CODE.partition("tracemalloc.start()")
+    try:
+        exec("".join(peak_code[1:]), names)
+    finally:
+        tracemalloc.stop()
+    printed = capsys.readouterr().out
+    monkeypatch.setattr(bench_snapshot, "python", lambda root, code: printed)
+    layers = bench_snapshot.layer_timings(PATH.parents[1])
+    peak = layers["laplace.isometry_check.doubled.peak_mb"]
+    assert list(layers) == ["laplace.isometry_check.doubled.peak_mb"]
+    assert peak["unit"] == "MB" and peak["values"] == [peak["median"]]
+    # |L f|^2 on the grid of 253,440 nodes, and chunk buffers
+    grid_mb = 253_440 * 8 / 1e6
+    assert grid_mb <= peak["median"] <= 2 * grid_mb
+    data = snapshot("27", [70.0], [0.1], [0.1], [2.0])
+    data["layers"]["laplace.isometry_check.doubled.peak_mb"] = peak
+    assert bench_snapshot.flatten(data)[
+        "layers.laplace.isometry_check.doubled.peak_mb"] == (
+            peak["median"], "MB")
 
 
 def test_layer_code_times_six_spectral_iterates(monkeypatch):

@@ -5,6 +5,7 @@ import cmath
 import math
 import re
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -19,7 +20,9 @@ from bergkit.kernels import Weight, _shifted_power, bergman_kernel
 from bergkit.laplace import (ExpMonomial, HalfLineFunction, isometry_check,
                              kernel_preimage, laplace_eval, mu_alpha_density,
                              mu_alpha_norm, weighted_norm_squared)
-from bergkit.space import QuadratureScheme, _cached_scheme, default_scheme
+from bergkit.space import (QuadratureScheme, _cached_scheme, default_scheme,
+                           nested_integrals)
+from bergkit.symbols import HalfPlaneError, require_half_plane
 
 
 def halfline(*terms):
@@ -163,9 +166,11 @@ class TestRowBlocks:
                     isometry_check([Weight(0.0)], f, doubled_scheme())
             errors.append(str(info.value))
         assert errors == ["integrand is not finite at a quadrature node"] * 2
-        # one block on one CPU, two on two, each under isometry_check's state
+        # one call per chunk of 20 rows (792 y nodes), 16 in 320 rows on one
+        # CPU and 8 in each of two 160-row blocks on two, each under
+        # isometry_check's state
         state = dict(np.geterr(), over="ignore", invalid="ignore")
-        assert seen == [state] * 3
+        assert seen == [state] * 32
 
     def test_worker_error_is_raised_in_the_caller(self):
         # rows 2 and 3 of 4 are the worker's block, and the transform there
@@ -189,6 +194,83 @@ class TestRowBlocks:
             with pytest.raises(error, match=message):
                 laplace_eval(halfline(*terms), doubled_scheme().z)
         start.assert_not_called()
+
+
+class TestChunks:
+    """isometry_check sums L f in row chunks of at most 2**14 entries,
+    straight into |L f|^2, from nodes it builds chunk by chunk: the density
+    must be, bit for bit, the squares of L f on the whole grid at once."""
+
+    # the doubled scheme (20-row chunks), rows of 16,426 nodes (one row a
+    # chunk; 43 panels keep their Gauss-Legendre rules cheap to build) and
+    # 150 rows of 256 (64-row chunks, the last ones short)
+    CONFIGS = {"doubled": (320, 800, 400.0),
+               "long-rows": (5, 16_400, 2.0 ** 40),
+               "ragged": (150, 256, 32.0)}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_density_is_the_full_grid_one(self, config, cpus):
+        f = halfline((1, 1.5, 1.0), (0.5j, 2.25, 2.0 - 1j))
+        weights = [Weight(0.0), Weight(1.5)]
+        scheme = QuadratureScheme.build(*config)
+        seen = []
+
+        def integrals(w, values, *args, **kwargs):
+            seen.append(values.tobytes())  # the last weight overwrites it
+            return nested_integrals(w, values, *args, **kwargs)
+
+        with usable_cpus(cpus), mock.patch.object(
+                laplace, "nested_integrals", integrals):
+            results = isometry_check(weights, f, scheme)
+        assert "z" not in scheme.__dict__
+        transform = TestRowBlocks.reference(f, scheme.z)
+        density = np.square(transform.real) + np.square(transform.imag)
+        assert seen == [density.tobytes()] * 2
+        for w, result in zip(weights, results):
+            assert result.lhs_quadrature == (
+                nested_integrals(w, density, scheme)[0].real)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("bad_x,bad_y", [
+        # rows 250 and 300: both in the second block on two CPUs
+        ({250: math.nan, 300: -1.0}, {}),
+        # an infinite y node makes every row's node there nan+infj
+        ({3: 0.0}, {7: math.inf}),
+    ], ids=["x", "y"])
+    def test_node_outside_is_refused_as_on_the_full_grid(self, bad_x, bad_y,
+                                                         cpus):
+        base = doubled_scheme()
+        x, y = base.x_nodes.copy(), base.y_nodes.copy()
+        for nodes, bad in ((x, bad_x), (y, bad_y)):
+            nodes[list(bad)] = list(bad.values())
+        scheme = QuadratureScheme(x, base.x_weights, y, base.y_weights,
+                                  base.n_x, base.n_y, base.y_max)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                HalfPlaneError) as full:
+            require_half_plane(scheme.z)
+        with usable_cpus(cpus), pytest.raises(HalfPlaneError) as info:
+            isometry_check([Weight(1.0)], halfline((1, 1.5, 1.0)), scheme)
+        assert str(info.value) == str(full.value)
+        assert repr(info.value.witness) == repr(full.value.witness)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_is_under_two_float_grids(self, cpus):
+        # |L f|^2 is the only grid-sized array, weighted by x^alpha in
+        # place for the last weight; the nodes, the transform and each
+        # mode are chunk-sized, and each block has its own
+        scheme = doubled_scheme()
+        f = halfline((1, 1.5, 1.0), (0.5j, 2.25, 2.0 - 1j))
+        grid_bytes = scheme.x_nodes.size * scheme.y_nodes.size * 8
+        with usable_cpus(cpus):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                isometry_check([Weight(1.0)], f, scheme)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * grid_bytes
 
 
 class TestOverflowingPower:

@@ -131,6 +131,16 @@ class TestGramEstimate:
             gram_norm_estimate([Weight(0.0)], [identity(), Affine(1e300, 0)],
                                [1.0, 1e10])
 
+    def test_points_must_be_one_flat_list(self):
+        # a 2-D list read numpy's "operands could not be broadcast together
+        # with shapes (2,2,2) (4,4)"
+        for points, shape in (([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"),
+                              (1.0, "()")):
+            with pytest.raises(ValueError) as info:
+                gram_norm_estimate([Weight(0)], [Affine(2, 1)], points)
+            assert str(info.value) == (
+                f"points must be a flat list, not shape {shape}")
+
     def test_gram_diagonal_past_the_float_range_is_refused(self):
         # (2e4)^72 overflows, so k_z(z) read 0 at z = 1e4 and the diagonal
         # scaling divided by its root

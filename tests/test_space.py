@@ -141,6 +141,38 @@ class TestErrorEstimate:
             assert abs(fine - exact) <= abs(fine - coarse)
             assert abs(fine - exact) <= FAMILY_RTOL * exact
 
+    @staticmethod
+    def whole_grid_integrals(weight, values, scheme):
+        """nested_integrals as one pass over the whole grid: the reference
+        for its row chunks and its in-place weighting."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            weighted = values * scheme.x_nodes[:, None] ** weight.alpha
+        bad = ~np.isfinite(weighted)
+        log_x = np.broadcast_to(np.log(scheme.x_nodes)[:, None], bad.shape)
+        with np.errstate(all="ignore"):
+            redone = np.exp(np.log(values[bad].astype(complex))
+                            + weight.alpha * log_x[bad])
+        weighted[bad] = redone if weighted.dtype.kind == "c" else redone.real
+        profile = weighted @ scheme.y_weights / math.pi
+        return (complex(scheme.x_weights @ profile),
+                complex(scheme.x_weights_2h @ profile))
+
+    @pytest.mark.parametrize("alpha", [1.0, 100.0])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_row_chunks_match_one_whole_grid_pass(self, alpha, overwrite):
+        # 320 rows of 792 nodes go in chunks of 20 rows; at alpha 100,
+        # x^alpha overflows in the last rows, which are redone in log space
+        scheme = QuadratureScheme.build(320, 800, 400.0)
+        with np.errstate(under="ignore"):
+            density = (np.exp(-(alpha + 3.0) * np.log1p(scheme.x_nodes))
+                       [:, None] / (1.0 + scheme.y_nodes ** 2))
+        for values in (density, density * (1.0 - 2.0j)):
+            expected = self.whole_grid_integrals(Weight(alpha), values, scheme)
+            given = values.copy()
+            assert nested_integrals(Weight(alpha), given, scheme,
+                                    overwrite=overwrite) == expected
+            assert np.array_equal(given, values) != overwrite
+
     def test_nested_rule_is_every_other_node(self):
         s = QuadratureScheme.build(9, 16, 4.0)
         coarse = QuadratureScheme.build(5, 16, 4.0)

@@ -35,7 +35,10 @@ this file) and records:
   over the seven ``norm_sweep`` families at one alpha, one
   ``inner_product`` of a two-mode Laplace transform with itself on the
   default and on the doubled quadrature scheme of the ``quadrature``
-  workload, and each acceptance criterion 1 to 10 of ``bergkit report``
+  workload, one ``isometry_check`` of that transform at alpha 1 on the
+  doubled scheme (``laplace.isometry_check.doubled``), with the
+  tracemalloc peak of one such call in MB under the same name plus
+  ``.peak_mb``, and each acceptance criterion 1 to 10 of ``bergkit report``
   at seed 0 (``report.criterion_<k>``, one ``report.run_criterion(k, 0)``
   call);
   each sample is scaled by bergbench's host probe taken before and
@@ -87,15 +90,15 @@ NOMINAL_START_S = 0.15
 # Runs in one child on the checkout measured, after a line that sets SEED
 # and SAMPLES: the seeded inputs of every layer case, then SAMPLES samples
 # of each, one per line, each at least 20 ms of calls between two host
-# probes.
+# probes, then the traced peak of one doubled-scheme isometry check.
 LAYER_CODE = """
-import json, sys, time
+import json, sys, time, tracemalloc
 sys.path.insert(0, "bergbench")
 import numpy as np, run, workloads
 from bergkit import report
 from bergkit.cli import parse_symbol
 from bergkit.kernels import Weight
-from bergkit.laplace import HalfLineFunction, laplace_eval
+from bergkit.laplace import HalfLineFunction, isometry_check, laplace_eval
 from bergkit.linalg import jacobi_eigh, pivoted_cholesky
 from bergkit.opnorm import boundedness_verdict, spectral_radius_estimate
 from bergkit.space import QuadratureScheme, default_scheme, inner_product
@@ -145,12 +148,13 @@ cases["opnorm.boundedness_verdict.norm_sweep_families"] = (
     lambda: boundedness_verdict([weight], symbols, DEFAULT_GRID))
 f = HalfLineFunction.build([(1.0, 1.0, 1.0), (0.5 + 1j, 2.5, 1.5 - 0.5j)])
 transform = lambda z: laplace_eval(f, z)
-for name, scheme in (
-        ("default", default_scheme()),
-        ("doubled", QuadratureScheme.build(**workloads.DOUBLED_SCHEME))):
+doubled = QuadratureScheme.build(**workloads.DOUBLED_SCHEME)
+for name, scheme in (("default", default_scheme()), ("doubled", doubled)):
     cases[f"space.inner_product.{name}"] = (
         lambda scheme=scheme: inner_product(Weight(1.0), transform, transform,
                                             scheme))
+cases["laplace.isometry_check.doubled"] = (
+    lambda: isometry_check([Weight(1.0)], f, doubled))
 for k in range(1, 11):
     cases[f"report.criterion_{k}"] = lambda k=k: report.run_criterion(k, 0)
 run.host_probe()
@@ -167,6 +171,10 @@ for name, call in cases.items():
         after = run.host_probe()
         print(json.dumps([name, seconds,
                           run.at_nominal_speed(seconds, before, after)]))
+tracemalloc.start()
+cases["laplace.isometry_check.doubled"]()
+print(json.dumps(["laplace.isometry_check.doubled.peak_mb",
+                  tracemalloc.get_traced_memory()[1] / 1e6]))
 """
 
 
@@ -274,17 +282,22 @@ def tier1_seconds(root: Path, count: int) -> dict:
 
 def layer_timings(root: Path) -> dict:
     """Per-call milliseconds of each layer case of ``LAYER_CODE``: the
-    scaled samples with their median and quartiles, and the raw median."""
-    samples = {}
+    scaled samples with their median and quartiles, and the raw median;
+    and each traced peak the child prints, in MB."""
+    samples, peaks = {}, {}
     code = f"SEED, SAMPLES = {SEED}, {LAYER_SAMPLES}\n{LAYER_CODE}"
     for line in python(root, code).splitlines():
-        name, seconds, scaled = json.loads(line)
+        entry = json.loads(line)
+        if len(entry) == 2:
+            peaks[entry[0]] = {"unit": "MB", **summary([entry[1]])}
+            continue
+        name, seconds, scaled = entry
         raw, values = samples.setdefault(name, ([], []))
         raw.append(seconds * 1e3)
         values.append(scaled * 1e3)
-    return {name: {"unit": "ms", **summary(values),
-                   "raw_median": statistics.median(raw)}
-            for name, (raw, values) in samples.items()}
+    return {**{name: {"unit": "ms", **summary(values),
+                      "raw_median": statistics.median(raw)}
+               for name, (raw, values) in samples.items()}, **peaks}
 
 
 def git_state(root: Path) -> tuple:
