@@ -19,10 +19,7 @@ numerical inverse transform.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -115,22 +112,24 @@ def _gamma(x: float, source: Callable[[], str]) -> float:
         raise OverflowError(f"Gamma({x:g}) of {source()} overflows") from None
 
 
-# A grid is split into row blocks, one per usable CPU, of at least this many
-# entries each, and each block is walked in row chunks of at most this many.
-_BLOCK_ENTRIES = 2 ** 14
+def _modes(f: HalfLineFunction) -> list:
+    """``(coeff, shift, p)`` of every mode of f, in order, such that
+    L f(z) = sum coeff / (shift + z) ** p; a mode whose transform diverges
+    or whose Gamma factor overflows is refused."""
+    modes = []
+    for index, term in enumerate(f.terms):
+        if term.beta <= -1.0:
+            raise ValueError(
+                f"transform of t^{term.beta:g} diverges at the origin")
+        gamma = _gamma(1.0 + term.beta, lambda: _modes_text(f, index))
+        modes.append((term.c * gamma, term.s, 1.0 + term.beta))
+    return modes
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sum_modes(modes, z, total) -> None:
-    """Adds ``coeff / (shift + z) ** p`` of every mode ``(coeff, shift, p)``
-    to ``total``, in mode order.
+def _sum_modes(modes, z) -> np.ndarray:
+    """The sum of ``coeff / (shift + z) ** p`` over the ``modes`` of
+    :func:`_modes`, in mode order, as a new complex array of ``z``'s shape,
+    once every point of ``z`` is checked to lie in H.
 
     Entries whose sum is not finite are summed again, mode by mode in the
     same order, with each power that is not finite taken in log space:
@@ -139,6 +138,8 @@ def _sum_modes(modes, z, total) -> None:
     errors, as their non-finite entries are all redone; a value still
     not finite after the redo reports under the caller's ``errstate``.
     """
+    z = require_half_plane(z)
+    total = np.zeros(z.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mode = None  # one buffer for every mode: fewer fresh pages
         for coeff, shift, p in modes:
@@ -147,7 +148,7 @@ def _sum_modes(modes, z, total) -> None:
             total += mode
     bad = ~np.isfinite(total)
     if not bad.any():
-        return
+        return total
     z = z[bad]
     redone = np.zeros(z.shape, dtype=complex)
     for coeff, shift, p in modes:
@@ -160,65 +161,7 @@ def _sum_modes(modes, z, total) -> None:
             np.log(coeff) - p * np.log(shift + z[huge]))
         redone += mode
     total[bad] = redone
-
-
-def _run_blocks(work: Callable, blocks: list) -> None:
-    """``work(*block)`` for every block: the first on the calling thread,
-    each other on a thread of its own that runs in a copy of the caller's
-    context, so numpy's ``errstate`` holds there too.  Every thread is
-    joined before this returns; an error a block raised is raised here,
-    the lowest block's first."""
-    errors = [None] * len(blocks)
-
-    def guarded(index, *args):
-        try:
-            work(*args)
-        except BaseException as exc:  # raised again on the calling thread
-            errors[index] = exc
-
-    threads = []
-    try:
-        for index, block in enumerate(blocks[1:], start=1):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(guarded, index, *block))
-            thread.start()
-            threads.append(thread)
-        work(*blocks[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
-def _transform(f: HalfLineFunction, rows: int, row_len: int,
-               nodes: Callable, sink: Callable) -> None:
-    """L f on a ``(rows, row_len)`` grid of points of H, chunk by chunk:
-    ``nodes(lo, hi, out)`` gives rows ``lo:hi``, in the chunk buffer ``out``
-    or not, and once they are checked to lie in H, ``sink(lo, hi, values)``
-    takes L f there."""
-    modes = []
-    for index, term in enumerate(f.terms):
-        if term.beta <= -1.0:
-            raise ValueError(
-                f"transform of t^{term.beta:g} diverges at the origin")
-        gamma = _gamma(1.0 + term.beta, lambda: _modes_text(f, index))
-        modes.append((term.c * gamma, term.s, 1.0 + term.beta))
-    step = max(1, _BLOCK_ENTRIES // max(row_len, 1))
-
-    def block(start, stop):
-        points = np.empty((min(step, stop - start), row_len), dtype=complex)
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            z = require_half_plane(nodes(lo, hi, points[:hi - lo]))
-            total = np.zeros(z.shape, dtype=complex)
-            _sum_modes(modes, z, total)
-            sink(lo, hi, total)
-
-    count = max(1, min(_usable_cpus(), rows * row_len // _BLOCK_ENTRIES, rows))
-    edges = [rows * k // count for k in range(count + 1)]
-    _run_blocks(block, list(zip(edges, edges[1:])))
+    return total
 
 
 def laplace_eval(f: HalfLineFunction, z):
@@ -226,23 +169,13 @@ def laplace_eval(f: HalfLineFunction, z):
     for a scalar ``z``, else a new array of ``z``'s shape.  ``z`` itself
     is not written to.
 
-    A large ``z`` is split into row blocks, one per usable CPU while each
-    block keeps at least 2**14 entries, summed in row chunks of at most
-    2**14; numpy releases the GIL in the per-entry ``log``/``exp`` calls.
-    Every entry goes through the same operations in the same order as on
-    one thread, so the result is the same to the bit.  A power
-    ``(s + z) ** (1 + beta)`` past the float range is taken in log space.
+    The modes are summed in one pass straight into the result, with one
+    buffer shared by every mode.  A power ``(s + z) ** (1 + beta)`` past
+    the float range is taken in log space.
     """
-    z = np.asarray(z, dtype=complex)
-    grid = z.reshape(z.shape[0] if z.ndim else 1, math.prod(z.shape[1:]))
-    total = np.empty(grid.shape, dtype=complex)
+    total = _sum_modes(_modes(f), z)
     # a 0-d z stays 0-d: numpy's ** takes no square root of a scalar
-    _transform(f, *grid.shape,
-               lambda lo, hi, out: grid[lo:hi] if z.ndim else z,
-               lambda lo, hi, values: np.copyto(total[lo:hi], values))
-    if z.ndim == 0:
-        return complex(total[0, 0])
-    return total.reshape(z.shape)
+    return complex(total) if total.ndim == 0 else total
 
 
 def weighted_norm_squared(f: HalfLineFunction, alpha: float,
@@ -332,27 +265,24 @@ def isometry_check(weights: Sequence[Weight], f: HalfLineFunction,
     """Compare ||L f||^2 computed on the Bergman side with the closed-form
     half-line norm, one :class:`IsometryResult` per weight.
 
-    L f does not depend on alpha, so |L f|^2 is evaluated once, in the
-    chunks of :func:`laplace_eval` and straight into one real grid, and
-    shared by both sides, by every weight and by the sum at step 2h.
+    L f does not depend on alpha, so |L f|^2 is evaluated once, chunk by
+    chunk in :func:`bergkit.space.nested_integrals`' walk of the grid,
+    straight into one real grid per weight, and shared by both sides and by
+    the sum at step 2h.
     """
     rhs_values = [mu_alpha_norm(w, f) for w in weights]
-    scheme = scheme or default_scheme()
-    density = np.empty((len(scheme.x_nodes), len(scheme.y_nodes)))
+    modes = _modes(f)
 
-    def square(lo, hi, values):
-        rows = np.square(values.real, out=density[lo:hi])
-        rows += np.square(values.imag, out=values.imag)
+    def density(z, out):
+        total = _sum_modes(modes, z)
+        np.square(total.real, out=out)
+        out += np.square(total.imag, out=total.imag)
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        iy = 1j * scheme.y_nodes  # the nodes are the bits of scheme.z
-        _transform(f, *density.shape, lambda lo, hi, out: np.add(
-            scheme.x_nodes[lo:hi, None], iy, out=out), square)
-
+    sums = nested_integrals(weights, density, scheme or default_scheme(),
+                            float)
     results = []
-    for k, (w, rhs) in enumerate(zip(weights, rhs_values), start=1):
-        lhs_quad, lhs_2h = (value.real for value in nested_integrals(
-            w, density, scheme, overwrite=k == len(weights)))
+    for w, rhs, (lhs_quad, lhs_2h) in zip(weights, rhs_values, sums):
+        lhs_quad, lhs_2h = lhs_quad.real, lhs_2h.real
         lhs_closed = None
         if f.terms and all(abs(term.beta - (1.0 + w.alpha)) <= 1e-12
                            for term in f.terms):

@@ -37,8 +37,11 @@ random transform norms, by a factor of at least 3.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -140,14 +143,6 @@ class QuadratureScheme:
         weights[::2] = 2.0 * self.x_weights[::2]
         return weights
 
-    @cached_property
-    def z(self) -> np.ndarray:
-        """The tensor grid of nodes, ``z[i, j] = x_nodes[i] + 1j*y_nodes[j]``,
-        built once per scheme and read-only, since every caller shares it."""
-        z = self.x_nodes[:, None] + 1j * self.y_nodes[None, :]
-        z.flags.writeable = False
-        return z
-
 
 @lru_cache(maxsize=8)
 def _cached_scheme(n_x: int, n_y: int, y_max: float) -> QuadratureScheme:
@@ -158,54 +153,122 @@ def default_scheme() -> QuadratureScheme:
     return _cached_scheme(DEFAULT_NX, DEFAULT_NY, DEFAULT_YMAX)
 
 
-def nested_integrals(weight: Weight, values: np.ndarray,
-                     scheme: QuadratureScheme, overwrite: bool = False
-                     ) -> tuple[complex, complex]:
-    """Quadrature approximations of (1/pi) int x^alpha h(z) dx dy, where
-    ``values`` samples h on ``scheme.z``: the rule's and the one whose x
-    rule has step 2h, which uses every other x node of the same values.
-    x^alpha h is formed in chunks of whole rows of at most 2**14 entries,
-    and written over ``values`` with ``overwrite``: then no second array
-    of the grid's size is made."""
-    step = max(1, 2 ** 14 // values.shape[1])
+# A grid is split into row blocks, one per usable CPU, of at least this many
+# entries each, and each block is walked in row chunks of at most this many.
+_BLOCK_ENTRIES = 2 ** 14
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(scheme: QuadratureScheme, fill: Callable) -> None:
+    """``fill(rows, z)`` for every row chunk ``rows`` of the scheme's grid,
+    with its nodes ``z = x_nodes[rows, None] + 1j*y_nodes``: the one walk
+    of a quadrature grid.
+
+    The rows are split into blocks, one per usable CPU while each keeps at
+    least 2**14 entries, and each block is walked in chunks of whole rows
+    of at most 2**14 entries (one row where a row is longer).  The first
+    block runs on the calling thread, each other on a thread of its own
+    that runs in a copy of the caller's context, so numpy's ``errstate``
+    holds there too.  Every thread is joined before this returns; an
+    error a block raised is raised here, the lowest block's first."""
+    n_x, n_y = len(scheme.x_nodes), len(scheme.y_nodes)
+    step = max(1, _BLOCK_ENTRIES // n_y)
+    count = max(1, min(_usable_cpus(), n_x * n_y // _BLOCK_ENTRIES, n_x))
+    edges = [n_x * k // count for k in range(count + 1)]
+    iy, errors = 1j * scheme.y_nodes, [None] * count
+
+    def block(index):
+        try:
+            for lo in range(edges[index], edges[index + 1], step):
+                rows = slice(lo, min(lo + step, edges[index + 1]))
+                fill(rows, scheme.x_nodes[rows, None] + iy)
+        except BaseException as exc:  # raised again on the calling thread
+            errors[index] = exc
+
+    threads = []
+    try:
+        for index in range(1, count):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(block, index))
+            thread.start()
+            threads.append(thread)
+        block(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def nested_integrals(weights: Sequence[Weight], integrand: Callable,
+                     scheme: QuadratureScheme, dtype=complex
+                     ) -> list[tuple[complex, complex]]:
+    """Quadrature approximations of (1/pi) int x^alpha h(z) dx dy, one pair
+    per weight: the rule's and the one whose x rule has step 2h, which
+    uses every other x node of the same values.
+
+    ``integrand(z, out)`` writes h at the nodes ``z`` of a row chunk into
+    ``out``, an array of ``dtype``; :func:`_run_blocks` calls it, under an
+    ``errstate`` that ignores overflow and invalid results.  Each chunk is
+    weighted by x^alpha as it is filled, into one grid per weight, the
+    last weight's in place over h; the y sum is then one product over each
+    whole grid, whose bits do not depend on how the rows were split."""
+    shape = (len(scheme.x_nodes), len(scheme.y_nodes))
+    grids = [np.empty(shape, dtype) for _ in weights]
+    values = grids[-1] if grids else np.empty(shape, dtype)
     with np.errstate(invalid="ignore", over="ignore"):
-        power = scheme.x_nodes[:, None] ** weight.alpha
-        weighted = values if overwrite else np.empty(
-            values.shape, np.result_type(values, power))
-        for rows in (slice(lo, lo + step)
-                     for lo in range(0, len(values), step)):
-            # over values, a chunk is formed apart: the redo reads h
-            chunk = np.multiply(values[rows], power[rows],
-                                out=None if overwrite else weighted[rows])
-            bad = ~np.isfinite(chunk)
-            if bad.any():
-                # x^alpha may leave the float range where x^alpha h does not
-                log_x = np.log(scheme.x_nodes[rows])[bad.nonzero()[0]]
-                with np.errstate(all="ignore"):
-                    redone = np.exp(np.log(values[rows][bad].astype(complex))
-                                    + weight.alpha * log_x)
-                chunk[bad] = redone if chunk.dtype.kind == "c" else redone.real
-                if not np.all(np.isfinite(chunk)):
-                    raise ValueError(
-                        "integrand is not finite at a quadrature node")
-            weighted[rows] = chunk  # no copy where chunk is weighted[rows]
-    profile = weighted @ scheme.y_weights / math.pi
-    return (complex(scheme.x_weights @ profile),
-            complex(scheme.x_weights_2h @ profile))
+        powers = [scheme.x_nodes[:, None] ** w.alpha for w in weights]
+
+        def fill(rows, z):
+            integrand(z, values[rows])
+            for weight, power, grid in zip(weights, powers, grids):
+                # over h, a chunk is formed apart: the redo reads h
+                chunk = np.multiply(values[rows], power[rows], out=(
+                    None if grid is values else grid[rows]))
+                bad = ~np.isfinite(chunk)
+                if bad.any():
+                    # x^alpha may leave the float range where x^alpha h does not
+                    log_x = np.log(scheme.x_nodes[rows])[bad.nonzero()[0]]
+                    with np.errstate(all="ignore"):
+                        redone = np.exp(np.log(values[rows][bad].astype(
+                            complex)) + weight.alpha * log_x)
+                    chunk[bad] = (redone if chunk.dtype.kind == "c"
+                                  else redone.real)
+                    if not np.all(np.isfinite(chunk)):
+                        raise ValueError(
+                            "integrand is not finite at a quadrature node")
+                grid[rows] = chunk  # no copy where chunk is grid[rows]
+
+        _run_blocks(scheme, fill)
+    profiles = [grid @ scheme.y_weights / math.pi for grid in grids]
+    return [(complex(scheme.x_weights @ profile),
+             complex(scheme.x_weights_2h @ profile)) for profile in profiles]
 
 
 def inner_product(weight: Weight, f: Callable, g: Callable,
                   scheme: QuadratureScheme | None = None) -> complex:
     """Quadrature approximation of <f, g> in the weighted Bergman space.
 
-    ``f`` and ``g`` must evaluate on complex arrays; the caller is
-    responsible for integrable decay (kernel combinations always qualify).
+    ``f`` and ``g`` must evaluate on complex arrays, entry by entry; the
+    caller is responsible for integrable decay (kernel combinations always
+    qualify).  They are called on the nodes of one row chunk of the grid
+    at a time, and may run on worker threads for grids of 2 x 2**14
+    entries or more.
     """
-    scheme = scheme or default_scheme()
-    with np.errstate(invalid="ignore", over="ignore"):
-        values = np.asarray(f(scheme.z), dtype=complex) * np.conj(
-            np.asarray(g(scheme.z), dtype=complex))
-    return nested_integrals(weight, values, scheme)[0]
+    def integrand(z, out):
+        np.multiply(np.asarray(f(z), dtype=complex),
+                    np.conj(np.asarray(g(z), dtype=complex)), out=out)
+
+    return nested_integrals([weight], integrand,
+                            scheme or default_scheme())[0][0]
 
 
 @dataclass(frozen=True)

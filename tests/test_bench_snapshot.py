@@ -177,12 +177,13 @@ def test_layer_code_times_inner_product_on_both_schemes(monkeypatch):
 
 
 def test_layer_code_traces_the_peak_of_isometry_check(monkeypatch, capsys):
-    # the doubled-scheme check is timed, and after the timings the child
-    # prints the traced peak of one call, which layer_timings keeps in MB
+    # the doubled-scheme check and inner product are timed, and after the
+    # timings the child prints the traced peak of one call of each, which
+    # layer_timings keeps in MB
     names = layer_names(monkeypatch)
     result, = names["cases"]["laplace.isometry_check.doubled"]()
     assert result.quadrature_gap <= 1e-6
-    peak_code = bench_snapshot.LAYER_CODE.partition("tracemalloc.start()")
+    peak_code = bench_snapshot.LAYER_CODE.partition("for name in (")
     try:
         exec("".join(peak_code[1:]), names)
     finally:
@@ -190,17 +191,21 @@ def test_layer_code_traces_the_peak_of_isometry_check(monkeypatch, capsys):
     printed = capsys.readouterr().out
     monkeypatch.setattr(bench_snapshot, "python", lambda root, code: printed)
     layers = bench_snapshot.layer_timings(PATH.parents[1])
-    peak = layers["laplace.isometry_check.doubled.peak_mb"]
-    assert list(layers) == ["laplace.isometry_check.doubled.peak_mb"]
-    assert peak["unit"] == "MB" and peak["values"] == [peak["median"]]
-    # |L f|^2 on the grid of 253,440 nodes, and chunk buffers
+    keys = ["space.inner_product.doubled.peak_mb",
+            "laplace.isometry_check.doubled.peak_mb"]
+    assert list(layers) == keys
+    # on the grid of 253,440 nodes: f * conj(g), one complex grid, and
+    # |L f|^2, one real grid, each with chunk buffers
     grid_mb = 253_440 * 8 / 1e6
-    assert grid_mb <= peak["median"] <= 2 * grid_mb
+    for key, grids in zip(keys, (2, 1)):
+        peak = layers[key]
+        assert peak["unit"] == "MB" and peak["values"] == [peak["median"]]
+        assert grids * grid_mb <= peak["median"] <= 2 * grids * grid_mb
     data = snapshot("27", [70.0], [0.1], [0.1], [2.0])
-    data["layers"]["laplace.isometry_check.doubled.peak_mb"] = peak
-    assert bench_snapshot.flatten(data)[
-        "layers.laplace.isometry_check.doubled.peak_mb"] == (
-            peak["median"], "MB")
+    data["layers"].update(layers)
+    flat = bench_snapshot.flatten(data)
+    for key in keys:
+        assert flat[f"layers.{key}"] == (layers[key]["median"], "MB")
 
 
 def test_layer_code_times_six_spectral_iterates(monkeypatch):

@@ -15,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from bergkit import laplace
+from bergkit import laplace, space
 from bergkit.kernels import Weight, _shifted_power, bergman_kernel
 from bergkit.laplace import (ExpMonomial, HalfLineFunction, isometry_check,
                              kernel_preimage, laplace_eval, mu_alpha_density,
                              mu_alpha_norm, weighted_norm_squared)
 from bergkit.space import (QuadratureScheme, _cached_scheme, default_scheme,
-                           nested_integrals)
+                           inner_product, nested_integrals)
 from bergkit.symbols import HalfPlaneError, require_half_plane
+from test_space import nodes, usable_cpus, whole_grid_integrals
 
 
 def halfline(*terms):
@@ -57,6 +58,26 @@ class TestLaplaceEval:
         with pytest.raises(ValueError):
             laplace_eval(halfline((1, 1.0, 1.0)), -1.0)
 
+    def test_peak_is_the_result_and_one_mode_buffer(self):
+        # the sum and one buffer shared by every mode, each the input's
+        # size, on the default scheme's 39 x 256 grid of nodes, which is
+        # read-only and left as it was
+        scheme = default_scheme()
+        z = scheme.x_nodes[:, None] + 1j * scheme.y_nodes[None, :]
+        z.flags.writeable = False
+        before = z.tobytes()
+        f = halfline((1, 1.5, 1.0), (0.5j, 2.25, 2.0 - 1j))
+        laplace_eval(f, z)
+        tracemalloc.start()
+        try:
+            value = laplace_eval(f, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * z.nbytes
+        assert value.tobytes() == TestRowBlocks.reference(f, z).tobytes()
+        assert z.tobytes() == before
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_linearity(self, seed):
@@ -77,16 +98,22 @@ def doubled_scheme():
     return _cached_scheme(320, 800, 400.0)
 
 
-def usable_cpus(count):
-    """Patches the CPU count that sets laplace_eval's number of blocks."""
-    return mock.patch.object(laplace, "_usable_cpus", return_value=count)
+def grid_scheme(rng, shape):
+    """A scheme on random nodes whose grid has ``shape``, a 0-d or 1-D one
+    taken as one row."""
+    n_x, n_y = ((1, 1) + shape)[-2:]
+    return QuadratureScheme(rng.uniform(1e-3, 50.0, n_x), rng.random(n_x),
+                            rng.normal(0.0, 20.0, n_y), rng.random(n_y),
+                            n_x, n_y, 1.0)
 
 
 class TestRowBlocks:
-    """laplace_eval splits a large grid into row blocks, one per usable
-    CPU; every entry must come out bitwise as one thread computes it."""
+    """The quadrature walk splits a large grid into row blocks, one per
+    usable CPU; every entry must come out bitwise as one thread computes
+    it on the whole grid, and laplace_eval, which runs on one thread,
+    likewise."""
 
-    FLOOR = laplace._BLOCK_ENTRIES
+    FLOOR = space._BLOCK_ENTRIES
     # 0-d and 1-D; just below and above two blocks' worth of entries,
     # with an odd row count above; three and five rows of one floor each
     SHAPES = [(), (7,), (2 * FLOOR - 1,), (2 * FLOOR,), (255, 128),
@@ -116,90 +143,117 @@ class TestRowBlocks:
         rng = np.random.default_rng(seed)
         z = rng.uniform(1e-3, 50.0, shape) + 1j * rng.normal(0.0, 20.0, shape)
         f = halfline(*terms)
-        with usable_cpus(cpus), mock.patch.object(
-                laplace, "_run_blocks", wraps=laplace._run_blocks) as spy:
-            value = laplace_eval(f, z)
-        size, rows = math.prod(shape), (shape or (1,))[0]
-        assert len(spy.call_args.args[1]) == max(
-            1, min(cpus, size // self.FLOOR, rows))
+        value = laplace_eval(f, z)
         assert np.shape(value) == shape
         assert np.asarray(value).tobytes() == self.reference(f, z).tobytes()
+        scheme, threads = grid_scheme(rng, shape), []
+
+        def integrand(z, out):
+            # the Thread itself: an ident is reused once its thread ends
+            threads.append(threading.current_thread())
+            out[...] = laplace_eval(f, z)
+
+        with usable_cpus(cpus):
+            sums = nested_integrals([Weight(0.0)], integrand, scheme)
+        rows = scheme.n_x
+        assert len(set(threads)) == max(
+            1, min(cpus, rows * scheme.n_y // self.FLOOR, rows))
+        assert sums == [whole_grid_integrals(
+            Weight(0.0), self.reference(f, nodes(scheme)), scheme)]
 
     def test_blocks_run_on_threads_that_end_with_the_call(self):
         # the doubled scheme's 253,440 nodes on 3 CPUs: 3 blocks, two of
         # them on other threads (the default scheme is below two blocks)
         f = halfline((1, 1.5, 1.0), (0.5j, 2.25, 2.0))
-        threads, original = [], laplace._sum_modes
+        scheme, threads, original = doubled_scheme(), [], laplace._sum_modes
 
         def sum_modes(*args):
-            # the Thread itself: an ident is reused once its thread ends
             threads.append(threading.current_thread())
             return original(*args)
 
-        z = doubled_scheme().z
         before = threading.active_count()
         with usable_cpus(3), mock.patch.object(laplace, "_sum_modes",
                                                sum_modes):
-            value = laplace_eval(f, z)
+            result, = isometry_check([Weight(1.0)], f, scheme)
         assert threading.active_count() == before
         assert len(set(threads)) == 3
-        assert value.tobytes() == self.reference(f, z).tobytes()
+        transform = self.reference(f, nodes(scheme))
+        density = np.square(transform.real) + np.square(transform.imag)
+        assert result.lhs_quadrature == whole_grid_integrals(
+            Weight(1.0), density, scheme)[0].real
 
     def test_worker_keeps_the_callers_errstate(self):
         # (1 + z)^83.3 overflows only where |1 + z| > 5.1e3: in the last rows,
         # which the worker thread takes, and on the y tail of every row; each
-        # block redoes those in log space.  Then isometry_check refuses the
-        # first mode's |L f|^2 overflow near 0.  The doubled scheme is split
-        # in two blocks on two CPUs; the default one is not split.
+        # block redoes those in log space.  The first mode's |L f|^2
+        # overflows near 0, in the first chunk, and isometry_check refuses
+        # it.  The doubled scheme is split in two blocks on two CPUs.
         f = halfline((1e150, 1.0, 1e-4), (1e-150, 82.3, 1.0))
         errors, seen, original = [], [], laplace._sum_modes
 
         def sum_modes(*args):
-            seen.append(np.geterr())
+            seen.append((threading.current_thread(), np.geterr()))
             return original(*args)
 
         for cpus in (1, 2):
+            seen.clear()
             with usable_cpus(cpus), warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError) as info, mock.patch.object(
                         laplace, "_sum_modes", sum_modes):
                     isometry_check([Weight(0.0)], f, doubled_scheme())
             errors.append(str(info.value))
+            # every chunk summed under the walk's state, on each block's
+            # thread: the worker's 8 chunks of 20 rows run to the end
+            state = dict(np.geterr(), over="ignore", invalid="ignore")
+            assert all(error == state for _, error in seen)
+            assert len({thread for thread, _ in seen}) == cpus
         assert errors == ["integrand is not finite at a quadrature node"] * 2
-        # one call per chunk of 20 rows (792 y nodes), 16 in 320 rows on one
-        # CPU and 8 in each of two 160-row blocks on two, each under
-        # isometry_check's state
-        state = dict(np.geterr(), over="ignore", invalid="ignore")
-        assert seen == [state] * 32
 
     def test_worker_error_is_raised_in_the_caller(self):
-        # rows 2 and 3 of 4 are the worker's block, and the transform there
-        # is past the float range: 8.9e9 / (3e-200)^1.5 = 1.7e309
-        z = np.repeat([[1.0], [2.0], [1e-200], [2e-200]], self.FLOOR, axis=1)
-        f = halfline((1e10, 0.5, 1e-200))
-        for cpus in (1, 2):
-            with usable_cpus(cpus), np.errstate(over="raise"):
-                with pytest.raises(FloatingPointError, match="overflow"):
-                    laplace_eval(f, z)
+        # on two CPUs the worker's block starts at row 160 of 320: past the
+        # first bound only the worker raises, past the second both blocks
+        # do.  The error raised names the first node past the bound, as on
+        # one thread, whatever the number of blocks.
+        x = doubled_scheme().x_nodes
+        for bound in (x[159], x[139]):
+            def f(z):
+                if z.real.max() > bound:
+                    raise ArithmeticError(f"x = {z.real[z.real > bound][0]}")
+                return np.ones_like(z)
 
-    @pytest.mark.parametrize("terms,error,message", [
-        ([(1, 1.0, 1.0), (1, -1.0, 1.0)], ValueError, "diverges"),
-        ([(1, 1.0, 1.0), (1, 200.0, 1.0)], OverflowError, re.escape(
-            "Gamma(201) of mode 1 (1+0j)*t^200*exp(-(1+0j)*t) overflows")),
+            before = threading.active_count()
+            for cpus in (1, 2, 3):
+                with usable_cpus(cpus), pytest.raises(
+                        ArithmeticError, match=re.escape(
+                            f"x = {x[x > bound][0]}")):
+                    inner_product(Weight(0.0), f, f, doubled_scheme())
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("terms,alpha,error,message", [
+        # the weighted norm refuses the divergent mode before the transform
+        ([(1, 1.0, 1.0), (1, -1.0, 1.0)], 0.0, ValueError, "beta > alpha/2"),
+        # Gamma(171.4) in the norm is finite, Gamma(171.7) in L f is not
+        ([(1e-150, 170.7, 1.0)], 170.0, OverflowError, re.escape(
+            "Gamma(171.7) of mode 0 (1e-150+0j)*t^170.7*exp(-(1+0j)*t) "
+            "overflows")),
     ], ids=["divergent", "gamma"])
-    def test_mode_errors_come_before_any_thread(self, terms, error, message):
+    def test_mode_errors_come_before_any_thread(self, terms, alpha, error,
+                                                message):
         start = mock.Mock(side_effect=AssertionError("a thread started"))
         with usable_cpus(4), mock.patch.object(threading.Thread, "start",
                                                start):
             with pytest.raises(error, match=message):
-                laplace_eval(halfline(*terms), doubled_scheme().z)
+                isometry_check([Weight(alpha)], halfline(*terms),
+                               doubled_scheme())
         start.assert_not_called()
 
 
 class TestChunks:
     """isometry_check sums L f in row chunks of at most 2**14 entries,
-    straight into |L f|^2, from nodes it builds chunk by chunk: the density
-    must be, bit for bit, the squares of L f on the whole grid at once."""
+    straight into |L f|^2, from nodes the walk builds chunk by chunk: its
+    sums must be, bit for bit, those of the squares of L f on the whole
+    grid at once."""
 
     # the doubled scheme (20-row chunks), rows of 16,426 nodes (one row a
     # chunk; 43 panels keep their Gauss-Legendre rules cheap to build) and
@@ -207,29 +261,22 @@ class TestChunks:
     CONFIGS = {"doubled": (320, 800, 400.0),
                "long-rows": (5, 16_400, 2.0 ** 40),
                "ragged": (150, 256, 32.0)}
+    F = halfline((1, 1.5, 1.0), (0.5j, 2.25, 2.0 - 1j))
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
     def test_density_is_the_full_grid_one(self, config, cpus):
-        f = halfline((1, 1.5, 1.0), (0.5j, 2.25, 2.0 - 1j))
         weights = [Weight(0.0), Weight(1.5)]
         scheme = QuadratureScheme.build(*config)
-        seen = []
-
-        def integrals(w, values, *args, **kwargs):
-            seen.append(values.tobytes())  # the last weight overwrites it
-            return nested_integrals(w, values, *args, **kwargs)
-
-        with usable_cpus(cpus), mock.patch.object(
-                laplace, "nested_integrals", integrals):
-            results = isometry_check(weights, f, scheme)
-        assert "z" not in scheme.__dict__
-        transform = TestRowBlocks.reference(f, scheme.z)
+        with usable_cpus(cpus):
+            results = isometry_check(weights, self.F, scheme)
+        transform = TestRowBlocks.reference(self.F, nodes(scheme))
         density = np.square(transform.real) + np.square(transform.imag)
-        assert seen == [density.tobytes()] * 2
         for w, result in zip(weights, results):
-            assert result.lhs_quadrature == (
-                nested_integrals(w, density, scheme)[0].real)
+            fine, coarse = whole_grid_integrals(w, density, scheme)
+            assert (result.lhs_quadrature, result.quadrature_error_estimate
+                    ) == (fine.real, abs(fine.real - coarse.real)
+                          / result.rhs)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("bad_x,bad_y", [
@@ -242,17 +289,28 @@ class TestChunks:
                                                          cpus):
         base = doubled_scheme()
         x, y = base.x_nodes.copy(), base.y_nodes.copy()
-        for nodes, bad in ((x, bad_x), (y, bad_y)):
-            nodes[list(bad)] = list(bad.values())
+        for values, bad in ((x, bad_x), (y, bad_y)):
+            values[list(bad)] = list(bad.values())
         scheme = QuadratureScheme(x, base.x_weights, y, base.y_weights,
                                   base.n_x, base.n_y, base.y_max)
         with np.errstate(invalid="ignore"), pytest.raises(
                 HalfPlaneError) as full:
-            require_half_plane(scheme.z)
+            require_half_plane(nodes(scheme))
         with usable_cpus(cpus), pytest.raises(HalfPlaneError) as info:
             isometry_check([Weight(1.0)], halfline((1, 1.5, 1.0)), scheme)
         assert str(info.value) == str(full.value)
         assert repr(info.value.witness) == repr(full.value.witness)
+
+    @staticmethod
+    def traced_peak(call):
+        """Bytes at the tracemalloc peak of ``call()``."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_peak_is_under_two_float_grids(self, cpus):
@@ -260,17 +318,37 @@ class TestChunks:
         # place for the last weight; the nodes, the transform and each
         # mode are chunk-sized, and each block has its own
         scheme = doubled_scheme()
-        f = halfline((1, 1.5, 1.0), (0.5j, 2.25, 2.0 - 1j))
         grid_bytes = scheme.x_nodes.size * scheme.y_nodes.size * 8
         with usable_cpus(cpus):
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                isometry_check([Weight(1.0)], f, scheme)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = self.traced_peak(
+                lambda: isometry_check([Weight(1.0)], self.F, scheme))
         assert peak <= 2 * grid_bytes
+
+    def test_inner_product_peak_is_under_four_float_grids(self):
+        # f * conj(g) is the only grid-sized array, one complex grid; f, g
+        # and the nodes are chunk-sized
+        scheme = doubled_scheme()
+        grid_bytes = scheme.x_nodes.size * scheme.y_nodes.size * 8
+        transform = lambda z: laplace_eval(self.F, z)
+        with usable_cpus(2):
+            inner_product(Weight(1.0), transform, transform, scheme)
+            peak = self.traced_peak(lambda: inner_product(
+                Weight(1.0), transform, transform, scheme))
+        assert peak <= 4 * grid_bytes
+
+    def test_bits_do_not_follow_the_cpu_count(self):
+        # the y sum is one product over the whole grid, however its rows
+        # were split into blocks
+        scheme = doubled_scheme()
+        transform = lambda z: laplace_eval(self.F, z)
+        seen = set()
+        for cpus in (1, 2, 3):
+            with usable_cpus(cpus):
+                seen.add((inner_product(Weight(1.0), transform, transform,
+                                        scheme),
+                          repr(isometry_check([Weight(0.5), Weight(2.0)],
+                                              self.F, scheme))))
+        assert len(seen) == 1
 
 
 class TestOverflowingPower:

@@ -36,9 +36,11 @@ this file) and records:
   ``inner_product`` of a two-mode Laplace transform with itself on the
   default and on the doubled quadrature scheme of the ``quadrature``
   workload, one ``isometry_check`` of that transform at alpha 1 on the
-  doubled scheme (``laplace.isometry_check.doubled``), with the
-  tracemalloc peak of one such call in MB under the same name plus
-  ``.peak_mb``, and each acceptance criterion 1 to 10 of ``bergkit report``
+  doubled scheme (``laplace.isometry_check.doubled``), the tracemalloc
+  peak in MB of one warm call of each of the two doubled-scheme cases
+  (``space.inner_product.doubled.peak_mb`` and
+  ``laplace.isometry_check.doubled.peak_mb``), and each acceptance
+  criterion 1 to 10 of ``bergkit report``
   at seed 0 (``report.criterion_<k>``, one ``report.run_criterion(k, 0)``
   call);
   each sample is scaled by bergbench's host probe taken before and
@@ -46,8 +48,9 @@ this file) and records:
 - the git SHA and whether the tree had uncommitted changes (both null
   when ``--root`` is not a git work tree), a digest of the ``src/`` files
   measured, the Python and numpy versions, the machine, its CPU count and
-  the CPUs this process may run on (``laplace_eval`` runs one row block
-  per usable CPU, so ``quadrature`` speed depends on it), and the median
+  the CPUs this process may run on (the quadrature grid walk,
+  ``bergkit.space._run_blocks``, runs one row block per usable CPU, so
+  ``quadrature`` speed depends on it), and the median
   time of bergbench's host probe, so that snapshots from different hosts
   or host moods can be told apart.
 
@@ -171,10 +174,12 @@ for name, call in cases.items():
         after = run.host_probe()
         print(json.dumps([name, seconds,
                           run.at_nominal_speed(seconds, before, after)]))
-tracemalloc.start()
-cases["laplace.isometry_check.doubled"]()
-print(json.dumps(["laplace.isometry_check.doubled.peak_mb",
-                  tracemalloc.get_traced_memory()[1] / 1e6]))
+for name in ("space.inner_product.doubled", "laplace.isometry_check.doubled"):
+    tracemalloc.start()
+    cases[name]()
+    print(json.dumps([f"{name}.peak_mb",
+                      tracemalloc.get_traced_memory()[1] / 1e6]))
+    tracemalloc.stop()
 """
 
 
