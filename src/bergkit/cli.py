@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -246,8 +247,51 @@ def _apply_config(args) -> None:
 # output plumbing
 
 
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+def _canonical_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)``,
+    byte for byte, errors included: with an indent the standard library
+    runs its pure-Python encoder, and this writer does the same work in
+    fewer calls.  ``indent`` is the line break and indent of ``value``'s
+    own nesting level."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant: " + repr(value))
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return _json_string(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [(_json_string(key) if isinstance(key, str)
+                  else _json_key(key)) + ": " + _canonical_json(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_canonical_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key that is not a str as the standard encoder writes it: a
+    float, int, bool or None key as the string of that value's text."""
+    if not (key is None or isinstance(key, (int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _json_string(_canonical_json(key))
 
 
 def _emit(payload: dict, args, fmt: str = "json") -> None:

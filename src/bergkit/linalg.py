@@ -10,17 +10,19 @@ keeps cyclic Jacobi rotations for their relative accuracy (Demmel &
 Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and runs them in the
 round-robin order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985):
 a sweep is n - 1 steps of n/2 disjoint (p, q) planes.  The sweeps run
-on a workspace, built for the matrices still active and again each time
-converged ones leave: two buffers for the stack, with the eigenvectors
-as rows n..2n-1 of each matrix when they are computed, the views of each
-buffer that a step reads and writes, built once, and the step's
-temporaries.  One step gathers the stack from one buffer into the other
-in the step's layout, then rotates all of its planes in every matrix at
-once, every result written in place: the column update (of the vector
-rows too) and the row update each make two products (by the cosines and
-by the sine pairs) and two sums.  Each matrix keeps its own skip
-threshold and convergence test, so its eigenvalues are the same, bit for
-bit, alone or among others, with its vectors or without.
+on a workspace, built once for the matrices active at the first sweep:
+two buffers for the stack, with the eigenvectors as rows n..2n-1 of each
+matrix when they are computed, the views of each buffer that a step
+reads and writes, and the step's temporaries.  When converged matrices
+leave, the others are gathered into the front of a buffer and every
+view and temporary is cut to their count.  One step gathers the stack
+from one buffer into the other in the step's layout, then rotates all of
+its planes in every matrix at once, every result written in place: the
+column update (of the vector rows too) and the row update each make two
+products (by the cosines and by the sine pairs) and two sums.  Each
+matrix keeps its own skip threshold and convergence test, so its
+eigenvalues are the same, bit for bit, alone or among others, with its
+vectors or without.
 """
 
 from __future__ import annotations
@@ -52,12 +54,29 @@ CHOLESKY_DROP_TOL = 1e-12
 def require_hermitian(matrix, message: str) -> None:
     """Raise ``ValueError(message)`` unless every matrix of the stack is
     Hermitian within ``HERMITIAN_RTOL * max|M|``, entrywise."""
-    a = np.asarray(matrix, dtype=complex)
+    _hermitian_scale(np.asarray(matrix, dtype=complex), message)
+
+
+def _hermitian_scale(a: np.ndarray, message: str) -> np.ndarray:
+    """max|M| of each matrix of the complex stack ``a``, once
+    :func:`require_hermitian` has let it pass."""
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1),
                                                        initial=0.0)
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    if np.any((scale > 0) & (defect > HERMITIAN_RTOL * scale)):
+    if np.count_nonzero((scale > 0) & (defect > HERMITIAN_RTOL * scale)):
         raise ValueError(message)
+    return scale
+
+
+def _frobenius(x: np.ndarray, off_diagonal: bool = False) -> np.ndarray:
+    """``np.linalg.norm(x, axis=(1, 2))`` of a (k, n, n) stack, by the
+    expression numpy evaluates for it, or with ``off_diagonal`` the norm of
+    each matrix with its diagonal set to zero."""
+    squares = x.conj() * x  # C-contiguous, so the reshape is a view
+    if off_diagonal:
+        k, n = x.shape[:2]
+        squares.reshape(k, n * n)[:, ::n + 1] = 0.0
+    return np.sqrt(np.add.reduce(squares.real, axis=(1, 2)))
 
 
 @lru_cache(maxsize=None)
@@ -108,13 +127,11 @@ def _rows(x: np.ndarray, k: int, n: int, planes: int) -> tuple:
     return x, x[:, :, 0], x[:, :, 1]
 
 
-def _update(pairs: tuple, cosines, sines, products: tuple) -> None:
-    """p' = p c - q s1 and q' = p s0 + q c, in place, on the pairs (p, q)
-    of ``pairs`` (see :func:`_columns` and :func:`_rows`), where (s0, s1)
-    are the pairs of ``sines``; ``products`` holds the buffers of x c and
-    x s, as pairs too."""
-    x, x0, x1 = pairs
-    (xc, xc0, xc1), (xs, xs0, xs1) = products
+def _update(x, x0, x1, cosines, sines, xc, xc0, xc1, xs, xs0, xs1) -> None:
+    """p' = p c - q s1 and q' = p s0 + q c, in place, on the pairs
+    (p, q) = (x0, x1) of x (see :func:`_columns` and :func:`_rows`), where
+    (s0, s1) are the pairs of ``sines``; xc and xs, with their pairs, are
+    the buffers of x c and x s."""
     np.multiply(x, cosines, xc)
     np.multiply(x, sines, xs)
     np.subtract(xc0, xs1, x0)
@@ -130,7 +147,9 @@ class _Workspace:
     reads and writes in either buffer, and the temporaries it fills, are
     built here once, so a step allocates nothing: every ufunc gets its
     output array as its third argument.  ``stack``, a C-contiguous array
-    that the workspace then owns, is its first buffer.
+    that the workspace then owns, is its first buffer.  When matrices
+    leave, :meth:`keep` gathers the others into the front of the other
+    buffer and cuts every view and temporary to their count.
     """
 
     def __init__(self, stack: np.ndarray, skip: np.ndarray):
@@ -140,35 +159,62 @@ class _Workspace:
         end = planes * stride
         self.current = 0
         self.skip = skip
-        self.stacks = (stack, np.empty_like(stack))
-        self.flats = tuple(m.reshape(k, rows * n) for m in self.stacks)
+        stacks = (stack, np.empty_like(stack))
+        flats = tuple(m.reshape(k, rows * n) for m in stacks)
+        r, tau, t, c = np.empty((4, k, planes))
+        sines = np.empty((k, planes, 2), dtype=complex)
+        products = np.empty((2, k * rows * 2 * planes), dtype=complex)
+        # The column update broadcasts the cosines and the sine pairs over
+        # the rows, the row update over the columns, with the pairs swapped;
+        # each fills the buffers of x c and x s, viewed as pairs.
+        column_tail = (c[:, None, :, None], sines[:, None], *(
+            pair for x in products for pair in _columns(
+                x.reshape(k, rows, 2 * planes), k, rows, planes)))
+        row_tail = (c[:, :, None, None], sines[:, :, ::-1, None], *(
+            pair for x in products for pair in _rows(
+                x[:k * 2 * planes * n].reshape(k, 2 * planes, n), k, n,
+                planes)))
         # Per buffer: the (p, q) and (q, p) entries of the planes, the real
         # parts of their (p, p) and (q, q) entries, the imaginary parts of
         # the diagonal, the column pairs of the planes in all rows and their
         # row pairs in the matrix rows.
-        self.views = tuple(
-            (f[:, 1:end:stride], f[:, n:n + end:stride],
-             f[:, 0:end:stride].real, f[:, n + 1:n + 1 + end:stride].real,
-             f[:, :n * n:n + 1].imag,
-             _columns(m, k, rows, planes), _rows(m, k, n, planes))
-            for m, f in zip(self.stacks, self.flats))
-        self.r, self.tau, self.t, self.c = np.empty((4, k, planes))
-        self.rotate, self.keep = np.empty((2, k, planes), dtype=bool)
-        self.ratio = np.empty((k, planes), dtype=complex)
-        sines = np.empty((k, planes, 2), dtype=complex)
-        self.sine, self.sine_conj = sines[..., 0], sines[..., 1]
-        # The column update broadcasts the cosines and the sine pairs over
-        # the rows, the row update over the columns, with the pairs swapped.
-        self.column_factors = (self.c[:, None, :, None], sines[:, None])
-        self.row_factors = (self.c[:, :, None, None], sines[:, :, ::-1, None])
-        products = np.empty((2, k * rows * 2 * planes), dtype=complex)
-        self.column_products = tuple(
-            _columns(x.reshape(k, rows, 2 * planes), k, rows, planes)
-            for x in products)
-        self.row_products = tuple(
-            _rows(x[:k * 2 * planes * n].reshape(k, 2 * planes, n), k, n,
-                  planes)
-            for x in products)
+        views = [(f[:, 1:end:stride], f[:, n:n + end:stride],
+                  f[:, 0:end:stride].real,
+                  f[:, n + 1:n + 1 + end:stride].real,
+                  f[:, :n * n:n + 1].imag, *_columns(m, k, rows, planes),
+                  *_rows(m, k, n, planes))
+                 for m, f in zip(stacks, flats)]
+        self.full = [stacks, flats,
+                     (r, tau, t, c, *np.empty((2, k, planes), dtype=bool),
+                      np.empty((k, planes), dtype=complex), sines[..., 0],
+                      sines[..., 1]),
+                     column_tail, row_tail, *views]
+        self._point(self.full)
+
+    def _point(self, groups: list) -> None:
+        """Point the steps at the arrays of ``groups``, laid out as
+        ``self.full``: the two buffers, their (k, rows * n) views, the
+        temporaries of :meth:`_rotate`, the factors and product buffers of
+        the column update and of the row update, and the views of each
+        buffer (its five entry views, then its column and row pairs)."""
+        stacks, flats, temporaries, column_tail, row_tail, *views = groups
+        self.stacks, self.flats = tuple(stacks), tuple(flats)
+        self.temporaries = tuple(temporaries)
+        self.steps = tuple(
+            (tuple(v[:5]), (*v[5:8], *column_tail), (*v[8:], *row_tail))
+            for v in views)
+
+    def keep(self, kept: np.ndarray) -> np.ndarray:
+        """Keep the matrices at ``kept``, in that order: gather them into
+        the front of the other buffer and cut every view and temporary to
+        their count.  Returns the stack they now fill."""
+        k = kept.size
+        source, self.current = self.current, 1 - self.current
+        self.flats[source].take(kept, 0, self.full[1][self.current][:k],
+                                "clip")
+        self.skip = self.skip[kept]
+        self._point([[x[:k] for x in group] for group in self.full])
+        return self.stacks[self.current]
 
     def sweep(self, moves: tuple) -> np.ndarray:
         """One sweep: every move of ``moves`` but the last is followed by a
@@ -191,10 +237,9 @@ class _Workspace:
         (2i, 2i+1) of every matrix k for every plane i, one 2x2 unitary per
         plane.  Planes whose entry is at most ``skip[k, 0]`` get the
         identity.  The vector rows accumulate the columns."""
-        apq, aqp, app, aqq, diagonal_imag, columns, rows = (
-            self.views[self.current])
-        r, tau, t, c, rotate, keep = (self.r, self.tau, self.t, self.c,
-                                      self.rotate, self.keep)
+        (apq, aqp, app, aqq, diagonal_imag), columns, rows = (
+            self.steps[self.current])
+        r, tau, t, c, rotate, keep, ratio, sine, sine_conj = self.temporaries
         np.absolute(apq, r)
         np.greater(r, self.skip, rotate)
         if not np.count_nonzero(rotate):
@@ -217,11 +262,11 @@ class _Workspace:
         # and q' = p s + q c; rows by u*: p' = p c - q s and
         # q' = p conj(s) + q c.
         np.multiply(t, c, tau)  # t c, in the buffer of tau
-        np.divide(apq, r, self.ratio)
-        np.multiply(tau, self.ratio, self.sine)
-        np.conjugate(self.sine, self.sine_conj)
-        _update(columns, *self.column_factors, self.column_products)
-        _update(rows, *self.row_factors, self.row_products)
+        np.divide(apq, r, ratio)
+        np.multiply(tau, ratio, sine)
+        np.conjugate(sine, sine_conj)
+        _update(*columns)
+        _update(*rows)
         np.multiply(apq, keep, apq)
         np.multiply(aqp, keep, aqp)
         diagonal_imag[...] = 0.0
@@ -251,35 +296,34 @@ def jacobi_eigh(matrix, compute_vectors: bool = True):
         raise ValueError(f"need a (B, n, n) stack of square matrices, "
                          f"not shape {a.shape}")
     batch, n = a.shape[:2]
-    if not np.all(np.isfinite(a)):
+    if np.count_nonzero(np.isfinite(a)) < a.size:
         raise ValueError("matrix has non-finite entries")
-    require_hermitian(a, "matrix is not Hermitian")
     # Each matrix is scaled by the power of two that brings its largest
     # entry into [0.5, 1), so ||M||_F stays in range.  Both this and the
     # scaling back of the eigenvalues are exact, but for parts below
     # 2**-1022 of the largest entry.
-    scale = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))[1]
+    scale = np.frexp(_hermitian_scale(a, "matrix is not Hermitian"))[1]
     a = np.ldexp(a.view(float), -scale[:, None, None]).view(complex)
     a = 0.5 * (a + a.conj().swapaxes(1, 2))
-    target = JACOBI_TOL * np.linalg.norm(a, axis=(1, 2))
+    target = JACOBI_TOL * _frobenius(a)
     # Rotations on entries this small cannot move the off-diagonal mass
     # above the convergence target, so they are skipped.
     skip = target / (2.0 * max(n, 1))
     if compute_vectors:  # rows n..2n-1 of each matrix, rotated as V U
         a = np.concatenate((a, np.broadcast_to(np.eye(n), a.shape)), axis=1)
 
-    active = np.flatnonzero(target > 0.0)
-    work = a[active]
+    active = (target > 0.0).nonzero()[0]
+    work, goal = a[active], target[active]
     space = None
-    diag = np.arange(n)
     moves = _schedule(n, a.shape[1])
     for sweep in range(MAX_SWEEPS + 1):
-        off = work[:, :n].copy()
-        off[:, diag, diag] = 0.0
-        done = np.linalg.norm(off, axis=(1, 2)) <= target[active]
-        if done.any():
+        done = _frobenius(work[:, :n], off_diagonal=True) <= goal
+        if np.count_nonzero(done):
             a[active[done]] = work[done]
-            active, work, space = active[~done], work[~done], None
+            kept = (~done).nonzero()[0]
+            active, goal = active[kept], goal[kept]
+            if active.size:
+                work = work[kept] if space is None else space.keep(kept)
         if not active.size or sweep == MAX_SWEEPS:
             break
         if space is None:
@@ -290,9 +334,10 @@ def jacobi_eigh(matrix, compute_vectors: bool = True):
                                f"converge in {MAX_SWEEPS} Jacobi sweeps")
 
     w = a[:, :n].diagonal(axis1=1, axis2=2).real
-    order = np.argsort(w, axis=1, kind="stable")
-    w = np.ldexp(np.take_along_axis(w, order, axis=1), scale[:, None])
-    v = (np.take_along_axis(a[:, n:], order[:, None, :], axis=2)
+    order = w.argsort(axis=1, kind="stable")
+    matrices = np.arange(batch)[:, None]
+    w = np.ldexp(w[matrices, order], scale[:, None])
+    v = (a[matrices[:, None], np.arange(n, 2 * n)[:, None], order[:, None]]
          if compute_vectors else None)
     return w, v
 
@@ -339,7 +384,7 @@ def pivoted_cholesky(matrix):
         chosen.append(j)
         columns.append(col)
         available[j] = False
-        work = work - np.outer(col, col.conj())
+        work = work - col[:, None] * col.conj()
 
     # Row r is the pivot chosen[r] of every column; column c is zero at
     # the pivots chosen before it, so ``lower`` is lower triangular.

@@ -350,14 +350,14 @@ def compose(outer: Symbol, inner: Symbol) -> Symbol:
             and isinstance(inner, _LinearFractional)):
         return Compose(outer, inner)
     with np.errstate(over="ignore", invalid="ignore"):  # affine guard below
-        m = np.array(outer.matrix) @ np.array(inner.matrix)
+        m = np.matmul(outer.matrix, inner.matrix)  # the @ product
     if isinstance(outer, Affine) and isinstance(inner, Affine):
         a, b = m[0, 0].real, m[0, 1]
         if not (abs(a) <= _COEFF_LIMIT and abs(b) <= _COEFF_LIMIT):
             raise CoefficientOverflow("affine coefficients exceeded 1e300")
         return Affine(a, b)
-    m = m / np.max(np.abs(m))
-    return Moebius(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+    m = m / np.maximum.reduce(np.abs(m), axis=None)
+    return Moebius(*m.ravel().tolist())
 
 
 def iterate_images(phi: Symbol, points: np.ndarray, count: int) -> tuple:

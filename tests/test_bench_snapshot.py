@@ -226,6 +226,19 @@ def test_layer_code_times_jacobi_with_and_without_vectors(monkeypatch):
     assert w.tobytes() == w_only.tobytes()
 
 
+def test_layer_code_times_the_fixed_costs_of_a_norm_op(monkeypatch):
+    # a 5x2x2 stack, eigenvalues only, and the JSON text of the payload of
+    # the first norm_sweep op, byte for byte the standard encoding
+    cases = layer_cases(monkeypatch)
+    w, none = cases["linalg.jacobi_eigh.5x2x2"]()
+    assert w.shape == (5, 2) and none is None
+    text = cases["cli.canonical_json.norm_sweep_op"]()
+    payload = json.loads(text)
+    assert payload["command"] == "norm" and payload["rows"]
+    assert text == json.dumps(payload, sort_keys=True, indent=2,
+                              allow_nan=False)
+
+
 def test_layer_code_compiles():
     # the child code itself needs numpy and runs only when measuring
     compile(bench_snapshot.LAYER_CODE, "<layer code>", "exec")

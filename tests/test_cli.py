@@ -1,17 +1,20 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bergkit
-from bergkit.cli import (CliError, _apply_config, _build_parser, _flag, main,
+from bergkit.cli import (CliError, _apply_config, _build_parser,
+                         _canonical_json, _flag, main,
                         parse_symbol)
 from bergkit.kernels import nevanlinna_kernel, psd_check
 from bergkit.laplace import HalfLineFunction
@@ -1245,3 +1248,87 @@ class TestInputsByCommand:
         assert capsys.readouterr() == (
             "", f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
         assert not out.exists()
+
+
+def standard_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+# Strings with escapes, control characters and text outside ASCII (the
+# writer escapes it as the standard encoder does: ensure_ascii).
+_JSON_TEXT = st.text() | st.sampled_from(
+    ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "caf\u00e9", "\u2028",
+     "\U0001f600", "a/b"])
+_JSON_SCALARS = (
+    st.none() | st.booleans()
+    | st.integers(min_value=-2**80, max_value=2**80)  # past 2**63
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 1e-7, 2.0**63])
+    | _JSON_TEXT)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_JSON_TEXT, children, max_size=4)),
+    max_leaves=25)
+
+
+class TestCanonicalJson:
+    """``_canonical_json`` writes the bytes of the standard encoder with
+    sort_keys, indent=2 and allow_nan=False, and refuses what it refuses
+    with the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_TREES)
+    def test_trees_are_written_as_the_standard_encoder_writes_them(self,
+                                                                   tree):
+        assert _canonical_json(tree) == standard_json(tree)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], "", 0, -0.0,
+        True, None, 2**64 + 1, -(2**70), 1e16, 1e22, 5e-324,
+        # keys that are not strings: written as their own JSON text
+        {1: "int", 2.5: "float", -3: [1]}, {True: 1, 0: 2}, {None: 0},
+        {2**64: "big"}])
+    def test_examples(self, value):
+        assert _canonical_json(value) == standard_json(value)
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, {"a": [1.0, math.nan]},
+        [{"b": -math.inf}], {math.inf: 1}, np.float64("nan")])
+    def test_non_finite_floats_are_refused_by_the_same_value_error(self,
+                                                                   value):
+        with pytest.raises(ValueError) as standard:
+            standard_json(value)
+        with pytest.raises(ValueError) as written:
+            _canonical_json(value)
+        assert str(written.value) == str(standard.value)
+        assert "Out of range float values are not JSON compliant" in str(
+            written.value)
+
+    @pytest.mark.parametrize("value", [
+        np.int64(3), np.float32(1.5), np.bool_(True), 1j, {1, 2},
+        np.zeros(2), {"a": [object()]}, {(1, 2): "tuple key"},
+        {b"bytes": 1}, {"a": 1, 2: "mixed keys"}])
+    def test_other_values_are_refused_by_the_same_type_error(self, value):
+        with pytest.raises(TypeError) as standard:
+            standard_json(value)
+        with pytest.raises(TypeError) as written:
+            _canonical_json(value)
+        assert str(written.value) == str(standard.value)
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--symbol", "affine:2,1", "--alpha", "1"],
+        ["psd", "--kernel", "gram", "--points", "8", "--trials", "2"],
+        ["angular", "--symbol", "moebius:2,1+1j,0,1.5"],
+        ["laplace", "--f", "t*exp(-t)", "--alpha", "1"],
+        ["interp", "--alpha", "1"],
+        ["spectral", "--symbol", "affine:2,1", "--alpha", "1"],
+        ["report", "--seed", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_each_command_prints_the_standard_encoding(self, capsys, argv):
+        # a float's repr reads back as the same float, so the printed text
+        # parses to the payload the command wrote
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == standard_json(json.loads(out)) + "\n"

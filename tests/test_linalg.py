@@ -49,14 +49,40 @@ def test_jacobi_eigenvalues_property(n, seed):
     assert np.all(np.diff(w) >= 0)
 
 
-@settings(max_examples=30, deadline=None)
+def staggered_stack(rng, kinds, n):
+    """Matrices that leave the sweeps at different sweeps, one of each of
+    ``kinds``: 0 diagonal (leaves before the first sweep), 1 nearly
+    diagonal, 2 near-degenerate (eigenvalues 1e-12 apart), 3 dense."""
+    stack = []
+    for kind in kinds:
+        a = random_hermitian(rng, n)
+        diagonal = np.diag(np.diag(a).real)
+        if kind == 0:
+            a = diagonal
+        elif kind == 1:
+            a = diagonal + 1e-9 * a
+        elif kind == 2:
+            q, _ = np.linalg.qr(random_hermitian(rng, n))
+            a = (q * (1.0 + 1e-12 * rng.normal(size=n))) @ q.conj().T
+        stack.append(a)
+    return np.array(stack)
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=20),
-       st.integers(min_value=1, max_value=16),
-       st.integers(min_value=0, max_value=10_000), st.booleans())
-def test_jacobi_stack_matches_single_solves(batch, n, seed, vectors):
+       st.sampled_from([2, 4]) | st.integers(min_value=1, max_value=16),
+       st.integers(min_value=0, max_value=10_000), st.booleans(),
+       st.booleans())
+def test_jacobi_stack_matches_single_solves(batch, n, seed, vectors,
+                                            staggered):
+    # A staggered stack has matrices leave at different sweeps, so the
+    # workspace is cut to the matrices left several times in one call.
     rng = np.random.default_rng(seed)
-    scales = 10.0 ** rng.uniform(-6.0, 0.0, batch)
-    stack = np.array([s * random_hermitian(rng, n) for s in scales])
+    if staggered:
+        stack = staggered_stack(rng, rng.integers(0, 4, batch), n)
+    else:
+        scales = 10.0 ** rng.uniform(-6.0, 0.0, batch)
+        stack = np.array([s * random_hermitian(rng, n) for s in scales])
     w, v = jacobi_eigh(stack, compute_vectors=vectors)
     assert w.shape == (batch, n)
     # each entry is, bit for bit, its one-element stack
@@ -67,6 +93,38 @@ def test_jacobi_stack_matches_single_solves(batch, n, seed, vectors):
             assert v[i:i + 1].tobytes() == v1.tobytes()
         w_ref = np.linalg.eigvalsh(a)
         assert np.max(np.abs(w[i] - w_ref)) <= 1e-12 * np.abs(w_ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("vectors", [False, True])
+def test_jacobi_cuts_one_workspace_as_matrices_leave(monkeypatch, n, vectors):
+    # One workspace serves the call: each time matrices leave, the others
+    # move to the front of a buffer and the step runs on fewer matrices.
+    builds, kept = [], []
+    build, keep = linalg._Workspace.__init__, linalg._Workspace.keep
+
+    def counted_build(self, stack, skip):
+        builds.append(len(stack))
+        build(self, stack, skip)
+
+    def counted_keep(self, indices):
+        kept.append(indices.size)
+        return keep(self, indices)
+
+    monkeypatch.setattr(linalg._Workspace, "__init__", counted_build)
+    monkeypatch.setattr(linalg._Workspace, "keep", counted_keep)
+    stack = staggered_stack(np.random.default_rng(n), [0, 3, 2, 1, 3, 0], n)
+    w, v = jacobi_eigh(stack, compute_vectors=vectors)
+    # the two diagonal matrices leave before the workspace is built; 2x2
+    # matrices all leave after their one sweep, larger ones a few at a time
+    assert builds == [4]
+    assert kept == sorted(set(kept), reverse=True) and kept[-1:] != [0]
+    assert len(kept) >= 2 if n > 2 else kept == []
+    for i in range(len(stack)):
+        w1, v1 = jacobi_eigh(stack[i:i + 1], compute_vectors=vectors)
+        assert w[i:i + 1].tobytes() == w1.tobytes()
+        if vectors:
+            assert v[i:i + 1].tobytes() == v1.tobytes()
 
 
 def reference_rotate(a, v, skip, planes):
@@ -165,7 +223,7 @@ def test_jacobi_matches_reference_bitwise(batch, n, seed, kind, scale,
     # bits agree, signed zeros of skipped planes and real inputs included.
     # Zero and diagonal stacks converge before any step; in a mixed stack
     # the matrices leave at different sweeps, and the step's workspace is
-    # built again for the ones left.  The vectors ride in the stack as
+    # cut to the ones left.  The vectors ride in the stack as
     # extra rows that only the column update touches, so the eigenvalues
     # are the same bits with them and without; and a stack whose last
     # axis is not contiguous is solved as its C-ordered copy.

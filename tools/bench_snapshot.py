@@ -27,8 +27,11 @@ this file) and records:
   order 8, 32 and 64 and on the stacks 12x8x8, 4x16x16 and 5x12x12 that
   the workloads solve, and with its eigenvectors on that 12x8x8 stack
   (``linalg.jacobi_eigh.12x8x8.vectors``), ``pivoted_cholesky`` at order
-  8, 32 and 64, one ``angular_derivative_estimate`` on the default grid
-  for an affine map and for a composition of two Moebius maps, one
+  8, 32 and 64, ``jacobi_eigh`` on a 5x2x2 stack, which is almost all
+  fixed cost, ``cli._canonical_json`` on the payload of the first
+  ``norm_sweep`` op (``cli.canonical_json.norm_sweep_op``), one
+  ``angular_derivative_estimate`` on the default grid for an affine map
+  and for a composition of two Moebius maps, one
   six-iterate
   ``spectral_radius_estimate`` at alpha 1 from each of those two
   estimates, one ``boundedness_verdict``
@@ -95,11 +98,11 @@ NOMINAL_START_S = 0.15
 # of each, one per line, each at least 20 ms of calls between two host
 # probes, then the traced peak of one doubled-scheme isometry check.
 LAYER_CODE = """
-import json, sys, time, tracemalloc
+import contextlib, io, json, sys, time, tracemalloc
 sys.path.insert(0, "bergbench")
 import numpy as np, run, workloads
 from bergkit import report
-from bergkit.cli import parse_symbol
+from bergkit.cli import _canonical_json, main, parse_symbol
 from bergkit.kernels import Weight
 from bergkit.laplace import HalfLineFunction, isometry_check, laplace_eval
 from bergkit.linalg import jacobi_eigh, pivoted_cholesky
@@ -135,6 +138,8 @@ cases["linalg.jacobi_eigh.12x8x8.vectors"] = lambda a=stacks[0]: jacobi_eigh(a)
 for n in (8, 32, 64):
     h = hermitian(n, n)
     cases[f"linalg.pivoted_cholesky.n{n}"] = lambda g=h @ h: pivoted_cholesky(g)
+# almost all fixed cost, as the n = 2 Gram prefix of every norm_sweep op is
+cases["linalg.jacobi_eigh.5x2x2"] = eigenvalues(hermitian(5, 2, 2))
 affine = Affine(2.0, 1.0 + 0.5j)
 moebius_compose = Compose(Moebius(2.0, 1.0 + 0.5j, 0, 1.5),
                           Moebius(1.5, 0.5 - 1j, 0, 2.0))
@@ -149,6 +154,11 @@ weight = Weight(op.spec["cells"][0][1])
 symbols = [parse_symbol(sym.text) for sym, _ in op.spec["cells"]]
 cases["opnorm.boundedness_verdict.norm_sweep_families"] = (
     lambda: boundedness_verdict([weight], symbols, DEFAULT_GRID))
+# the payload that op prints, encoded again
+with contextlib.redirect_stdout(io.StringIO()) as printed:
+    main(op.argv)
+payload = json.loads(printed.getvalue())
+cases["cli.canonical_json.norm_sweep_op"] = lambda: _canonical_json(payload)
 f = HalfLineFunction.build([(1.0, 1.0, 1.0), (0.5 + 1j, 2.5, 1.5 - 0.5j)])
 transform = lambda z: laplace_eval(f, z)
 doubled = QuadratureScheme.build(**workloads.DOUBLED_SCHEME)
