@@ -267,8 +267,9 @@ def isometry_check(weights: Sequence[Weight], f: HalfLineFunction,
 
     L f does not depend on alpha, so |L f|^2 is evaluated once, chunk by
     chunk in :func:`bergkit.space.nested_integrals`' walk of the grid,
-    straight into one real grid per weight, and shared by both sides and by
-    the sum at step 2h.
+    straight into one real grid whose rows are summed over y into one
+    profile over x; each weight's x^alpha weights that profile, which the
+    sum at step 2h shares.
     """
     rhs_values = [mu_alpha_norm(w, f) for w in weights]
     modes = _modes(f)

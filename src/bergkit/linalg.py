@@ -36,7 +36,6 @@ __all__ = [
     "ConvergenceError",
     "jacobi_eigh",
     "pivoted_cholesky",
-    "require_hermitian",
     "solve_lower_triangular",
 ]
 
@@ -51,20 +50,14 @@ MAX_SWEEPS = 60
 CHOLESKY_DROP_TOL = 1e-12
 
 
-def require_hermitian(matrix, message: str) -> None:
-    """Raise ``ValueError(message)`` unless every matrix of the stack is
-    Hermitian within ``HERMITIAN_RTOL * max|M|``, entrywise."""
-    _hermitian_scale(np.asarray(matrix, dtype=complex), message)
-
-
-def _hermitian_scale(a: np.ndarray, message: str) -> np.ndarray:
-    """max|M| of each matrix of the complex stack ``a``, once
-    :func:`require_hermitian` has let it pass."""
+def _hermitian_scale(a: np.ndarray) -> np.ndarray:
+    """max|M| of each matrix of the complex stack ``a``; a ValueError
+    unless each is Hermitian within ``HERMITIAN_RTOL * max|M|``, entrywise."""
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1),
                                                        initial=0.0)
     if np.count_nonzero((scale > 0) & (defect > HERMITIAN_RTOL * scale)):
-        raise ValueError(message)
+        raise ValueError("matrix is not Hermitian")
     return scale
 
 
@@ -302,7 +295,7 @@ def jacobi_eigh(matrix, compute_vectors: bool = True):
     # entry into [0.5, 1), so ||M||_F stays in range.  Both this and the
     # scaling back of the eigenvalues are exact, but for parts below
     # 2**-1022 of the largest entry.
-    scale = np.frexp(_hermitian_scale(a, "matrix is not Hermitian"))[1]
+    scale = np.frexp(_hermitian_scale(a))[1]
     a = np.ldexp(a.view(float), -scale[:, None, None]).view(complex)
     a = 0.5 * (a + a.conj().swapaxes(1, 2))
     target = JACOBI_TOL * _frobenius(a)

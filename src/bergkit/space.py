@@ -15,7 +15,9 @@ the algebraic decay of kernel integrands alike (Trefethen and Weideman,
 SIAM Review 56, 2014).  Every other node carries the same rule at step
 2h, which :func:`nested_integrals` sums as well: the two sums differ by
 about the coarser sum's error, an estimate of the finer one's that costs
-no further evaluation.
+no further evaluation.  x^alpha depends on x alone, so it weights the
+integrand's y sums, one per x node, and every sum is a ufunc reduction
+in numpy's fixed order, with no BLAS product.
 
 The y-integral uses Gauss-Legendre panels graded dyadically away from
 the real axis, where kernel integrands peak, up to |y| = y_max.  Past
@@ -216,41 +218,42 @@ def nested_integrals(weights: Sequence[Weight], integrand: Callable,
     uses every other x node of the same values.
 
     ``integrand(z, out)`` writes h at the nodes ``z`` of a row chunk into
-    ``out``, an array of ``dtype``; :func:`_run_blocks` calls it, under an
-    ``errstate`` that ignores overflow and invalid results.  Each chunk is
-    weighted by x^alpha as it is filled, into one grid per weight, the
-    last weight's in place over h; the y sum is then one product over each
-    whole grid, whose bits do not depend on how the rows were split."""
-    shape = (len(scheme.x_nodes), len(scheme.y_nodes))
-    grids = [np.empty(shape, dtype) for _ in weights]
-    values = grids[-1] if grids else np.empty(shape, dtype)
+    ``out``, rows of one grid of ``dtype``; :func:`_run_blocks` calls it,
+    under an ``errstate`` that ignores overflow and invalid results.  Each
+    chunk is weighted by the y rule in place as it is filled and summed
+    along its rows into one profile over x, in numpy's pairwise order, so
+    the bits depend neither on how the rows were split nor on the BLAS.
+    x^alpha depends on x alone: it weights the profile, once per weight,
+    and where x^alpha leaves the float range the product is taken in log
+    space."""
+    values = np.empty((len(scheme.x_nodes), len(scheme.y_nodes)), dtype)
+    profile = np.empty(len(scheme.x_nodes), dtype)
+
+    def fill(rows, z):
+        chunk = values[rows]
+        integrand(z, chunk)
+        chunk *= scheme.y_weights
+        np.add.reduce(chunk, axis=1, out=profile[rows])
+
+    sums = []
     with np.errstate(invalid="ignore", over="ignore"):
-        powers = [scheme.x_nodes[:, None] ** w.alpha for w in weights]
-
-        def fill(rows, z):
-            integrand(z, values[rows])
-            for weight, power, grid in zip(weights, powers, grids):
-                # over h, a chunk is formed apart: the redo reads h
-                chunk = np.multiply(values[rows], power[rows], out=(
-                    None if grid is values else grid[rows]))
-                bad = ~np.isfinite(chunk)
-                if bad.any():
-                    # x^alpha may leave the float range where x^alpha h does not
-                    log_x = np.log(scheme.x_nodes[rows])[bad.nonzero()[0]]
-                    with np.errstate(all="ignore"):
-                        redone = np.exp(np.log(values[rows][bad].astype(
-                            complex)) + weight.alpha * log_x)
-                    chunk[bad] = (redone if chunk.dtype.kind == "c"
-                                  else redone.real)
-                    if not np.all(np.isfinite(chunk)):
-                        raise ValueError(
-                            "integrand is not finite at a quadrature node")
-                grid[rows] = chunk  # no copy where chunk is grid[rows]
-
         _run_blocks(scheme, fill)
-    profiles = [grid @ scheme.y_weights / math.pi for grid in grids]
-    return [(complex(scheme.x_weights @ profile),
-             complex(scheme.x_weights_2h @ profile)) for profile in profiles]
+        profile /= math.pi
+        for weight in weights:
+            g = profile * scheme.x_nodes ** weight.alpha
+            bad = ~np.isfinite(g)
+            if bad.any():
+                with np.errstate(all="ignore"):
+                    redone = np.exp(np.log(profile[bad].astype(complex))
+                                    + weight.alpha
+                                    * np.log(scheme.x_nodes[bad]))
+                g[bad] = redone if g.dtype.kind == "c" else redone.real
+                if not np.all(np.isfinite(g)):
+                    raise ValueError(
+                        "integrand is not finite at a quadrature node")
+            sums.append((complex(np.add.reduce(scheme.x_weights * g)),
+                         complex(np.add.reduce(scheme.x_weights_2h * g))))
+    return sums
 
 
 def inner_product(weight: Weight, f: Callable, g: Callable,

@@ -2,11 +2,17 @@
 integration (scipy.quad), which is independent of the Gamma formulas."""
 
 import cmath
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import bergkit
 from bergkit import laplace, space
 from bergkit.kernels import Weight, _shifted_power, bergman_kernel
 from bergkit.laplace import (ExpMonomial, HalfLineFunction, isometry_check,
@@ -314,15 +321,17 @@ class TestChunks:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_peak_is_under_two_float_grids(self, cpus):
-        # |L f|^2 is the only grid-sized array, weighted by x^alpha in
-        # place for the last weight; the nodes, the transform and each
-        # mode are chunk-sized, and each block has its own
+        # |L f|^2 is the only grid-sized array, whatever the number of
+        # weights: x^alpha weights its profile over x; the nodes, the
+        # transform and each mode are chunk-sized, and each block has its own
         scheme = doubled_scheme()
         grid_bytes = scheme.x_nodes.size * scheme.y_nodes.size * 8
-        with usable_cpus(cpus):
-            peak = self.traced_peak(
-                lambda: isometry_check([Weight(1.0)], self.F, scheme))
-        assert peak <= 2 * grid_bytes
+        for weights in ([Weight(1.0)],
+                        [Weight(0.0), Weight(1.0), Weight(2.5)]):
+            with usable_cpus(cpus):
+                peak = self.traced_peak(
+                    lambda: isometry_check(weights, self.F, scheme))
+            assert peak <= 2 * grid_bytes
 
     def test_inner_product_peak_is_under_four_float_grids(self):
         # f * conj(g) is the only grid-sized array, one complex grid; f, g
@@ -337,8 +346,8 @@ class TestChunks:
         assert peak <= 4 * grid_bytes
 
     def test_bits_do_not_follow_the_cpu_count(self):
-        # the y sum is one product over the whole grid, however its rows
-        # were split into blocks
+        # each row is summed over y on its own, however the rows were
+        # split into blocks
         scheme = doubled_scheme()
         transform = lambda z: laplace_eval(self.F, z)
         seen = set()
@@ -349,6 +358,66 @@ class TestChunks:
                           repr(isometry_check([Weight(0.5), Weight(2.0)],
                                               self.F, scheme))))
         assert len(seen) == 1
+
+
+def _blas_cores_skip_reason():
+    """Why the OpenBLAS core cannot be switched here, or None."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return f"BLAS {blas.get('name')!r} is not OpenBLAS with DYNAMIC_ARCH"
+    simd = config.get("SIMD Extensions", {})
+    if not {"X86_V3", "AVX2"} & {*simd.get("baseline", ()),
+                                 *simd.get("found", ())}:
+        return "the CPU cannot run the Haswell core (AVX2)"
+    return None
+
+
+class TestBlasCores:
+    """The quadrature sums are ufunc reductions in a fixed order, so the
+    bytes of ``bergkit laplace`` and of criterion 7 do not follow the
+    kernel OpenBLAS picks for the CPU: those with FMA (Haswell) and those
+    without (Sandybridge, Prescott) give the same bits as the default."""
+
+    F = ("(1+0.5j)*t^2.7*exp(-(1.2+0.3j)*t)"
+         "+(0.5)*t^3.1*exp(-0.8*t)")
+    SCRIPT = textwrap.dedent("""\
+        import json, sys
+        from bergkit.cli import main
+        from bergkit.report import run_criterion
+        for argv in json.loads(sys.argv[1]):
+            main(argv)
+        print(repr(run_criterion(7, 0)))
+    """)
+
+    def test_outputs_do_not_follow_the_openblas_core(self, tmp_path):
+        reason = _blas_cores_skip_reason()
+        if reason:
+            pytest.skip(reason)
+        config = tmp_path / "doubled.json"
+        config.write_text(json.dumps(
+            {"quadrature": {"n_x": 320, "n_y": 800, "y_max": 400.0}}))
+        laplace_argv = ["laplace", "--f", self.F, "--alpha", "0.7",
+                        "--alpha", "1.9"]
+        commands = [laplace_argv, laplace_argv + ["--config", str(config)]]
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(Path(bergkit.__file__).parents[1])
+        outputs = {}
+        for core in (None, "Haswell", "Sandybridge", "Prescott"):
+            result = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                capture_output=True, text=True, timeout=120, cwd=tmp_path,
+                env=env if core is None else {**env,
+                                              "OPENBLAS_CORETYPE": core})
+            assert result.returncode == 0, result.stderr
+            outputs[core] = [line for line in result.stdout.splitlines()
+                             if '"generated_at"' not in line]
+        lines = outputs[None]
+        assert sum('"lhs_quadrature"' in line for line in lines) == 4
+        assert lines[-1].startswith("CriterionResult(number=7,")
+        for core, lines in outputs.items():
+            assert lines == outputs[None], core
 
 
 class TestOverflowingPower:

@@ -45,19 +45,19 @@ def nodes(scheme):
 
 def whole_grid_integrals(weight, values, scheme):
     """nested_integrals of the sampled ``values`` as one pass over the
-    whole grid: the reference for the walk's row blocks and chunks and for
-    its in-place weighting."""
+    whole grid: each row weighted by the y rule and summed into a profile
+    over x, which x^alpha weights.  The reference for the walk's row blocks
+    and chunks."""
+    profile = np.add.reduce(values * scheme.y_weights, axis=1) / math.pi
     with np.errstate(invalid="ignore", over="ignore"):
-        weighted = values * scheme.x_nodes[:, None] ** weight.alpha
+        weighted = profile * scheme.x_nodes ** weight.alpha
     bad = ~np.isfinite(weighted)
-    log_x = np.broadcast_to(np.log(scheme.x_nodes)[:, None], bad.shape)
     with np.errstate(all="ignore"):
-        redone = np.exp(np.log(values[bad].astype(complex))
-                        + weight.alpha * log_x[bad])
+        redone = np.exp(np.log(profile[bad].astype(complex))
+                        + weight.alpha * np.log(scheme.x_nodes[bad]))
     weighted[bad] = redone if weighted.dtype.kind == "c" else redone.real
-    profile = weighted @ scheme.y_weights / math.pi
-    return (complex(scheme.x_weights @ profile),
-            complex(scheme.x_weights_2h @ profile))
+    return (complex(np.add.reduce(scheme.x_weights * weighted)),
+            complex(np.add.reduce(scheme.x_weights_2h * weighted)))
 
 
 class TestInnerProduct:
@@ -165,14 +165,12 @@ class TestErrorEstimate:
             assert abs(fine - exact) <= FAMILY_RTOL * exact
 
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
-    @pytest.mark.parametrize("last", [False, True])
-    def test_row_chunks_match_one_whole_grid_pass(self, alpha, last):
+    def test_row_chunks_match_one_whole_grid_pass(self, alpha):
         # 320 rows of 792 nodes go in chunks of 20 rows, in one row block
         # and in three; at alpha 100, x^alpha overflows in the last rows,
-        # which are redone in log space.  The last weight is weighted in
-        # place over the integrand, the others into grids of their own.
+        # which are redone in log space.
         scheme = QuadratureScheme.build(320, 800, 400.0)
-        weights = [Weight(0.5), Weight(alpha)][::1 if last else -1]
+        weights = [Weight(0.5), Weight(alpha)]
 
         def density(z):
             with np.errstate(under="ignore"):
