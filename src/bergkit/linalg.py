@@ -335,15 +335,26 @@ def jacobi_eigh(matrix, compute_vectors: bool = True):
     return w, v
 
 
-def pivoted_cholesky(matrix):
-    """Cholesky factorization with greedy diagonal pivoting.
+def _subtract_product(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """x -= a * b in place, the product in real parts as Python takes it:
+    (ar br - ai bi, ar bi + ai br), each step rounded.  numpy's complex
+    multiply fuses them for some CPUs, layouts and lengths only."""
+    real, imag = x.real, x.imag  # views, so -= writes into x
+    real -= a.real * b.real - a.imag * b.imag
+    imag -= a.real * b.imag + a.imag * b.real
 
-    Factors the Hermitian PSD matrix as ``M[kept][:, kept] = L L*`` where
-    ``kept`` is the pivot order.  Pivoting stops once the largest remaining
-    Schur-complement diagonal drops below ``CHOLESKY_DROP_TOL`` times the
-    largest initial diagonal; the indices left over are reported as dropped
-    instead of being regularized, which would spoil lower-bound guarantees
-    built on the factor.
+
+def pivoted_cholesky(matrix):
+    """Cholesky factorization that takes its pivots in the given order and
+    drops the dependent ones.
+
+    Index j is a pivot when its Schur-complement diagonal, after the pivots
+    before it, is above ``CHOLESKY_DROP_TOL`` times the largest diagonal of
+    M; otherwise it is reported as dropped instead of being regularized,
+    which would spoil lower-bound guarantees built on the factor.  Then
+    ``M[kept][:, kept] = L L*`` with ``kept`` ascending, and where the
+    leading block M[:s, :s] keeps the same pivots below s, its factor is
+    the leading block of ``L``, bit for bit.
 
     Returns ``(kept, L, dropped)`` with ``L`` lower triangular of size
     ``len(kept)``.
@@ -352,51 +363,38 @@ def pivoted_cholesky(matrix):
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    a = 0.5 * (a + a.conj().T)
-
-    diag0 = a.diagonal().real
-    if n == 0:
-        return [], np.empty((0, 0), dtype=complex), []
-    ceiling = float(np.max(diag0))
-    if ceiling <= 0.0:
-        return [], np.empty((0, 0), dtype=complex), list(range(n))
-    floor = CHOLESKY_DROP_TOL * ceiling
-
-    work = a.copy()
-    chosen: list[int] = []
-    columns: list[np.ndarray] = []
-    available = np.ones(n, dtype=bool)
-    for _ in range(n):
-        d = np.where(available, work.diagonal().real, -np.inf)
-        j = int(np.argmax(d))
-        if d[j] <= floor:
-            break
-        piv = math.sqrt(d[j])
-        col = work[:, j] / piv
-        col[~available] = 0.0
-        chosen.append(j)
-        columns.append(col)
-        available[j] = False
-        work = work - col[:, None] * col.conj()
-
-    # Row r is the pivot chosen[r] of every column; column c is zero at
-    # the pivots chosen before it, so ``lower`` is lower triangular.
-    lower = np.array(columns, dtype=complex).reshape(len(chosen), n).T[chosen]
-    dropped = [i for i in range(n) if available[i]]
-    return chosen, lower, dropped
+    work = 0.5 * (a + a.conj().T)
+    floor = CHOLESKY_DROP_TOL * work.diagonal().real.max(initial=0.0)
+    # Column j of ``lower`` is the pivot column j, zero above row j; each
+    # pivot updates only the trailing block of the Schur complement.
+    lower = np.zeros((n, n), dtype=complex)
+    kept, dropped = [], []
+    for j in range(n):
+        d = work[j, j].real
+        if d <= floor:
+            dropped.append(j)
+            continue
+        lower[j:, j] = work[j:, j] / math.sqrt(d)
+        _subtract_product(work[j:, j:], lower[j:, j, None],
+                          lower[j:, j].conj())
+        kept.append(j)
+    return kept, lower[np.ix_(kept, kept)], dropped
 
 
 def solve_lower_triangular(lower, rhs):
     """Forward substitution ``L X = B`` for lower-triangular ``L``.
 
     ``rhs`` is an (n, k) matrix or a stack (B, n, k) of right-hand sides
-    that the one ``lower`` serves.  Each matrix of a
-    stack is solved with the same products, in the same memory layout,
-    as it is alone, so its solution is the same bit for bit.
+    that the one ``lower`` serves.  Row i of X is divided by L[i, i] and
+    then taken off the rows below it, entry by entry (see
+    :func:`_subtract_product`), so each entry of X goes through the same
+    operations whatever the stack or the columns beside it, and no BLAS
+    kernel is called.
     """
     l = np.asarray(lower, dtype=complex)
-    b = np.asarray(rhs, dtype=complex)
-    x = np.zeros_like(b)
+    x = np.array(rhs, dtype=complex)  # a copy in the layout of rhs
     for i in range(l.shape[0]):
-        x[..., i, :] = (b[..., i, :] - l[i, :i] @ x[..., :i, :]) / l[i, i]
+        x[..., i, :] /= l[i, i]
+        _subtract_product(x[..., i + 1:, :], l[i + 1:, i, None],
+                          x[..., i, None, :])
     return x

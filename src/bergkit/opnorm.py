@@ -108,12 +108,7 @@ def kernel_ratio_bound(weight: Weight,
 def _prefix_sizes(count: int) -> list:
     """Sizes 2, 4, 8, ... below ``count``, then ``count``: the nested
     prefixes of the point list that make the Gram trace."""
-    sizes = []
-    k = 2
-    while k < count:
-        sizes.append(k)
-        k *= 2
-    return sizes + [count]
+    return [2 ** i for i in range(1, (count - 1).bit_length())] + [count]
 
 
 def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
@@ -128,14 +123,15 @@ def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
     estimate on nested prefixes of the point list.
 
     Per weight, the Gram matrix G of the points is diagonally normalized
-    and each prefix of it factored by pivoted Cholesky once, for every
-    symbol; ill-conditioned directions are dropped (never
+    and factored once for every symbol, by Cholesky with its pivots in
+    point order; ill-conditioned directions are dropped (never
     ridge-regularized) to keep the lower-bound property, and the unit
-    diagonal always keeps the first pivot.  Each symbol's pencil
-    L^-1 H L^-* on a prefix comes from two triangular solves with that
-    shared L, so the symbols' pencils have one order and go to one Jacobi
-    stack.  A stack entry is bitwise its one-matrix solve, so a cell's
-    estimate does not depend on the cells beside it.
+    diagonal always keeps the first point.  Each symbol's pencil
+    L^-1 H L^-* comes from two triangular solves with that L; a prefix's
+    pencil is its leading block on the pivots kept in the prefix, and the
+    symbols' blocks of one prefix go to one Jacobi stack.  A stack entry is
+    bitwise its one-matrix solve, so a cell's estimate does not depend on
+    the cells beside it, nor a prefix's on the points after it.
     """
     pts = require_half_plane(points)
     if pts.ndim != 1:
@@ -145,22 +141,21 @@ def gram_norm_estimate(weights: Sequence[Weight], phis: Sequence[Symbol],
     grams = [gram_matrix(weight, pts) for weight in weights]
     images = np.array([require_image(phi, pts)
                        for phi in phis]).reshape(-1, pts.size)
-    symbols = np.arange(len(images))
     sizes = _prefix_sizes(pts.size)
     mu = np.empty((len(images), len(weights), len(sizes)))
     kept_counts = []  # pivots kept on the full point set, per weight
     for j, (weight, gram) in enumerate(zip(weights, grams)):
         scale = 1.0 / np.sqrt(_gram_diagonal(weight, gram, pts))
         gn = gram * np.outer(scale, scale)
-        hn = (bergman_kernel(weight, images[:, None, :], images[:, :, None])
-              * np.outer(scale, scale))
-        for column, size in enumerate(sizes):
-            kept, lower, _ = pivoted_cholesky(gn[:size, :size])
-            hk = hn[np.ix_(symbols, kept, kept)]
-            x = solve_lower_triangular(lower, hk)
-            # the pencil's conjugate transpose: the same Hermitian part
-            a = solve_lower_triangular(lower, x.conj().swapaxes(1, 2))
-            eigenvalues, _ = jacobi_eigh(a, compute_vectors=False)
+        kept, lower, _ = pivoted_cholesky(gn)
+        hn = (bergman_kernel(weight, images[:, None, kept],
+                             images[:, kept, None])
+              * np.outer(scale[kept], scale[kept]))
+        x = solve_lower_triangular(lower, hn)
+        # the pencil's conjugate transpose: the same Hermitian part
+        a = solve_lower_triangular(lower, x.conj().swapaxes(1, 2))
+        for column, k in enumerate(np.searchsorted(kept, sizes)):
+            eigenvalues, _ = jacobi_eigh(a[:, :k, :k], compute_vectors=False)
             mu[:, j, column] = eigenvalues[:, -1]
         kept_counts.append(len(kept))
     estimates = []
@@ -305,14 +300,12 @@ class BoundednessReport:
 
 def default_gram_points(grid: SampleGrid) -> np.ndarray:
     """Twelve geometric real-axis points for the finite-section bound, from
-    r_min to r_max, capped at 1e4 to keep the Gram solve comfortably
-    conditioned; at 1e4 r_min from r_min = 1e4 on, or where the cap at 1e4
-    leaves fewer than twelve distinct points (r_min just below 1e4)."""
-    points = np.geomspace(grid.r_min, min(grid.r_max, 1e4), 12)
-    if grid.r_min >= 1e4 or len(set(points.tolist())) < 12:
-        points = np.geomspace(grid.r_min, min(grid.r_max, 1e4 * grid.r_min),
-                              12)
-    return points.astype(complex)
+    r_min to r_max, capped at four decades above max(r_min, 1) to keep the
+    Gram solve comfortably conditioned: at 1e4 for r_min <= 1, and never
+    closer together than the grid or those four decades allow."""
+    return np.geomspace(grid.r_min,
+                        min(grid.r_max, 1e4 * max(grid.r_min, 1.0)),
+                        12).astype(complex)
 
 
 def boundedness_verdict(weights: Sequence[Weight], phis: Sequence[Symbol],

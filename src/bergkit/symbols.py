@@ -269,24 +269,27 @@ class Moebius(_Coefficients):
         return ((self.a, self.b), (self.c, self.d))
 
 
-# Cayley transform tau(zeta) = (1 + zeta)/(1 - zeta) maps the unit disc
-# onto H; its inverse is (z - 1)/(z + 1).
-_TAU = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex)
-_TAU_INV = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
+def _unit_scaled(m) -> np.ndarray:
+    """The complex coefficients ``m`` over the largest of their moduli,
+    times its reciprocal: the bits numpy's division by the real gives."""
+    m = np.array(m, dtype=complex)
+    return m * (1.0 / np.abs(m).max())
 
 
 @dataclass(frozen=True)
 class CayleyMap(_Coefficients):
     """Half-plane conjugate tau o psi o tau^{-1} of the disc Moebius map
-    psi(zeta) = (a zeta + b) / (c zeta + d)."""
+    psi(zeta) = (a zeta + b) / (c zeta + d), where the Cayley transform
+    tau(zeta) = (1 + zeta)/(1 - zeta) maps the unit disc onto H."""
 
     kind = "cayley"
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        psi = np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-        m = _TAU @ psi @ _TAU_INV
-        return m / np.max(np.abs(m))
+        # [[1, 1], [-1, 1]] psi [[1, -1], [1, 1]], written out
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return _unit_scaled([[(a + c) + (b + d), (b + d) - (a + c)],
+                             [(c - a) + (d - b), (d - b) - (c - a)]])
 
 
 @dataclass(frozen=True)
@@ -349,15 +352,17 @@ def compose(outer: Symbol, inner: Symbol) -> Symbol:
     if not (isinstance(outer, _LinearFractional)
             and isinstance(inner, _LinearFractional)):
         return Compose(outer, inner)
-    with np.errstate(over="ignore", invalid="ignore"):  # affine guard below
-        m = np.matmul(outer.matrix, inner.matrix)  # the @ product
+    # Python's complex product, never numpy's, which fuses on some CPUs
+    a, b, c, d = np.ravel(outer.matrix).tolist()
+    e, f, g, h = np.ravel(inner.matrix).tolist()
+    m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
     if isinstance(outer, Affine) and isinstance(inner, Affine):
-        a, b = m[0, 0].real, m[0, 1]
-        if not (abs(a) <= _COEFF_LIMIT and abs(b) <= _COEFF_LIMIT):
+        a, b = m[0].real, m[1]
+        # np.abs: Python's abs of a complex raises OverflowError past 1e308
+        if not (abs(a) <= _COEFF_LIMIT and np.abs(b) <= _COEFF_LIMIT):
             raise CoefficientOverflow("affine coefficients exceeded 1e300")
         return Affine(a, b)
-    m = m / np.maximum.reduce(np.abs(m), axis=None)
-    return Moebius(*m.ravel().tolist())
+    return Moebius(*_unit_scaled(m).tolist())
 
 
 def iterate_images(phi: Symbol, points: np.ndarray, count: int) -> tuple:

@@ -154,6 +154,21 @@ class TestNormCommand:
         assert row["gram_eig"] <= row["theoretical"] * (1 + 1e-9)
         assert row["gram_eig"] == pytest.approx(row["theoretical"], rel=1e-6)
 
+    @pytest.mark.parametrize("grid, alpha", [
+        ("2000,3e7,40,9,1.0", "1"), ("200,3e7,40,9,1.0", "0"),
+        ("500,3e7,40,9,1.0", "0"), ("9000,3e7,40,9,1.0", "0")])
+    def test_grid_from_above_one_to_1e4(self, tmp_path, grid, alpha):
+        # the cap at 1e4 squeezed the twelve Gram points into [r_min, 1e4],
+        # and the pencil of that near-singular Gram matrix was refused
+        # (exit 1, "matrix is not Hermitian"); the cap now sits four decades
+        # above r_min
+        code, data = run_json(tmp_path, ["norm", "--symbol", "affine:2,1",
+                                         "--alpha", alpha, "--grid", grid])
+        assert code == 0
+        row, = data["rows"]
+        assert row["verdict"] == "BOUNDED"
+        assert row["gram_eig"] <= row["theoretical"] * (1 + 1e-6)
+
     def test_require_bounded_exit_code(self, tmp_path):
         out = tmp_path / "o.json"
         code = main(["norm", "--symbol", "power:0.5", "--alpha", "0",

@@ -374,50 +374,75 @@ def _blas_cores_skip_reason():
 
 
 class TestBlasCores:
-    """The quadrature sums are ufunc reductions in a fixed order, so the
-    bytes of ``bergkit laplace`` and of criterion 7 do not follow the
-    kernel OpenBLAS picks for the CPU: those with FMA (Haswell) and those
-    without (Sandybridge, Prescott) give the same bits as the default."""
+    """The quadrature sums are ufunc reductions in a fixed order, and the
+    Gram pencils and the 2x2 symbol products are taken in real or Python
+    arithmetic, so the bytes of ``bergkit laplace``, of ``bergkit norm`` and
+    of criteria 1, 7 and 9 do not follow the kernel OpenBLAS picks for the
+    CPU: those with FMA (Haswell) and those without (Sandybridge, Prescott)
+    give the same bits as the default."""
 
     F = ("(1+0.5j)*t^2.7*exp(-(1.2+0.3j)*t)"
          "+(0.5)*t^3.1*exp(-0.8*t)")
+    # one symbol of each bounded family of the norm benchmark
+    SYMBOLS = ("affine:2.5,1.25,-0.5", "moebius:1.5,0.75+0.5j,0,2.0",
+               "cayley:2.0,3.0,0,5.0",
+               "compose:(affine:2.0,1.0,0.5;moebius:1.5,0.75-0.25j,0,2.0)",
+               "power:1")
     SCRIPT = textwrap.dedent("""\
         import json, sys
         from bergkit.cli import main
         from bergkit.report import run_criterion
-        for argv in json.loads(sys.argv[1]):
+        commands, criteria = json.loads(sys.argv[1])
+        for argv in commands:
             main(argv)
-        print(repr(run_criterion(7, 0)))
+        for number in criteria:
+            print(repr(run_criterion(number, 0)))
     """)
 
-    def test_outputs_do_not_follow_the_openblas_core(self, tmp_path):
+    def outputs(self, tmp_path, commands, criteria) -> list:
+        """The lines the commands and the criteria print, ``generated_at``
+        left out, the same under the default core and each named one."""
         reason = _blas_cores_skip_reason()
         if reason:
             pytest.skip(reason)
-        config = tmp_path / "doubled.json"
-        config.write_text(json.dumps(
-            {"quadrature": {"n_x": 320, "n_y": 800, "y_max": 400.0}}))
-        laplace_argv = ["laplace", "--f", self.F, "--alpha", "0.7",
-                        "--alpha", "1.9"]
-        commands = [laplace_argv, laplace_argv + ["--config", str(config)]]
         env = {key: value for key, value in os.environ.items()
                if key != "OPENBLAS_CORETYPE"}
         env["PYTHONPATH"] = str(Path(bergkit.__file__).parents[1])
         outputs = {}
         for core in (None, "Haswell", "Sandybridge", "Prescott"):
             result = subprocess.run(
-                [sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                [sys.executable, "-c", self.SCRIPT,
+                 json.dumps([commands, criteria])],
                 capture_output=True, text=True, timeout=120, cwd=tmp_path,
                 env=env if core is None else {**env,
                                               "OPENBLAS_CORETYPE": core})
             assert result.returncode == 0, result.stderr
             outputs[core] = [line for line in result.stdout.splitlines()
                              if '"generated_at"' not in line]
-        lines = outputs[None]
-        assert sum('"lhs_quadrature"' in line for line in lines) == 4
-        assert lines[-1].startswith("CriterionResult(number=7,")
         for core, lines in outputs.items():
             assert lines == outputs[None], core
+        return outputs[None]
+
+    def test_outputs_do_not_follow_the_openblas_core(self, tmp_path):
+        config = tmp_path / "doubled.json"
+        config.write_text(json.dumps(
+            {"quadrature": {"n_x": 320, "n_y": 800, "y_max": 400.0}}))
+        laplace_argv = ["laplace", "--f", self.F, "--alpha", "0.7",
+                        "--alpha", "1.9"]
+        lines = self.outputs(tmp_path, [
+            laplace_argv, laplace_argv + ["--config", str(config)]], [7])
+        assert sum('"lhs_quadrature"' in line for line in lines) == 4
+        assert lines[-1].startswith("CriterionResult(number=7,")
+
+    def test_norm_outputs_do_not_follow_the_openblas_core(self, tmp_path):
+        argv = ["norm", "--alpha", "0.72", "--alpha", "3.37"]
+        for symbol in self.SYMBOLS:
+            argv += ["--symbol", symbol]
+        lines = self.outputs(tmp_path, [argv], [1, 9])
+        assert sum('"verdict": "BOUNDED"' in line
+                   for line in lines) == 2 * len(self.SYMBOLS)
+        assert lines[-2].startswith("CriterionResult(number=1,")
+        assert lines[-1].startswith("CriterionResult(number=9,")
 
 
 class TestOverflowingPower:

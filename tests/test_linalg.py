@@ -395,7 +395,26 @@ def test_pivoted_cholesky_drops_dependent_directions():
     kept, lower, dropped = pivoted_cholesky(a)
     assert len(kept) == 1
     assert len(dropped) == 2
-    assert kept[0] == 2  # largest diagonal first
+    assert kept[0] == 0  # pivots in the given order: the first above the floor
+    assert dropped == [1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=16),
+       st.integers(min_value=0, max_value=10_000))
+def test_pivoted_cholesky_leading_blocks_share_one_factor(n, seed):
+    # Pivots go in point order, so the factor of every leading block is the
+    # leading block of the one factor, as bytes.
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = b @ b.conj().T + n * np.eye(n)
+    kept, lower, dropped = pivoted_cholesky(m)
+    assert kept == list(range(n)) and not dropped
+    for s in range(1, n + 1):
+        kept_s, lower_s, _ = pivoted_cholesky(m[:s, :s])
+        assert kept_s == kept[:s]
+        assert lower_s.tobytes() == np.ascontiguousarray(
+            lower[:s, :s]).tobytes()
 
 
 def test_solve_lower_triangular():

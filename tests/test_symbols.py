@@ -122,6 +122,26 @@ class TestComposition:
     def test_overflow_guard(self):
         with pytest.raises(CoefficientOverflow):
             compose(Affine(1e200, 0), Affine(1e200, 0))
+        # |b| past the float range with finite parts: Python's abs of the
+        # complex would raise OverflowError
+        with pytest.raises(CoefficientOverflow):
+            compose(Affine(1, 0), Affine(1, 1.3e308 + 1.3e308j))
+
+    def test_products_in_python_arithmetic(self):
+        # the 2x2 product is Python's complex arithmetic, scaled by the
+        # reciprocal of the largest modulus, so it follows no BLAS kernel
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            outer, inner = (Moebius(*(rng.normal(size=4)
+                                      + 1j * rng.normal(size=4)).tolist())
+                            for _ in range(2))
+            (a, b), (c, d) = outer.matrix
+            (e, f), (g, h) = inner.matrix
+            m = np.array([a * e + b * g, a * f + b * h,
+                          c * e + d * g, c * f + d * h])
+            expected = m * (1.0 / np.abs(m).max())
+            got = np.array(compose(outer, inner).matrix).ravel()
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestFiniteCoefficients:
@@ -361,6 +381,21 @@ class TestAngularDerivative:
 
 
 class TestCayley:
+    def test_matrix_is_the_cayley_product_bit_for_bit(self):
+        # the product tau psi tau^-1 written out in sums equals the matrix
+        # product, scaled by the reciprocal of its largest modulus as numpy
+        # divides by it
+        tau = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex)
+        tau_inv = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            coefficients = ((rng.normal(size=4) + 1j * rng.normal(size=4))
+                            * 10.0 ** rng.uniform(-3, 3, size=4))
+            m = tau @ coefficients.reshape(2, 2) @ tau_inv
+            expected = m / np.max(np.abs(m))
+            got = CayleyMap(*coefficients.tolist()).matrix
+            assert got.tobytes() == expected.tobytes()
+
     def test_identity_conjugates_to_identity(self):
         phi = cayley_conjugate(1, 0, 0, 1)
         assert phi.known_lambda == pytest.approx(1.0)
